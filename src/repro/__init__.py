@@ -22,18 +22,36 @@ Entry points:
 * :mod:`repro.attacks` -- the timing adversaries the paper defends against.
 """
 
+import re as _re
 from importlib import metadata as _metadata
+from pathlib import Path as _Path
 
 from . import api, telemetry
 from .api import CompiledProgram, compile_program
 from .lattice import Label, Lattice, chain, diamond, powerset, two_point
 from .machine.memory import Memory
 
+
+def _source_version() -> str:
+    """``version`` from pyproject.toml, for an uninstalled source tree.
+
+    A plain text read: ``tomllib`` needs Python 3.11.
+    """
+    pyproject = _Path(__file__).resolve().parents[2] / "pyproject.toml"
+    try:
+        match = _re.search(r'^version\s*=\s*"([^"]+)"',
+                           pyproject.read_text(), _re.MULTILINE)
+    except OSError:
+        match = None
+    return match.group(1) if match else "0.0.0"
+
+
 try:
-    # Single source of truth: the packaging metadata (pyproject.toml).
+    # Single source of truth: pyproject.toml, via the packaging metadata
+    # when installed.
     __version__ = _metadata.version("repro")
-except _metadata.PackageNotFoundError:  # pragma: no cover - source tree
-    __version__ = "0.0.0"
+except _metadata.PackageNotFoundError:
+    __version__ = _source_version()
 
 __all__ = [
     "CompiledProgram",

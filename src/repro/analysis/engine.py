@@ -146,21 +146,27 @@ def parse_directives(source: str) -> Dict[str, str]:
     return found
 
 
+def _bind_levels(levels: Dict[str, str], lattice: Lattice) -> Dict[str, Label]:
+    """Resolve name -> level-name bindings against ``lattice``."""
+    for level in levels.values():
+        if level not in lattice:
+            raise DirectiveError(
+                f"unknown security level {level!r}; lattice levels are "
+                f"{[l.name for l in lattice]}"
+            )
+    return {name: lattice[level] for name, level in levels.items()}
+
+
 def _parse_gamma_spec(spec: str, lattice: Lattice) -> Dict[str, Label]:
-    bindings: Dict[str, Label] = {}
+    levels: Dict[str, str] = {}
     for item in filter(None, (part.strip() for part in spec.split(","))):
         if "=" not in item:
             raise DirectiveError(
                 f"gamma entries look like name=LEVEL, got {item!r}"
             )
         name, level = (s.strip() for s in item.split("=", 1))
-        if level not in lattice:
-            raise DirectiveError(
-                f"unknown security level {level!r}; lattice levels are "
-                f"{[l.name for l in lattice]}"
-            )
-        bindings[name] = lattice[level]
-    return bindings
+        levels[name] = level
+    return _bind_levels(levels, lattice)
 
 
 _POSITION = re.compile(r"line (\d+)(?:, column (\d+))?")
@@ -206,13 +212,7 @@ def analyze_source(
     bindings: Dict[str, Label] = {}
     if "gamma" in directives:
         bindings.update(_parse_gamma_spec(directives["gamma"], lattice))
-    for name, level in options.gamma.items():
-        if level not in lattice:
-            raise DirectiveError(
-                f"unknown security level {level!r}; lattice levels are "
-                f"{[l.name for l in lattice]}"
-            )
-        bindings[name] = lattice[level]
+    bindings.update(_bind_levels(options.gamma, lattice))
 
     if options.infer is None:
         infer = directives.get("infer", "on") != "off"

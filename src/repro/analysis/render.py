@@ -262,10 +262,6 @@ def render_sarif(diagnostics: Sequence[Diagnostic]) -> dict:
     }
 
 
-def dump(document: dict, path: Optional[str] = None) -> str:
-    """Serialize a JSON/SARIF document (to ``path`` when given)."""
-    text = json.dumps(document, indent=2, sort_keys=False) + "\n"
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
+def dump(document: dict) -> str:
+    """Serialize a JSON/SARIF document."""
+    return json.dumps(document, indent=2, sort_keys=False) + "\n"

@@ -25,7 +25,6 @@ literature:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -139,16 +138,6 @@ class WorkloadSpec:
         )
         spec.validate()
         return spec
-
-    @classmethod
-    def load(cls, path: str) -> "WorkloadSpec":
-        """Parse a spec file (``-`` reads stdin via the CLI, not here)."""
-        with open(path) as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise WorkloadError(f"{path}: not valid JSON ({err})")
-        return cls.from_dict(raw)
 
     def validate(self) -> None:
         if self.hardware not in REGISTRY:

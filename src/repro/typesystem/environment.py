@@ -18,6 +18,10 @@ from ..lattice import Label, Lattice
 class UnboundVariable(KeyError):
     """A program mentions a name Gamma does not bind."""
 
+    def __str__(self) -> str:
+        # The message itself, not KeyError's quoted repr of it.
+        return str(self.args[0]) if self.args else ""
+
 
 class SecurityEnvironment(Mapping[str, Label]):
     """An immutable map from names to security labels."""
