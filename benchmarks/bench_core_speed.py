@@ -25,8 +25,8 @@ repo root as ``BENCH_core.json`` -- the committed baseline that
 ``repro bench --compare BENCH_core.json`` gates against (see
 docs/PROFILING.md for the refresh policy).
 
-The benchmark also asserts the tentpole's zero-overhead claim: with
-profiling off, the ``profiler is None`` seam in the interpreter hot loop
+The benchmark also asserts the zero-overhead claim: with no recorder
+attached, the ``recorder is not None`` seam in the interpreter hot loop
 must cost <= 5% versus an interpreter build with the seam compiled out
 (:class:`repro.telemetry.bench.SeamlessInterpreter`).
 """

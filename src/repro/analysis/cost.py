@@ -40,7 +40,7 @@ from ..hardware.costmodel import (
 from ..hardware.interface import StepKind
 from ..hardware.params import MachineParams
 from ..lang import ast
-from ..telemetry.recorder import TraceRecorder
+from ..telemetry.recorder import TeeRecorder, TraceRecorder
 from .dataflow import eval_const
 
 #: Concrete-unroll budget per loop before widening to ⊤.
@@ -465,14 +465,12 @@ class SoundnessCheck:
 class RegionRecorder(TraceRecorder):
     """Collects mitigation epochs; every other hook is the inherited no-op."""
 
-    active = True
-
     def __init__(self):
         #: ``(mit_id, elapsed, padded, end_time)`` per completed epoch.
         self.mitigations: List[Tuple[str, int, int, int]] = []
 
     def on_mitigation(self, mit_id, level, estimate, elapsed,
-                      padded, misses, pc_label, end_time):
+                      padded, misses, pc_label, end_time, wall_ns):
         self.mitigations.append((str(mit_id), elapsed, padded, end_time))
 
 
@@ -620,8 +618,7 @@ def replay_program(
             ),
             hardware=hardware,
             params=params,
-            recorder=recorder,
-            profiler=profiler,
+            recorder=TeeRecorder(recorder, profiler),
         )
     except (EvaluationError, SemanticsError, TimeoutError, KeyError) as err:
         return skip(f"does not run: {err}")

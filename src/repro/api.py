@@ -34,7 +34,6 @@ from .machine.layout import Layout
 from .machine.memory import Memory, ValueSpec
 from .semantics.full import ExecutionResult, execute
 from .semantics.mitigation import MitigationState
-from .telemetry.profiling import Profiler
 from .telemetry.recorder import TraceRecorder
 from .typesystem.environment import SecurityEnvironment
 from .typesystem.inference import infer_labels
@@ -73,7 +72,6 @@ class CompiledProgram:
         layout: Optional[Layout] = None,
         max_steps: int = 10_000_000,
         recorder: Optional[TraceRecorder] = None,
-        profiler: Optional[Profiler] = None,
     ) -> ExecutionResult:
         """Execute under the full semantics.
 
@@ -81,9 +79,8 @@ class CompiledProgram:
         ``hardware`` a model name (``null``, ``nopar``/``standard``,
         ``nofill``, ``partitioned``) or a ready environment instance, which
         is used as-is (and mutated).  ``recorder`` attaches runtime
-        telemetry (see :mod:`repro.telemetry`); omitted, the zero-overhead
-        null recorder is used.  ``profiler`` attributes cycles and
-        wall-time to subsystems (see :mod:`repro.telemetry.profiling`).
+        telemetry, a :class:`~repro.telemetry.profiling.Profiler` included
+        (see :mod:`repro.telemetry`); omitted, nothing observes the run.
         """
         if not isinstance(memory, Memory):
             memory = Memory(memory)
@@ -98,7 +95,6 @@ class CompiledProgram:
             mitigate_pc=self.typing.mitigate_pc,
             max_steps=max_steps,
             recorder=recorder,
-            profiler=profiler,
         )
 
 

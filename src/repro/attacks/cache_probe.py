@@ -51,7 +51,7 @@ def probe(
     receives one ``attack_sample`` per probed address (the access cost the
     adversary timed), tagged with ``attack``.
     """
-    observing = recorder is not None and recorder.active
+    observing = recorder is not None
     lattice = environment.lattice
     bottom = lattice.bottom
     costs = []

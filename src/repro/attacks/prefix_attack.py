@@ -81,7 +81,7 @@ def recover_password(
     and receives one ``attack_sample`` per guess -- the response time the
     adversary saw -- plus summary ``attack_stat`` records at the end.
     """
-    observing = recorder is not None and recorder.active
+    observing = recorder is not None
     length = checker.length
     recovered: List[int] = []
     guesses = 0

@@ -73,7 +73,7 @@ def measure_key_times(
     ``recorder`` observes every decryption and receives one
     ``attack_sample`` per key: the total time the adversary measured.
     """
-    observing = recorder is not None and recorder.active
+    observing = recorder is not None
     times = []
     for index, key in enumerate(keys):
         cipher = encrypt_blocks(message, key)
@@ -142,7 +142,7 @@ def hamming_weight_attack(
         recovered_weight=recovered,
         model=model,
     )
-    if recorder is not None and recorder.active:
+    if recorder is not None:
         recorder.on_attack_stat("rsa", "slope", model.slope)
         recorder.on_attack_stat("rsa", "correlation", model.correlation)
         if recovered == recovered:  # skip the NaN of a flat model

@@ -95,7 +95,7 @@ def recover_key_byte(
     run, receives one ``attack_sample`` per probed block, and summary
     ``attack_stat`` records (probes, surviving candidates, bits learned).
     """
-    observing = recorder is not None and recorder.active
+    observing = recorder is not None
     candidates: Set[int] = set(range(SBOX_SIZE))
     probes = 0
     plaintext_template = [0] * cipher.plaintext_length

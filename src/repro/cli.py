@@ -151,7 +151,7 @@ from .telemetry import (
     RecordingTraceRecorder,
     ReportError,
     SpanRecorder,
-    TeeRecorder,
+    combine,
     load_document,
     prometheus_exposition,
     render_report,
@@ -320,6 +320,12 @@ def _compiled(args, check: bool = True):
         raise CliError(f"{args.program}: {err}") from err
 
 
+def _initial_memory(compiled, args) -> Memory:
+    """The ``--set`` memory; Gamma scalars absent from ``--set`` start
+    at 0."""
+    return Memory({**{name: 0 for name in compiled.gamma}, **dict(args.set)})
+
+
 def _workload(path: str, **overrides):
     """The workload spec JSON at ``path``, with non-None ``overrides``."""
     from .service import WorkloadError, WorkloadSpec
@@ -379,8 +385,8 @@ class _Telemetry:
     ``meter`` (a :class:`DynamicLeakageMeter`) is kept, behind a metrics
     recorder, when ``--trace`` or ``--metrics-out`` wants it; spans and a
     JSONL journal follow ``--trace-out``/``--journal-out``, a profiler
-    ``--profile``/``--prom-out``.  Pass :attr:`recorder` and
-    :attr:`profiler` to the run, then call :meth:`finish`.
+    ``--profile``/``--prom-out``.  Pass :attr:`recorder` (all of them, or
+    ``None``) to the run, then call :meth:`finish`.
     """
 
     def __init__(self, args, meter: Optional[DynamicLeakageMeter] = None):
@@ -396,12 +402,11 @@ class _Telemetry:
             SpanRecorder(journal=self.journal, keep_spans=bool(trace_out))
             if trace_out or journal_out else None
         )
-        both = self.metrics is not None and self.spans is not None
-        self.recorder = (TeeRecorder(self.metrics, self.spans) if both
-                         else self.metrics or self.spans)
-        wants_profile = (getattr(args, "profile", False)
-                         or getattr(args, "prom_out", None))
-        self.profiler = Profiler() if wants_profile else None
+        #: Whether ``--profile``/``--prom-out`` asked for a profile.
+        self.profiling = bool(getattr(args, "profile", False)
+                              or getattr(args, "prom_out", None))
+        self.profiler = Profiler() if self.profiling else None
+        self.recorder = combine(self.metrics, self.spans, self.profiler)
 
     @property
     def ok(self) -> bool:
@@ -412,8 +417,7 @@ class _Telemetry:
         """The metrics recorder's ``repro.telemetry/1`` document."""
         return self.metrics.registry.as_dict(
             leakage=self.meter.as_dict(),
-            profile=(self.profiler.as_dict() if self.profiler is not None
-                     else None),
+            profile=self.profiler.as_dict() if self.profiling else None,
         )
 
     def finish(self, doc: Optional[dict] = None, say=print) -> None:
@@ -423,11 +427,11 @@ class _Telemetry:
         ``--metrics-out`` document.
         """
         args, profiler, meter = self.args, self.profiler, self.meter
-        if profiler is not None and args.profile:
+        if self.profiling and args.profile:
             say("profile:")
             for line in profiler.summary_lines():
                 say(f"  {line}")
-        if profiler is not None and args.prom_out:
+        if self.profiling and args.prom_out:
             _emit(prometheus_exposition(profiler.as_dict()), args.prom_out,
                   f"prometheus exposition written to {args.prom_out}", say)
         if meter is not None and args.trace:
@@ -805,13 +809,12 @@ def cmd_run(args) -> int:
         scheme=make_scheme(args.scheme), policy=args.penalty
     )
     result = compiled.run(
-        Memory(dict(args.set)),
+        _initial_memory(compiled, args),
         hardware=args.hardware,
         params=paper_machine(),
         mitigation=mitigation,
         max_steps=args.max_steps,
         recorder=sinks.recorder,
-        profiler=sinks.profiler,
     )
     print(f"time: {result.time} cycles ({result.steps} steps)")
     if result.events:
@@ -839,11 +842,10 @@ def cmd_serve(args) -> int:
                      seed=args.seed, quantum=args.quantum,
                      workers=args.workers)
     sinks = _Telemetry(args)
-    result = Gateway(spec, recorder=sinks.recorder,
-                     profiler=sinks.profiler).serve()
+    result = Gateway(spec, recorder=sinks.recorder).serve()
     audit = audit_service(result)
     doc = service_document(result, audit)
-    if sinks.profiler is not None:
+    if sinks.profiling:
         doc["profile"] = sinks.profiler.as_dict()
 
     say = functools.partial(
@@ -892,8 +894,7 @@ def cmd_leakage(args) -> int:
     lattice = compiled.lattice
     if args.secret not in compiled.gamma:
         raise CliError(f"--secret {args.secret!r} has no --gamma level")
-    # Scalars mentioned in Gamma but absent from --set default to 0.
-    base = Memory({**{name: 0 for name in compiled.gamma}, **dict(args.set)})
+    base = _initial_memory(compiled, args)
     lo, hi = args.values
     variants = secret_variants(base, ({args.secret: v} for v in range(lo, hi)))
     adversary = lattice[args.adversary] if args.adversary else lattice.bottom

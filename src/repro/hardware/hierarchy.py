@@ -20,9 +20,9 @@ does not flow to the partition's level).
 
 from __future__ import annotations
 
-from typing import Hashable, Tuple
+from typing import Hashable, Optional, Tuple
 
-from ..telemetry.recorder import NULL_RECORDER
+from ..telemetry.recorder import TraceRecorder
 from .branch import BranchPredictor
 from .cache import Cache
 from .params import MachineParams
@@ -34,10 +34,10 @@ class Hierarchy:
 
     def __init__(self, params: MachineParams):
         self.params = params
-        #: Telemetry seam: hit/miss classifications go here when an active
+        #: Telemetry seam: hit/miss classifications go here when a
         #: recorder is attached (see :mod:`repro.telemetry`).  Clones start
         #: detached so pairwise contract checks never double-record.
-        self.recorder = NULL_RECORDER
+        self.recorder: Optional[TraceRecorder] = None
         self.l1_data = Cache(params.l1_data)
         self.l2_data = Cache(params.l2_data)
         self.l1_inst = Cache(params.l1_inst)
@@ -60,11 +60,11 @@ class Hierarchy:
         promote: bool,
         side: str = "d",
     ) -> int:
-        recording = self.recorder.active
+        recorder = self.recorder
         cost = 0
         tlb_hit = tlb.lookup(address)
-        if recording:
-            self.recorder.on_cache_access(f"{side}tlb", tlb_hit)
+        if recorder is not None:
+            recorder.on_cache_access(f"{side}tlb", tlb_hit)
         if tlb_hit:
             if promote:
                 tlb.touch(address)
@@ -74,16 +74,16 @@ class Hierarchy:
                 tlb.touch(address)
         cost += l1.params.latency
         l1_hit = l1.lookup(address)
-        if recording:
-            self.recorder.on_cache_access(f"l1{side}", l1_hit)
+        if recorder is not None:
+            recorder.on_cache_access(f"l1{side}", l1_hit)
         if l1_hit:
             if promote:
                 l1.touch(address)
             return cost
         cost += l2.params.latency
         l2_hit = l2.lookup(address)
-        if recording:
-            self.recorder.on_cache_access(f"l2{side}", l2_hit)
+        if recorder is not None:
+            recorder.on_cache_access(f"l2{side}", l2_hit)
         if l2_hit:
             if promote:
                 l2.touch(address)
@@ -102,7 +102,7 @@ class Hierarchy:
         predictor component is disabled); optionally trains the counter."""
         if self.branch is None:
             return 0
-        if self.recorder.active:
+        if self.recorder is not None:
             # predict() is pure, so classifying before resolving is safe.
             self.recorder.on_branch(
                 taken, self.branch.predict(address) != taken

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
-from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
+from ..telemetry.recorder import TraceRecorder
 
 
 class StepKind(enum.Enum):
@@ -58,13 +58,14 @@ class MachineEnvironment(ABC):
         self.lattice = lattice
         #: Telemetry seam (see :mod:`repro.telemetry`): models report
         #: cache/TLB/branch hit-miss classifications here, guarded by
-        #: ``recorder.active`` so the default null recorder costs nothing.
-        self.recorder: TraceRecorder = NULL_RECORDER
+        #: ``recorder is not None`` so an unobserved run costs nothing.
+        self.recorder: Optional[TraceRecorder] = None
 
-    def attach_recorder(self, recorder: TraceRecorder) -> None:
-        """Attach a trace recorder.  Models with internal components that
-        classify hits and misses themselves override this to propagate the
-        recorder (recording is passive: attaching never changes timing)."""
+    def attach_recorder(self, recorder: Optional[TraceRecorder]) -> None:
+        """Attach a trace recorder (``None`` detaches).  Models with
+        internal components that classify hits and misses themselves
+        override this to propagate the recorder (recording is passive:
+        attaching never changes timing)."""
         self.recorder = recorder
 
     @abstractmethod

@@ -65,7 +65,7 @@ class LeakyTlbHardware(PartitionedHardware):
         """Label-oblivious translation through the one shared TLB."""
         tlb = self.shared_itlb if instruction else self.shared_dtlb
         hit = tlb.lookup(address)
-        if self.recorder.active:
+        if self.recorder is not None:
             self.recorder.on_cache_access(
                 "itlb" if instruction else "dtlb", hit
             )

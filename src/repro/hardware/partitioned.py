@@ -102,7 +102,7 @@ class PartitionedHardware(MachineEnvironment):
             if tlb_of(self.partitions[p]).lookup(address):
                 tlb_hit = p
                 break
-        if self.recorder.active:
+        if self.recorder is not None:
             self.recorder.on_cache_access(
                 "itlb" if instruction else "dtlb", tlb_hit is not None
             )
@@ -129,7 +129,7 @@ class PartitionedHardware(MachineEnvironment):
             l1_of = lambda h: h.l1_data  # noqa: E731
             l2_of = lambda h: h.l2_data  # noqa: E731
 
-        recording = self.recorder.active
+        recorder = self.recorder
         cache_side = "i" if instruction else "d"
 
         cost = 0
@@ -142,8 +142,8 @@ class PartitionedHardware(MachineEnvironment):
             if l1_of(self.partitions[p]).lookup(address):
                 l1_hit = p
                 break
-        if recording:
-            self.recorder.on_cache_access(f"l1{cache_side}", l1_hit is not None)
+        if recorder is not None:
+            recorder.on_cache_access(f"l1{cache_side}", l1_hit is not None)
         if l1_hit is not None:
             if l1_hit == label:
                 l1_of(own).touch(address)
@@ -156,8 +156,8 @@ class PartitionedHardware(MachineEnvironment):
             if l2_of(self.partitions[p]).lookup(address):
                 l2_hit = p
                 break
-        if recording:
-            self.recorder.on_cache_access(f"l2{cache_side}", l2_hit is not None)
+        if recorder is not None:
+            recorder.on_cache_access(f"l2{cache_side}", l2_hit is not None)
         if l2_hit is not None:
             if l2_hit == label:
                 l2_of(own).touch(address)
@@ -200,7 +200,7 @@ class PartitionedHardware(MachineEnvironment):
             cost += reference.data_miss_cost() * (
                 len(trace.reads) + len(trace.writes)
             )
-            if self.recorder.active:
+            if self.recorder is not None:
                 self.recorder.on_bypass(
                     1 + len(trace.reads) + len(trace.writes)
                 )

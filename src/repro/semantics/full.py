@@ -34,6 +34,7 @@ Sequential composition adds no cost of its own (Property 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import List, Mapping, Optional, Tuple
 
 from ..lang import ast
@@ -41,8 +42,7 @@ from ..lattice import Label
 from ..machine.layout import AccessTrace, DataAccess, Layout
 from ..machine.memory import Memory
 from ..hardware.interface import MachineEnvironment, StepKind
-from ..telemetry.profiling import Profiler, hardware_subsystem
-from ..telemetry.recorder import NULL_RECORDER, TraceRecorder
+from ..telemetry.recorder import TraceRecorder
 from .core import EvaluationError, eval_expr_traced
 from .events import Event, MitigationRecord
 from .mitigation import MitigationState
@@ -113,6 +113,11 @@ class Interpreter:
         Optional map from mitigate id to its static ``pc`` label, as
         computed by the type checker; attached to mitigation records so the
         Sec. 6.3 projections can run.
+    recorder:
+        Optional :class:`~repro.telemetry.recorder.TraceRecorder` observing
+        the run (combine several sinks with
+        :func:`~repro.telemetry.recorder.combine`); ``None`` observes
+        nothing and reads no clock.
     """
 
     program: ast.Command
@@ -123,27 +128,18 @@ class Interpreter:
     mitigate_pc: Mapping[str, Label] = field(default_factory=dict)
     max_steps: int = 10_000_000
     recorder: Optional[TraceRecorder] = None
-    profiler: Optional[Profiler] = None
 
     def __post_init__(self) -> None:
         if self.layout is None:
             self.layout = Layout.build(self.program, self.memory)
         if self.mitigation is None:
             self.mitigation = MitigationState()
-        if self.recorder is None:
-            self.recorder = NULL_RECORDER
-        if self.recorder.active:
-            # Thread the recorder through every layer that advances or
-            # explains the clock: hardware (hit/miss classification) and
-            # the mitigation runtime (Miss[l] transitions).
-            self.environment.attach_recorder(self.recorder)
-            self.mitigation.recorder = self.recorder
-        # The profiling seam resolves to None when off, so the per-step
-        # hot path pays one identity check and nothing else.
-        if self.profiler is not None and not self.profiler.active:
-            self.profiler = None
-        if self.profiler is not None:
-            self._hw_subsystem = hardware_subsystem(self.environment)
+        # Thread the run's recorder through every layer that advances or
+        # explains the clock: hardware (hit/miss classification) and the
+        # mitigation runtime (Miss[l] transitions).  Always assigned, so
+        # an unrecorded run detaches the previous run's recorder.
+        self.environment.attach_recorder(self.recorder)
+        self.mitigation.recorder = self.recorder
         self.time = 0
         self.steps = 0
         self.events: List[Event] = []
@@ -183,17 +179,16 @@ class Interpreter:
     ) -> None:
         read_label, write_label = self._labels(cmd)
         trace = self._trace(cmd, reads, writes, taken=taken)
-        profiler = self.profiler
-        if profiler is None:
-            cost = self.environment.step(kind, trace, read_label, write_label)
-        else:
-            started = profiler.clock()
-            cost = self.environment.step(kind, trace, read_label, write_label)
-            profiler.add_wall(self._hw_subsystem, profiler.clock() - started)
-            profiler.add_cycles(self._hw_subsystem, cost, calls=1)
+        recorder = self.recorder
+        if recorder is None:
+            self.time += self.environment.step(kind, trace, read_label,
+                                               write_label)
+            return
+        started = perf_counter_ns()
+        cost = self.environment.step(kind, trace, read_label, write_label)
+        wall_ns = perf_counter_ns() - started
         self.time += cost
-        if self.recorder.active:
-            self.recorder.on_step(kind, cost, self.time)
+        recorder.on_step(kind, cost, self.time, wall_ns)
 
     # -- stepping ---------------------------------------------------------------
 
@@ -217,11 +212,7 @@ class Interpreter:
             duration, _ = eval_expr_traced(cmd.duration, self.memory)
             self._labels(cmd)  # still insist the program is annotated
             self.time += max(duration, 0)
-            if self.profiler is not None:
-                self.profiler.add_cycles(
-                    "interpreter.sleep", max(duration, 0), calls=1
-                )
-            if self.recorder.active:
+            if self.recorder is not None:
                 self.recorder.on_sleep(max(duration, 0), self.time)
             return None
 
@@ -272,7 +263,7 @@ class Interpreter:
         if isinstance(cmd, ast.Mitigate):
             estimate, accesses = eval_expr_traced(cmd.budget, self.memory)
             self._charge(StepKind.MITIGATE, cmd, reads=accesses)
-            if self.recorder.active:
+            if self.recorder is not None:
                 # Span boundary: the epoch opens once the head is charged,
                 # carrying the runtime's current prediction for it.
                 self.recorder.on_mitigate_enter(
@@ -295,18 +286,15 @@ class Interpreter:
 
     def _finish_mitigation(self, frame: _MitFrame) -> None:
         elapsed = self.time - frame.start_time
-        profiler = self.profiler
-        if profiler is None:
+        recorder = self.recorder
+        if recorder is None:
             total = self.mitigation.settle(frame.estimate, frame.level,
                                            elapsed)
         else:
-            started = profiler.clock()
+            started = perf_counter_ns()
             total = self.mitigation.settle(frame.estimate, frame.level,
                                            elapsed)
-            profiler.add_wall("mitigation.schedule",
-                              profiler.clock() - started, calls=1)
-            profiler.add_cycles("mitigation.padding", total - elapsed,
-                                calls=1)
+            wall_ns = perf_counter_ns() - started
         # Pad the block to exactly its (possibly just-inflated) prediction.
         self.time = frame.start_time + total
         self.records.append(
@@ -318,8 +306,8 @@ class Interpreter:
                 pc_label=frame.pc_label,
             )
         )
-        if self.recorder.active:
-            self.recorder.on_mitigation(
+        if recorder is not None:
+            recorder.on_mitigation(
                 mit_id=frame.mit_id,
                 level=frame.level,
                 estimate=frame.estimate,
@@ -328,6 +316,7 @@ class Interpreter:
                 misses=self.mitigation.misses(frame.level),
                 pc_label=frame.pc_label,
                 end_time=self.time,
+                wall_ns=wall_ns,
             )
         return None
 
@@ -335,19 +324,13 @@ class Interpreter:
 
     def run(self) -> ExecutionResult:
         """Run to completion (or raise ``TimeoutError`` after ``max_steps``)."""
-        if self.recorder.active:
+        recorder = self.recorder
+        if recorder is not None:
             # Span boundary: the run timeline opens at global clock 0.
-            self.recorder.on_run_start({
+            recorder.on_run_start({
                 "hardware": type(self.environment).__name__,
                 "mitigation": self.mitigation.describe(),
             })
-        profiler = self.profiler
-        if profiler is not None:
-            nested_before = (
-                profiler.wall_ns.get(self._hw_subsystem, 0)
-                + profiler.wall_ns.get("mitigation.schedule", 0)
-            )
-            run_started = profiler.clock()
         current: Optional[ast.Command] = self.program
         while current is not None:
             if self.steps >= self.max_steps:
@@ -356,19 +339,6 @@ class Interpreter:
                 )
             current = self._step(current)
             self.steps += 1
-        if profiler is not None:
-            # Dispatch = the run loop's own wall-time, i.e. everything
-            # that is not the nested hardware/mitigation sections.  It
-            # gets zero cycles: dispatch never advances the clock, so
-            # the cycle counters still partition the final time.
-            run_wall = profiler.clock() - run_started
-            nested = (
-                profiler.wall_ns.get(self._hw_subsystem, 0)
-                + profiler.wall_ns.get("mitigation.schedule", 0)
-                - nested_before
-            )
-            profiler.add_wall("interpreter.dispatch",
-                              max(run_wall - nested, 0), calls=self.steps)
         # Mitigate vectors are ordered by completion time; records are
         # appended at completion so they already are, but make it explicit.
         self.records.sort(key=lambda r: r.end_time)
@@ -380,8 +350,8 @@ class Interpreter:
             mitigations=tuple(self.records),
             steps=self.steps,
         )
-        if self.recorder.active:
-            self.recorder.on_finish(result)
+        if recorder is not None:
+            recorder.on_finish(result)
         return result
 
 
@@ -394,17 +364,15 @@ def execute(
     mitigate_pc: Mapping[str, Label] = None,
     max_steps: int = 10_000_000,
     recorder: Optional[TraceRecorder] = None,
-    profiler: Optional[Profiler] = None,
 ) -> ExecutionResult:
     """Run ``program`` from ``(memory, environment, G=0)`` to completion.
 
     ``memory`` and ``environment`` are mutated; pass copies to keep the
-    originals.  ``recorder`` observes the run (see
-    :mod:`repro.telemetry`); the default null recorder records nothing and
-    costs nothing.  ``profiler`` attributes cycles and wall-time to
-    subsystems (see :mod:`repro.telemetry.profiling`); inactive or absent
-    profilers cost one pointer check per step.  See :class:`Interpreter`
-    for the other parameters.
+    originals.  ``recorder`` observes the run (see :mod:`repro.telemetry`;
+    a :class:`~repro.telemetry.profiling.Profiler` attributes cycles and
+    wall-time to subsystems); ``None`` records nothing and costs one
+    identity check per site.  See :class:`Interpreter` for the other
+    parameters.
     """
     interp = Interpreter(
         program=program,
@@ -415,6 +383,5 @@ def execute(
         mitigate_pc=dict(mitigate_pc or {}),
         max_steps=max_steps,
         recorder=recorder,
-        profiler=profiler,
     )
     return interp.run()

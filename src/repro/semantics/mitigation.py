@@ -35,7 +35,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, Optional
 
 from ..lattice import Label
-from ..telemetry.recorder import NULL_RECORDER
+from ..telemetry.recorder import TraceRecorder
 
 
 class PredictionScheme(ABC):
@@ -112,9 +112,9 @@ class MitigationState:
         self.scheme = scheme if scheme is not None else DoublingScheme()
         self.policy = policy
         self._miss: Dict[Optional[Label], int] = {}
-        #: Telemetry seam; the interpreter swaps in an active recorder when
-        #: one is attached to the run (see :mod:`repro.telemetry`).
-        self.recorder = NULL_RECORDER
+        #: Telemetry seam; the interpreter assigns each run's recorder
+        #: (``None`` when unobserved, see :mod:`repro.telemetry`).
+        self.recorder: Optional[TraceRecorder] = None
 
     def _key(self, level: Label) -> Optional[Label]:
         return level if self.policy == "local" else None
@@ -135,12 +135,13 @@ class MitigationState:
         prediction strictly greater than the elapsed time.
         """
         key = self._key(level)
+        recorder = self.recorder
         while elapsed >= self.scheme.predict(
             estimate, self._miss.get(key, 0)
         ):
             self._miss[key] = self._miss.get(key, 0) + 1
-            if self.recorder.active:
-                self.recorder.on_miss_update(key, self._miss[key])
+            if recorder is not None:
+                recorder.on_miss_update(key, self._miss[key])
         return self.scheme.predict(estimate, self._miss.get(key, 0))
 
     def describe(self) -> str:

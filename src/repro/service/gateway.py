@@ -39,16 +39,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 import random
+from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..semantics.mitigation import MitigationState, make_scheme
 from ..telemetry.leakage import DynamicLeakageMeter
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.profiling import Profiler
 from ..telemetry.recorder import (
     RecordingTraceRecorder,
-    TeeRecorder,
     TraceRecorder,
+    combine,
 )
 from .handlers import Handler
 from .scheduler import SchedulerPolicy, make_policy, new_queues
@@ -137,11 +137,16 @@ class ServiceResult:
 
 
 class Gateway:
-    """One configured serving instance; :meth:`serve` runs the workload."""
+    """One configured serving instance; :meth:`serve` runs the workload.
+
+    The gateway always records into its own metrics registries.
+    ``recorder`` (e.g. a :class:`~repro.telemetry.profiling.Profiler`, or
+    several sinks combined) additionally observes every handler run and
+    the gateway hooks (``on_serve_start``/``on_request``/``on_serve_end``).
+    """
 
     def __init__(self, spec: WorkloadSpec,
                  recorder: Optional[TraceRecorder] = None,
-                 profiler: Optional[Profiler] = None,
                  source: Optional[Any] = None):
         self.spec = spec
         # The programmatic injection seam: any object with ``initial()``
@@ -150,22 +155,19 @@ class Gateway:
         # (:mod:`repro.adversary`) submits its probe clients through
         # here, interleaved with whatever background load it composes.
         self._source = source
-        # The profiling seam resolves to None when off (zero-overhead
-        # default, same discipline as the interpreter's).
-        self._profiler = (
-            profiler if profiler is not None and profiler.active else None
-        )
+        self._recorder = recorder
         self.handlers = spec.build_handlers()
         names = [t.name for t in spec.tenants]
         self.policy = make_policy(spec.policy, names, spec.quantum)
         self.registry = MetricsRegistry()
-        self._global_recorder = RecordingTraceRecorder(registry=self.registry)
-        self._extra_recorder = recorder
+        global_recorder = RecordingTraceRecorder(registry=self.registry)
         scheme = make_scheme(spec.scheme)
         self.states: Dict[str, MitigationState] = {}
         self.meters: Dict[str, DynamicLeakageMeter] = {}
         self.tenant_registries: Dict[str, MetricsRegistry] = {}
-        self._tenant_recorders: Dict[str, RecordingTraceRecorder] = {}
+        #: One recorder per tenant for its handler runs: the global and
+        #: tenant registries plus the caller's ``recorder``.
+        self._tenant_recorders: Dict[str, TraceRecorder] = {}
         lattice = spec.lattice()
         for name in names:
             handler = self.handlers[name]
@@ -175,9 +177,11 @@ class Gateway:
                 lattice, levels=handler.levels
             )
             self.tenant_registries[name] = MetricsRegistry()
-            self._tenant_recorders[name] = RecordingTraceRecorder(
-                registry=self.tenant_registries[name],
-                meter=self.meters[name],
+            self._tenant_recorders[name] = combine(
+                global_recorder,
+                RecordingTraceRecorder(registry=self.tenant_registries[name],
+                                       meter=self.meters[name]),
+                recorder,
             )
         self._queues = new_queues(names)
         self._stats = {name: TenantStats() for name in names}
@@ -254,15 +258,6 @@ class Gateway:
             stats.observables.append(response.observable)
             stats.services.append(response.service)
             registry.observe("hist.service.observable", response.observable)
-            profiler = self._profiler
-            if profiler is not None:
-                profiler.observe_latency("gateway.latency", response.latency)
-                profiler.observe_latency(
-                    f"gateway.latency.{response.tenant}", response.latency
-                )
-                meter = self.meters[response.tenant]
-                profiler.burn(response.tenant, meter.observed_bits,
-                              meter.static_bound_bits())
         elif response.status == "rejected":
             stats.rejected += 1
         else:
@@ -275,34 +270,8 @@ class Gateway:
                         else [follow_up]):
             self._push(request.arrival, _ARRIVAL, request)
 
-    def _execute(self, request: Request) -> Any:
-        handler = self.handlers[request.tenant]
-        recorder = TeeRecorder(
-            self._global_recorder,
-            self._tenant_recorders[request.tenant],
-            self._extra_recorder,
-        )
-        profiler = self._profiler
-        if profiler is None:
-            return handler.run(
-                request.payload,
-                self.states[request.tenant],
-                recorder,
-                self.spec.hardware,
-            )
-        started = profiler.clock()
-        result = handler.run(
-            request.payload,
-            self.states[request.tenant],
-            recorder,
-            self.spec.hardware,
-        )
-        profiler.add_wall("gateway.handlers", profiler.clock() - started,
-                          calls=1)
-        profiler.add_cycles("gateway.handlers", result.time)
-        return result
-
     def _dispatch(self, now: int) -> None:
+        recorder = self._recorder
         while self._idle and self._queued():
             start = self.policy.dispatch_time(now)
             if start > now:
@@ -317,18 +286,25 @@ class Gateway:
                              now)
                 continue
             self._idle.pop()
-            result = self._execute(request)
+            tenant = request.tenant
+            # Two clock reads per request (the handler run dwarfs them),
+            # so the hook below needs no second branch.
+            started = perf_counter_ns()
+            result = self.handlers[tenant].run(
+                request.payload, self.states[tenant],
+                self._tenant_recorders[tenant], self.spec.hardware,
+            )
+            wall_ns = perf_counter_ns() - started
             completion = now + result.time
             release = self.policy.release_time(now, completion)
             self._push(completion, _FREE, None)
-            self._finish(
-                Response(
-                    request=request, status="ok", start=now,
-                    completion=completion, release=release,
-                    service=result.time,
-                ),
-                now,
+            response = Response(
+                request=request, status="ok", start=now,
+                completion=completion, release=release, service=result.time,
             )
+            self._finish(response, now)
+            if recorder is not None:
+                recorder.on_request(response, wall_ns, self.meters[tenant])
 
     # -- driving -------------------------------------------------------------
 
@@ -338,10 +314,9 @@ class Gateway:
             self._source if self._source is not None
             else LoadGenerator(self.spec, self.handlers)
         )
-        profiler = self._profiler
-        if profiler is not None:
-            handlers_before = profiler.wall_ns.get("gateway.handlers", 0)
-            loop_started = profiler.clock()
+        recorder = self._recorder
+        if recorder is not None:
+            recorder.on_serve_start()
         for request in self._generator.initial():
             self._push(request.arrival, _ARRIVAL, request)
         self._idle = list(range(self.spec.workers))
@@ -357,16 +332,10 @@ class Gateway:
             [self._clock] + [r.release for r in self._responses
                              if r.release is not None]
         )
-        if profiler is not None:
-            # The event loop's own wall-time: total serve time minus the
-            # nested handler runs.  Every pushed event was popped by the
-            # time the heap drains, so _seq counts processed events.
-            loop_wall = profiler.clock() - loop_started
-            handler_wall = (profiler.wall_ns.get("gateway.handlers", 0)
-                            - handlers_before)
-            profiler.add_wall("gateway.loop",
-                              max(loop_wall - handler_wall, 0),
-                              calls=self._seq)
+        if recorder is not None:
+            # Every pushed event was popped by the time the heap drains,
+            # so _seq counts processed events.
+            recorder.on_serve_end(self._seq)
         return ServiceResult(
             spec=self.spec,
             policy=self.policy,
@@ -384,7 +353,6 @@ class Gateway:
 
 def serve_workload(
     spec_or_dict, recorder: Optional[TraceRecorder] = None,
-    profiler: Optional[Profiler] = None,
 ) -> ServiceResult:
     """Convenience: build a gateway from a spec (or raw dict) and serve."""
     spec = (
@@ -392,4 +360,4 @@ def serve_workload(
         if isinstance(spec_or_dict, WorkloadSpec)
         else WorkloadSpec.from_dict(spec_or_dict)
     )
-    return Gateway(spec, recorder=recorder, profiler=profiler).serve()
+    return Gateway(spec, recorder=recorder).serve()

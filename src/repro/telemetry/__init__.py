@@ -3,12 +3,17 @@
 Three pieces, designed to make the software/hardware timing contract
 *observable* at run time (see ``docs/TELEMETRY.md``):
 
-* :class:`~repro.telemetry.recorder.TraceRecorder` -- the passive
+* :class:`~repro.telemetry.recorder.TraceRecorder` -- the one passive
   observation protocol threaded through the interpreter
   (:mod:`repro.semantics.full`), the mitigation runtime
-  (:mod:`repro.semantics.mitigation`), and every hardware model behind the
-  :mod:`repro.hardware.interface` seam.  :data:`NULL_RECORDER` is the
-  zero-overhead default; :class:`RecordingTraceRecorder` actually records.
+  (:mod:`repro.semantics.mitigation`), every hardware model behind the
+  :mod:`repro.hardware.interface` seam, the gateway and the attacks.
+  ``None`` is the only "off" (one ``recorder is not None`` check per
+  site).  Every sink implements it: :class:`RecordingTraceRecorder`
+  (metrics), :class:`SpanRecorder` (timelines) and :class:`Profiler`
+  (performance).  :class:`TeeRecorder` fans out, subscribing each sink
+  only to the hooks it overrides; :func:`combine` picks ``None``, the
+  single sink, or a tee.
 * :class:`~repro.telemetry.metrics.MetricsRegistry` -- counters, gauges,
   histograms, and ordered series with a stable JSON export
   (schema ``repro.telemetry/1``).
@@ -23,9 +28,9 @@ On top of the raw stream sit the execution timelines
 (:mod:`repro.telemetry.report`).
 
 The performance half lives in :mod:`repro.telemetry.profiling` (the
-zero-overhead-when-off :class:`Profiler` attributing simulated cycles and
-wall-time to subsystems, with streaming latency histograms and a
-Prometheus text exposition) and :mod:`repro.telemetry.bench` (the
+:class:`Profiler` sink attributing simulated cycles and wall-time to
+subsystems, with streaming latency histograms and a Prometheus text
+exposition) and :mod:`repro.telemetry.bench` (the
 ``BENCH_*.json`` perf-trajectory harness behind ``repro bench``; kept out
 of this package namespace because it imports the apps/service layers).
 """
@@ -37,19 +42,16 @@ from .leakage import (
 )
 from .metrics import SCHEMA, MetricsRegistry
 from .profiling import (
-    NULL_PROFILER,
     PROFILE_SCHEMA,
-    NullProfiler,
     Profiler,
     StreamingHistogram,
     prometheus_exposition,
 )
 from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
     RecordingTraceRecorder,
     TeeRecorder,
     TraceRecorder,
+    combine,
 )
 from .report import ReportError, load_document, render_report
 from .spans import (
@@ -65,10 +67,6 @@ __all__ = [
     "EventJournal",
     "LeakageBoundViolation",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "NULL_RECORDER",
-    "NullProfiler",
-    "NullRecorder",
     "PROFILE_SCHEMA",
     "Profiler",
     "RecordingTraceRecorder",
@@ -80,6 +78,7 @@ __all__ = [
     "TeeRecorder",
     "TraceRecorder",
     "chrome_trace",
+    "combine",
     "load_document",
     "load_journal",
     "prometheus_exposition",

@@ -30,8 +30,8 @@ simulator is deterministic, so the minimum is the least-interfered
 sample).
 
 The module also hosts :class:`SeamlessInterpreter` -- the interpreter
-with the profiling seam physically deleted from the per-step hot path --
-which :func:`measure_seam_overhead` races against the shipped
+with the observation seam physically deleted from the per-step hot path
+-- which :func:`measure_seam_overhead` races against the shipped
 interpreter to enforce the "zero overhead when off" claim (<= 5%).
 """
 
@@ -51,6 +51,7 @@ from ..semantics.full import Interpreter, execute
 from ..semantics.mitigation import MitigationState
 from ..service import WorkloadSpec, audit_service, serve_workload
 from .profiling import Profiler, StreamingHistogram
+from .recorder import TraceRecorder
 
 #: Schema tag every BENCH document carries.
 SCHEMA = "repro.bench/1"
@@ -206,7 +207,8 @@ def _program_cases(config: Mapping) -> List[Tuple[str, object, object, dict]]:
 
 
 def _app_runner(app, memory_args, hardware: str,
-                interpreter_cls=Interpreter, profiler: Optional[Profiler] = None):
+                interpreter_cls=Interpreter,
+                recorder: Optional[TraceRecorder] = None):
     """A closure executing ``app`` on a fresh environment + memory each
     call (so cache state never leaks between timed runs)."""
     typing = getattr(app, "typing", None)
@@ -219,7 +221,7 @@ def _app_runner(app, memory_args, hardware: str,
             environment=make_hardware(hardware, app.lattice, None),
             mitigation=MitigationState(),
             mitigate_pc=mitigate_pc,
-            profiler=profiler,
+            recorder=recorder,
         )
         return interp.run()
     return run
@@ -273,7 +275,7 @@ def run_core_bench(repeats: int = 3,
     profiler = Profiler()
     mitigated = cases[0]  # password/mitigated
     profiled_run = _app_runner(mitigated[1], mitigated[2], hardware,
-                               profiler=profiler)
+                               recorder=profiler)
     for _ in range(max(repeats, 1)):
         profiled_run()
     for name in profiler.subsystems():
@@ -289,7 +291,7 @@ def run_core_bench(repeats: int = 3,
     gw_profiler = Profiler()
     spec = service_spec("quantized", clients=4, requests=gateway_requests)
     started = time.perf_counter_ns()
-    result = serve_workload(spec, profiler=gw_profiler)
+    result = serve_workload(spec, recorder=gw_profiler)
     gw_wall = (time.perf_counter_ns() - started) / _NS
     entries["gateway/serve"] = make_entry(
         result.makespan, gw_wall, 1,
@@ -373,26 +375,22 @@ def run_service_bench(requests: int = SERVICE_REQUESTS,
 
 
 class SeamlessInterpreter(Interpreter):
-    """The interpreter with the profiling seam physically removed from
+    """The interpreter with the observation seam physically removed from
     the per-step hot path -- the calibration baseline for the <= 5%
-    profiler-off overhead claim in BENCH_core.json."""
+    profiler-off overhead claim in BENCH_core.json.  Mirrors
+    :meth:`Interpreter._charge` minus its ``recorder is not None``
+    check."""
 
     def _charge(self, kind, cmd, reads=(), writes=(), taken=None):
         read_label, write_label = self._labels(cmd)
-        cost = self.environment.step(
-            kind,
-            self._trace(cmd, reads, writes, taken=taken),
-            read_label,
-            write_label,
-        )
-        self.time += cost
-        if self.recorder.active:
-            self.recorder.on_step(kind, cost, self.time)
+        trace = self._trace(cmd, reads, writes, taken=taken)
+        self.time += self.environment.step(kind, trace, read_label,
+                                           write_label)
 
 
 def measure_seam_overhead(repeats: int = 7,
                           length: int = 24) -> Dict[str, object]:
-    """Race the shipped interpreter (profiler off) against
+    """Race the shipped interpreter (no recorder) against
     :class:`SeamlessInterpreter` on the mitigated password workload.
 
     Measurements are interleaved A/B/A/B and each side keeps its minimum,

@@ -1,4 +1,4 @@
-"""Continuous performance observability: the profiling seam.
+"""Continuous performance observability: the profiler sink.
 
 This module is the *wall-clock* counterpart of the leakage telemetry: it
 attributes **simulated cycles** and **host wall-time** to the subsystems
@@ -6,21 +6,24 @@ that spend them -- interpreter dispatch, each hardware model's access
 path, mitigation epoch scheduling, and the gateway event loop -- so that
 perf regressions become visible the way leakage regressions already are.
 
-Design rules (the ``recorder.active`` seam from PR 1, applied again):
+:class:`Profiler` is one more :class:`~repro.telemetry.recorder.TraceRecorder`
+sink, attached as (or tee'd into) a run's ``recorder``:
 
-* **Zero overhead when off.**  Every instrumentation site hoists the
-  profiler into a local and guards on ``profiler is None`` (call sites
-  resolve inactive profilers to ``None`` up front, so the hot path pays
-  one identity check and nothing else).  ``benchmarks/bench_core_speed.py``
-  measures this against a build with the seam physically removed and
-  asserts the gap stays under 5%.
-* **Cycle attribution is exact.**  The cycle counters partition the
-  simulated clock: per-run, ``hardware.* + interpreter.sleep +
+* **Zero overhead when off.**  ``None`` is the only "off": with no recorder
+  the interpreter hot path pays one identity check per site and reads no
+  clock.  ``benchmarks/bench_core_speed.py`` measures this against a build
+  with the check physically removed and asserts the gap stays under 5%.
+* **Cycle attribution is exact.**  ``on_step`` charges ``hardware.<model>``,
+  ``on_sleep`` ``interpreter.sleep`` and ``on_mitigation``
+  ``mitigation.padding``, so per run ``hardware.* + interpreter.sleep +
   mitigation.padding`` equals the final global time (a Hypothesis
   property cross-checks this against :class:`~repro.telemetry.spans`
   run-span durations).  Wall-time attribution is best-effort (timer
-  granularity), with ``interpreter.dispatch`` defined as run wall-time
-  minus the nested hardware/mitigation sections.
+  granularity): the interpreter times each hardware step and mitigation
+  settlement when a recorder is attached, and ``interpreter.dispatch`` is
+  the run's wall-time (``on_run_start`` to ``on_finish``) minus those
+  nested sections.  The gateway hooks add ``gateway.handlers``,
+  ``gateway.loop``, latency streams and budget burn-down.
 
 The output surfaces are :meth:`Profiler.as_dict` (the ``profile``
 section rendered by ``repro report``) and
@@ -32,7 +35,9 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+from .recorder import TraceRecorder
 
 #: Schema tag stamped into the ``profile`` document section.
 PROFILE_SCHEMA = "repro.profile/1"
@@ -163,17 +168,10 @@ class StreamingHistogram:
         return hist
 
 
-class Profiler:
+class Profiler(TraceRecorder):
     """Accumulates per-subsystem cycle/wall attribution plus latency
-    histograms and per-tenant leakage-budget burn-down gauges.
-
-    Instrumented layers accept an optional profiler and resolve it to
-    ``None`` when ``active`` is false, so the shipped fast path never
-    calls into this class (see module docstring).
-    """
-
-    #: Mirrors ``TraceRecorder.active``: sites check this once, up front.
-    active = True
+    histograms and per-tenant leakage-budget burn-down gauges, fed by the
+    interpreter and gateway hooks (see module docstring)."""
 
     def __init__(self, clock=time.perf_counter_ns):
         self.clock = clock
@@ -182,6 +180,10 @@ class Profiler:
         self.calls: Dict[str, int] = {}
         self.latencies: Dict[str, StreamingHistogram] = {}
         self.budgets: Dict[str, Dict[str, float]] = {}
+        self._hardware = "hardware.unknown"
+        self._run_started = self._nested_before = 0
+        self._serve_started = self._handlers_before = 0
+        self._serving = False
 
     # -- subsystem attribution ---------------------------------------------
 
@@ -235,6 +237,79 @@ class Profiler:
                                       0.0)
         entry["updates"] += 1
 
+    # -- interpreter hooks -------------------------------------------------
+    #
+    # While a gateway serves, each handler run is attributed whole to
+    # ``gateway.handlers`` (see :meth:`on_request`); the per-run hooks
+    # skip it so no simulated cycle is counted twice.
+
+    def _nested_wall(self) -> int:
+        return (self.wall_ns.get(self._hardware, 0)
+                + self.wall_ns.get("mitigation.schedule", 0))
+
+    def on_run_start(self, attrs: Mapping[str, Any]) -> None:
+        if self._serving:
+            return
+        self._hardware = _hardware_key(attrs["hardware"])
+        self._nested_before = self._nested_wall()
+        self._run_started = self.clock()
+
+    def on_step(self, kind, cost: int, time: int, wall_ns: int) -> None:
+        if self._serving:
+            return
+        self.add_cycles(self._hardware, cost, calls=1)
+        self.add_wall(self._hardware, wall_ns)
+
+    def on_sleep(self, duration: int, time: int) -> None:
+        if self._serving:
+            return
+        self.add_cycles("interpreter.sleep", duration, calls=1)
+
+    def on_mitigation(self, mit_id, level, estimate, elapsed, padded,
+                      misses, pc_label, end_time, wall_ns) -> None:
+        if self._serving:
+            return
+        self.add_wall("mitigation.schedule", wall_ns, calls=1)
+        self.add_cycles("mitigation.padding", padded - elapsed, calls=1)
+
+    def on_finish(self, result) -> None:
+        if self._serving:
+            return
+        # Dispatch = the run's own wall-time, i.e. everything that is not
+        # the nested hardware/mitigation sections.  It gets zero cycles:
+        # dispatch never advances the clock, so the cycle counters still
+        # partition the final time.
+        run_wall = self.clock() - self._run_started
+        nested = self._nested_wall() - self._nested_before
+        self.add_wall("interpreter.dispatch", max(run_wall - nested, 0),
+                      calls=result.steps)
+
+    # -- gateway hooks -----------------------------------------------------
+
+    def on_serve_start(self) -> None:
+        self._serving = True
+        self._handlers_before = self.wall_ns.get("gateway.handlers", 0)
+        self._serve_started = self.clock()
+
+    def on_request(self, response, wall_ns: int, meter) -> None:
+        self.add_wall("gateway.handlers", wall_ns, calls=1)
+        self.add_cycles("gateway.handlers", response.service)
+        self.observe_latency("gateway.latency", response.latency)
+        self.observe_latency(f"gateway.latency.{response.tenant}",
+                             response.latency)
+        self.burn(response.tenant, meter.observed_bits,
+                  meter.static_bound_bits())
+
+    def on_serve_end(self, events: int) -> None:
+        # The event loop's own wall-time: total serve time minus the
+        # nested handler runs.
+        self._serving = False
+        loop_wall = self.clock() - self._serve_started
+        handler_wall = (self.wall_ns.get("gateway.handlers", 0)
+                        - self._handlers_before)
+        self.add_wall("gateway.loop", max(loop_wall - handler_wall, 0),
+                      calls=events)
+
     # -- export ------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
@@ -277,22 +352,15 @@ class Profiler:
         return render_profile_lines(self.as_dict())
 
 
-class NullProfiler(Profiler):
-    """The shipped default: present so call sites can always test
-    ``profiler.active``, never recording anything."""
-
-    active = False
-
-
-#: Shared inert instance (mirrors ``NULL_RECORDER``).
-NULL_PROFILER = NullProfiler()
-
-
 def hardware_subsystem(environment: object) -> str:
     """The attribution key for a hardware model's access path, derived
     from the class name so the hot path never consults the registry
     (``PartitionedHardware`` -> ``hardware.partitioned``)."""
-    name = type(environment).__name__.lower()
+    return _hardware_key(type(environment).__name__)
+
+
+def _hardware_key(class_name: str) -> str:
+    name = class_name.lower()
     if name.endswith("hardware"):
         name = name[: -len("hardware")]
     return f"hardware.{name or 'unknown'}"

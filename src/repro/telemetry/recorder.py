@@ -3,10 +3,11 @@
 A :class:`TraceRecorder` observes one execution from the inside: every
 charged step, every ``sleep``, every per-level ``Miss`` transition of the
 mitigation runtime, every cache/TLB/branch hit-miss the hardware resolves,
-and every completed ``mitigate`` block with its padding.  Recorders are
-strictly passive -- the interpreter, the mitigation runtime, and the
-hardware models consult :attr:`TraceRecorder.active` before doing *any*
-recording work, so the default :class:`NullRecorder` adds zero overhead and
+every completed ``mitigate`` block with its padding, and every request the
+gateway serves.  Recorders are strictly passive.  ``None`` is the only "off"
+value: the interpreter, the mitigation runtime, the hardware models, the
+gateway and the attacks check ``recorder is not None`` once per site before
+doing *any* recording work, so an unobserved run pays one identity check and
 recording can never perturb costs, state, or events (the regression tests in
 ``tests/test_telemetry.py`` enforce both).
 
@@ -21,14 +22,19 @@ The hooks mirror the layers of the full semantics:
   machine environment behind the :mod:`repro.hardware.interface` seam;
 * :meth:`on_attack_sample` / :meth:`on_attack_stat` -- the adversaries in
   :mod:`repro.attacks` observing timing and computing distinguishers;
+* :meth:`on_serve_start` / :meth:`on_request` / :meth:`on_serve_end` --
+  the gateway (:mod:`repro.service.gateway`) serving a workload;
 * :meth:`on_finish` -- the run completed with a final
   :class:`~repro.semantics.full.ExecutionResult`.
 
-:class:`RecordingTraceRecorder` is the concrete aggregating implementation
-(it feeds a :class:`~repro.telemetry.metrics.MetricsRegistry` and
-optionally a :class:`~repro.telemetry.leakage.DynamicLeakageMeter`);
-:class:`~repro.telemetry.spans.SpanRecorder` assembles timelines; and
-:class:`TeeRecorder` fans one execution out to several recorders.
+The sinks are :class:`RecordingTraceRecorder` (aggregates into a
+:class:`~repro.telemetry.metrics.MetricsRegistry` and optionally a
+:class:`~repro.telemetry.leakage.DynamicLeakageMeter`),
+:class:`~repro.telemetry.spans.SpanRecorder` (timelines) and
+:class:`~repro.telemetry.profiling.Profiler` (cycle/wall attribution).
+:class:`TeeRecorder` is the one fan-out: it subscribes each child only to
+the hooks that child overrides, and :func:`combine` picks ``None``, the
+single sink, or a tee.
 """
 
 from __future__ import annotations
@@ -43,15 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class TraceRecorder:
-    """Base recorder: every hook is a no-op and :attr:`active` is False.
-
-    Instrumented code must guard each hook call with ``recorder.active`` so
-    the inactive path does no classification work at all (hit/miss
-    pre-checks, label lookups, and so on are skipped entirely).
-    """
-
-    #: Instrumentation sites skip all recording work when this is False.
-    active: bool = False
+    """Base recorder: every hook is a no-op.  Sinks override the hooks
+    they consume; instrumented code passes ``None`` instead of a recorder
+    when nothing observes."""
 
     # -- interpreter-level hooks --------------------------------------------
 
@@ -60,9 +60,10 @@ class TraceRecorder:
         describes the run configuration (hardware model, mitigation
         scheme/policy).  Span boundary for the run timeline."""
 
-    def on_step(self, kind, cost: int, time: int) -> None:
+    def on_step(self, kind, cost: int, time: int, wall_ns: int) -> None:
         """One charged evaluation step of ``kind`` costing ``cost`` cycles;
-        ``time`` is the global clock *after* the charge."""
+        ``time`` is the global clock *after* the charge and ``wall_ns``
+        the host time the hardware model took to resolve it."""
 
     def on_sleep(self, duration: int, time: int) -> None:
         """A ``sleep`` advanced the clock by exactly ``duration`` cycles."""
@@ -92,10 +93,12 @@ class TraceRecorder:
         misses: int,
         pc_label: Optional[Label],
         end_time: int,
+        wall_ns: int,
     ) -> None:
         """A ``mitigate`` block completed: its body took ``elapsed`` cycles
         and was padded to ``padded`` (``padded - elapsed`` pure padding);
-        ``misses`` is ``Miss[level]`` after settling."""
+        ``misses`` is ``Miss[level]`` after settling, which took
+        ``wall_ns`` of host time."""
 
     # -- hardware hooks ------------------------------------------------------
 
@@ -121,14 +124,22 @@ class TraceRecorder:
         """An attack computed one distinguisher statistic (threshold
         accuracy, fitted slope/correlation, candidates remaining, ...)."""
 
+    # -- gateway hooks -------------------------------------------------------
 
-class NullRecorder(TraceRecorder):
-    """The zero-overhead default recorder (all hooks inherited no-ops)."""
+    def on_serve_start(self) -> None:
+        """The gateway's event loop is starting."""
+
+    def on_request(self, response, wall_ns: int, meter) -> None:
+        """The gateway served ``response`` (status ``ok``); its handler
+        run took ``wall_ns`` of host time and ``meter`` is the tenant's
+        :class:`~repro.telemetry.leakage.DynamicLeakageMeter` after it."""
+
+    def on_serve_end(self, events: int) -> None:
+        """The gateway's event loop drained after ``events`` events."""
 
 
-#: Shared default instance; identity-safe to use across executions since a
-#: null recorder holds no state.
-NULL_RECORDER = NullRecorder()
+#: Every hook of the protocol, by name.
+HOOKS = tuple(name for name in vars(TraceRecorder) if name.startswith("on_"))
 
 
 class RecordingTraceRecorder(TraceRecorder):
@@ -146,8 +157,6 @@ class RecordingTraceRecorder(TraceRecorder):
         closes one observed deadline sequence.
     """
 
-    active = True
-
     def __init__(
         self,
         registry: Optional["MetricsRegistry"] = None,
@@ -162,7 +171,7 @@ class RecordingTraceRecorder(TraceRecorder):
 
     # -- interpreter-level hooks --------------------------------------------
 
-    def on_step(self, kind, cost: int, time: int) -> None:
+    def on_step(self, kind, cost: int, time: int, wall_ns: int) -> None:
         reg = self.registry
         reg.inc("steps.total")
         reg.inc(f"steps.{kind.value}")
@@ -204,6 +213,7 @@ class RecordingTraceRecorder(TraceRecorder):
         misses: int,
         pc_label: Optional[Label],
         end_time: int,
+        wall_ns: int,
     ) -> None:
         reg = self.registry
         padding = padded - elapsed
@@ -248,62 +258,45 @@ class RecordingTraceRecorder(TraceRecorder):
 
 
 class TeeRecorder(TraceRecorder):
-    """Fans every hook out to several recorders, so one execution can feed
-    a metrics registry and a span assembler at the same time.  ``None``
-    children are dropped for call-site convenience."""
+    """Fans one execution out to several recorders, so one run can feed a
+    metrics registry, a span assembler and a profiler at the same time.
 
-    active = True
+    At construction each hook is bound to exactly the children that
+    override it: a hook one child consumes calls that child directly, a
+    hook nobody consumes stays the inherited no-op.  ``None`` children are
+    dropped for call-site convenience.
+    """
 
     def __init__(self, *recorders: Optional[TraceRecorder]):
         self.recorders = tuple(r for r in recorders if r is not None)
+        for hook in HOOKS:
+            sinks = [getattr(r, hook) for r in self.recorders
+                     if _overrides(r, hook)]
+            if len(sinks) == 1:
+                setattr(self, hook, sinks[0])
+            elif sinks:
+                setattr(self, hook, _fan_out(sinks))
 
-    def on_run_start(self, attrs: Mapping[str, Any]) -> None:
-        for r in self.recorders:
-            r.on_run_start(attrs)
 
-    def on_step(self, kind, cost: int, time: int) -> None:
-        for r in self.recorders:
-            r.on_step(kind, cost, time)
+def _overrides(recorder: TraceRecorder, hook: str) -> bool:
+    """Whether ``recorder`` does anything on ``hook`` (a nested tee's
+    bound children count; the base no-op does not)."""
+    method = getattr(recorder, hook)
+    return getattr(method, "__func__", None) is not getattr(TraceRecorder,
+                                                            hook)
 
-    def on_sleep(self, duration: int, time: int) -> None:
-        for r in self.recorders:
-            r.on_sleep(duration, time)
 
-    def on_finish(self, result) -> None:
-        for r in self.recorders:
-            r.on_finish(result)
+def _fan_out(sinks):
+    def hook(*args, **kwargs) -> None:
+        for sink in sinks:
+            sink(*args, **kwargs)
+    return hook
 
-    def on_mitigate_enter(self, mit_id: str, level: Label, estimate: int,
-                          prediction: int, time: int) -> None:
-        for r in self.recorders:
-            r.on_mitigate_enter(mit_id, level, estimate, prediction, time)
 
-    def on_miss_update(self, level: Optional[Label], misses: int) -> None:
-        for r in self.recorders:
-            r.on_miss_update(level, misses)
-
-    def on_mitigation(self, mit_id, level, estimate, elapsed, padded,
-                      misses, pc_label, end_time) -> None:
-        for r in self.recorders:
-            r.on_mitigation(mit_id, level, estimate, elapsed, padded,
-                            misses, pc_label, end_time)
-
-    def on_cache_access(self, component: str, hit: bool) -> None:
-        for r in self.recorders:
-            r.on_cache_access(component, hit)
-
-    def on_branch(self, taken: bool, mispredicted: bool) -> None:
-        for r in self.recorders:
-            r.on_branch(taken, mispredicted)
-
-    def on_bypass(self, accesses: int) -> None:
-        for r in self.recorders:
-            r.on_bypass(accesses)
-
-    def on_attack_sample(self, attack: str, probe: str, time: int) -> None:
-        for r in self.recorders:
-            r.on_attack_sample(attack, probe, time)
-
-    def on_attack_stat(self, attack: str, stat: str, value) -> None:
-        for r in self.recorders:
-            r.on_attack_stat(attack, stat, value)
+def combine(*recorders: Optional[TraceRecorder]) -> Optional[TraceRecorder]:
+    """One recorder observing for all of ``recorders``: ``None`` when none
+    is given, the sink itself when one is, else a :class:`TeeRecorder`."""
+    sinks = [r for r in recorders if r is not None]
+    if len(sinks) > 1:
+        return TeeRecorder(*sinks)
+    return sinks[0] if sinks else None

@@ -201,8 +201,6 @@ class SpanRecorder(TraceRecorder):
         export).  Turn off for journal-only recording on very long runs.
     """
 
-    active = True
-
     def __init__(
         self,
         journal: Optional[EventJournal] = None,
@@ -294,7 +292,7 @@ class SpanRecorder(TraceRecorder):
         self._run_attrs = dict(attrs)
         self._ensure_run()
 
-    def on_step(self, kind, cost: int, time: int) -> None:
+    def on_step(self, kind, cost: int, time: int, wall_ns: int) -> None:
         self._ensure_run(time - cost)
         if self.detail == "epochs":
             self._aggregate("steps")
@@ -381,6 +379,7 @@ class SpanRecorder(TraceRecorder):
         misses: int,
         pc_label: Optional[Label],
         end_time: int,
+        wall_ns: int,
     ) -> None:
         self._ensure_run(end_time - padded)
         if (self._stack and self._stack[-1].category == CATEGORY_MITIGATE

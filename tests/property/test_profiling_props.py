@@ -11,8 +11,9 @@ accounts of where simulated time went must reconcile exactly:
   run-span durations equal the profiler total too;
 * ``interpreter.dispatch`` carries wall time but zero cycles (dispatch
   is bookkeeping; simulated time only advances through charged steps);
-* with profiling off the interpreter resolves the profiler to ``None``
-  up front, and results are bit-identical to an unprofiled run.
+* profiling off is ``recorder=None``: results are bit-identical to a
+  profiled run, and a profiler attached to an earlier run on the same
+  environment and mitigation state is detached, never written again.
 """
 
 import random
@@ -23,7 +24,7 @@ from repro.lang import DEFAULT_LATTICE
 from repro.hardware import PartitionedHardware, tiny_machine
 from repro.semantics.full import execute
 from repro.semantics.mitigation import MitigationState
-from repro.telemetry import Profiler, SpanRecorder
+from repro.telemetry import Profiler, SpanRecorder, TeeRecorder
 from repro.telemetry.spans import CATEGORY_RUN
 from repro.testing import GeneratorConfig, ProgramGenerator, standard_gamma
 from repro.typesystem import TypingError, infer_labels, typecheck
@@ -60,15 +61,15 @@ def _generated(lattice, seed):
     return program, gamma, info, gen
 
 
-def _run(program, info, memory, profiler=None, recorder=None):
+def _run(program, info, memory, recorder=None, environment=None,
+         mitigation=None):
     return execute(
         program,
         memory,
-        PartitionedHardware(LAT, tiny_machine()),
-        mitigation=MitigationState(),
+        environment or PartitionedHardware(LAT, tiny_machine()),
+        mitigation=mitigation or MitigationState(),
         mitigate_pc=info.mitigate_pc,
         recorder=recorder,
-        profiler=profiler,
     )
 
 
@@ -82,7 +83,7 @@ def test_profiler_cycles_reconcile_with_spans(seed):
     profiler = Profiler()
     recorder = SpanRecorder()
     result = _run(program, info, gen.memory(),
-                  profiler=profiler, recorder=recorder)
+                  recorder=TeeRecorder(profiler, recorder))
 
     # Attribution is a partition of simulated time: the subsystem totals
     # sum to the final clock, with no double counting and no gaps.
@@ -115,13 +116,21 @@ def test_profiling_off_is_transparent(seed):
     base = gen.memory()
 
     plain = _run(program, info, base.copy())
-    profiled = _run(program, info, base.copy(), profiler=Profiler())
-    inactive = Profiler()
-    inactive.active = False
-    off = _run(program, info, base.copy(), profiler=inactive)
+    environment = PartitionedHardware(LAT, tiny_machine())
+    state = MitigationState()
+    profiler = Profiler()
+    profiled = _run(program, info, base.copy(), recorder=profiler,
+                    environment=environment, mitigation=state)
+    assert plain.time == profiled.time
+    assert plain.steps == profiled.steps
 
-    assert plain.time == profiled.time == off.time
-    assert plain.steps == profiled.steps == off.steps
-    # An inactive profiler is resolved to None before the hot loop and
-    # must never be written to.
-    assert not inactive.cycles and not inactive.wall_ns
+    # Profiling off on the profiled run's environment and state behaves
+    # exactly like a never-observed copy of both, and the detached
+    # profiler is never written to.
+    written = (dict(profiler.cycles), dict(profiler.wall_ns))
+    twin = _run(program, info, base.copy(), environment=environment.clone(),
+                mitigation=state.copy())
+    off = _run(program, info, base.copy(), environment=environment,
+               mitigation=state)
+    assert off.time == twin.time and off.steps == twin.steps
+    assert (profiler.cycles, profiler.wall_ns) == written

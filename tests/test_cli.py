@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import re
 
 import pytest
 
@@ -337,6 +338,25 @@ class TestRun:
                    "--set", "a=1:2:3", "--set", "s=0", "--hardware", "null"])
         assert rc == 0
         assert "final s = 6" in capsys.readouterr().out
+
+    def test_gamma_scalars_missing_from_set_default_to_zero(self, tmp_path,
+                                                           capsys):
+        demo = os.path.join(REPO_ROOT, "examples", "mitigate_demo.tl")
+        args = ["run", demo, "--gamma", "h=H,ready=L", "--set", "h=9"]
+        assert main(args) == 0
+        defaulted = capsys.readouterr().out
+        assert main([*args, "--set", "ready=0"]) == 0
+        explicit = capsys.readouterr().out
+        # Same run either way (mitigate ids differ per compile).
+        assert (re.sub(r"m\d+:", "m:", explicit)
+                == re.sub(r"m\d+:", "m:", defaulted))
+        assert "final ready = 1" in defaulted  # the demo ends ready := 1
+        path = tmp_path / "reads.tl"
+        path.write_text("s := t + 1\n")
+        assert main(["run", str(path), "--gamma", "s=L,t=L",
+                     "--hardware", "null"]) == 0
+        out = capsys.readouterr().out
+        assert "final s = 1" in out and "final t = 0" in out
 
     def test_unchecked_flag(self, leaky, capsys):
         rc = main(["run", leaky, "--gamma", "h=H,ready=L",

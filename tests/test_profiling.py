@@ -8,8 +8,9 @@ Four groups:
   histograms, budget burn-down, the ``repro.profile/1`` document;
 * **exposition** -- the Prometheus text format and the shared text
   renderer;
-* **integration** -- the interpreter and gateway seams: exact cycle
-  partition when profiling is on, untouched state when off.
+* **integration** -- the profiler as the interpreter's and gateway's
+  ``recorder``: exact cycle partition when profiling is on, untouched
+  state when off (``recorder=None``).
 """
 
 import math
@@ -23,11 +24,14 @@ from repro.semantics.full import execute
 from repro.semantics.mitigation import MitigationState
 from repro.service import WorkloadSpec, serve_workload
 from repro.telemetry import (
-    NULL_PROFILER,
     PROFILE_SCHEMA,
-    NullProfiler,
     Profiler,
+    RecordingTraceRecorder,
+    SpanRecorder,
     StreamingHistogram,
+    TeeRecorder,
+    TraceRecorder,
+    combine,
     prometheus_exposition,
 )
 from repro.telemetry.profiling import hardware_subsystem, render_profile_lines
@@ -153,10 +157,15 @@ class TestProfiler:
         assert any("hardware.standard" in line
                    for line in render_profile_lines(doc))
 
-    def test_null_profiler_is_inert_and_shared(self):
-        assert NULL_PROFILER.active is False
-        assert isinstance(NULL_PROFILER, NullProfiler)
-        assert Profiler.active is True
+    def test_profiler_is_a_recorder_sink(self):
+        prof = Profiler()
+        assert isinstance(prof, TraceRecorder)
+        # Tee'd, it is subscribed to the hooks it consumes and never to
+        # the per-access hardware hooks.
+        tee = TeeRecorder(RecordingTraceRecorder(), prof)
+        assert tee.on_request == prof.on_request
+        assert tee.on_cache_access != prof.on_cache_access
+        assert combine(None, prof) is prof
 
     def test_hardware_subsystem_key(self):
         env = PartitionedHardware(LAT, tiny_machine())
@@ -227,23 +236,25 @@ class TestInterpreterSeam:
             PartitionedHardware(LAT, tiny_machine()),
             mitigation=MitigationState(),
             mitigate_pc=info.mitigate_pc,
-            profiler=prof,
+            recorder=prof,
         )
         assert prof.total_cycles() == result.time
         assert prof.cycles.get("interpreter.dispatch", 0) == 0
         assert prof.calls["interpreter.dispatch"] == result.steps
 
     def test_inactive_profiler_never_written(self):
+        # A profiler attached to an earlier run on the same environment
+        # and mitigation state is detached by a run with recorder=None.
         program, info, memory = _typed_program()
-        prof = NullProfiler()
-        execute(
-            program, memory.copy(),
-            PartitionedHardware(LAT, tiny_machine()),
-            mitigation=MitigationState(),
-            mitigate_pc=info.mitigate_pc,
-            profiler=prof,
-        )
-        assert not prof.cycles and not prof.wall_ns and not prof.calls
+        environment = PartitionedHardware(LAT, tiny_machine())
+        state = MitigationState()
+        prof = Profiler()
+        execute(program, memory.copy(), environment, mitigation=state,
+                mitigate_pc=info.mitigate_pc, recorder=prof)
+        written = (dict(prof.cycles), dict(prof.wall_ns), dict(prof.calls))
+        execute(program, memory.copy(), environment, mitigation=state,
+                mitigate_pc=info.mitigate_pc)
+        assert (prof.cycles, prof.wall_ns, prof.calls) == written
 
 
 class TestGatewaySeam:
@@ -266,9 +277,13 @@ class TestGatewaySeam:
 
     def test_gateway_attribution_latency_and_burn_down(self):
         prof = Profiler()
-        result = serve_workload(self._workload(), profiler=prof)
+        result = serve_workload(self._workload(), recorder=prof)
         completed = result.completed()
         assert completed
+        # Handler runs are attributed whole: no interpreter subsystem
+        # double-counts their cycles.
+        assert set(prof.cycles) == {"gateway.handlers"}
+        assert prof.total_cycles() == prof.cycles["gateway.handlers"]
         # Handler cycles are the sum of simulated handler run times -- the
         # same total the telemetry registry accumulates as cycles.final.
         assert prof.cycles["gateway.handlers"] == (
@@ -296,9 +311,16 @@ class TestGatewaySeam:
     def test_profiling_off_does_not_perturb_service(self):
         plain = serve_workload(self._workload())
         prof = Profiler()
-        profiled = serve_workload(self._workload(), profiler=prof)
-        off = serve_workload(self._workload(), profiler=NullProfiler())
-        assert plain.makespan == profiled.makespan == off.makespan
+        profiled = serve_workload(self._workload(), recorder=prof)
+        teed_prof = Profiler()
+        teed = serve_workload(self._workload(), recorder=combine(
+            SpanRecorder(detail="epochs"), teed_prof))
+        assert plain.makespan == profiled.makespan == teed.makespan
         assert ([r.latency for r in plain.completed()]
                 == [r.latency for r in profiled.completed()]
-                == [r.latency for r in off.completed()])
+                == [r.latency for r in teed.completed()])
+        # Tee'd beside spans, the profiler sees the same gateway.
+        assert (prof.cycles, prof.calls) == (teed_prof.cycles,
+                                             teed_prof.calls)
+        assert prof.as_dict()["latency"] == teed_prof.as_dict()["latency"]
+        assert prof.budgets == teed_prof.budgets

@@ -23,11 +23,13 @@ from repro.api import compile_program
 from repro.lang import DEFAULT_LATTICE
 from repro.telemetry import (
     EventJournal,
+    Profiler,
     RecordingTraceRecorder,
     Span,
     SpanRecorder,
     TeeRecorder,
     chrome_trace,
+    combine,
     load_journal,
     spans_from_journal,
     write_chrome_trace,
@@ -314,7 +316,8 @@ class TestTeeRecorder:
         metrics = RecordingTraceRecorder()
         spans = SpanRecorder()
         tee = TeeRecorder(metrics, spans)
-        assert tee.active is True
+        # A hook both sinks consume fans out to both of them.
+        assert tee.on_step not in (metrics.on_step, spans.on_step)
         _, result = _run_recorded(recorder=tee)
         assert metrics.registry.counter("runs") == 1
         assert metrics.registry.final_cycles() == result.time
@@ -325,3 +328,32 @@ class TestTeeRecorder:
         tee = TeeRecorder(None, spans, None)
         _run_recorded(recorder=tee)
         assert spans.spans
+
+    def test_sinks_subscribe_only_to_the_hooks_they_override(self):
+        metrics, profiler = RecordingTraceRecorder(), Profiler()
+        tee = TeeRecorder(metrics, profiler)
+        # One consumer: the hook is that sink's own bound method.
+        assert tee.on_cache_access == metrics.on_cache_access
+        assert tee.on_run_start == profiler.on_run_start
+        assert tee.on_request == profiler.on_request
+        # Nobody consumes it: the inherited no-op, not a fan-out.
+        assert "on_cache_access" in vars(tee)
+        assert "on_cache_access" not in vars(TeeRecorder(profiler,
+                                                         Profiler()))
+
+    def test_nested_tee_reaches_every_sink(self):
+        metrics, spans, profiler = (RecordingTraceRecorder(),
+                                    SpanRecorder(), Profiler())
+        _, result = _run_recorded(
+            recorder=TeeRecorder(TeeRecorder(metrics, spans), profiler))
+        assert metrics.registry.final_cycles() == result.time
+        assert any(s.category == CATEGORY_MITIGATE for s in spans.spans)
+        assert profiler.total_cycles() == result.time
+
+    def test_combine_picks_none_the_sink_or_a_tee(self):
+        metrics, spans = RecordingTraceRecorder(), SpanRecorder()
+        assert combine() is None and combine(None, None) is None
+        assert combine(None, metrics) is metrics
+        tee = combine(metrics, None, spans)
+        assert isinstance(tee, TeeRecorder)
+        assert tee.recorders == (metrics, spans)

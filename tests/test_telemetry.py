@@ -2,11 +2,14 @@
 
 Three groups:
 
-* **non-interference regression** -- running with no recorder, with the
-  shared ``NULL_RECORDER``, with a full ``RecordingTraceRecorder``, with a
-  ``SpanRecorder``, and with a journaling ``TeeRecorder`` fan-out must all
-  produce byte-identical ``ExecutionResult``s over a fixed corpus of
-  generated programs (recorders are observers, never participants);
+* **non-interference regression** -- running with no recorder, with a
+  full ``RecordingTraceRecorder``, with a ``SpanRecorder``, with a
+  ``Profiler``, and with journaling ``TeeRecorder`` fan-outs (with and
+  without the profiler) must all produce byte-identical
+  ``ExecutionResult``s over a fixed corpus of generated programs
+  (recorders are observers, never participants); adding the profiler to
+  a tee leaves every other sink's output unchanged, and a run with
+  ``recorder=None`` detaches the previous run's recorder;
 * **unit accounting** -- the registry's counters/gauges/histograms/series,
   the JSON document, and the leakage meter's Definition-2 relevance
   filtering and bound arithmetic;
@@ -20,18 +23,20 @@ import random
 
 import pytest
 
+from repro.analysis.cost import RegionRecorder
 from repro.api import compile_program
+from repro.apps.password import PasswordChecker
 from repro.cli import main
-from repro.hardware import PartitionedHardware, tiny_machine
+from repro.hardware import PartitionedHardware, make_hardware, tiny_machine
 from repro.lang import DEFAULT_LATTICE
-from repro.semantics.full import execute
+from repro.semantics.full import Interpreter, execute
 from repro.semantics.mitigation import MitigationState
 from repro.telemetry import (
-    NULL_RECORDER,
     DynamicLeakageMeter,
     EventJournal,
     LeakageBoundViolation,
     MetricsRegistry,
+    Profiler,
     RecordingTraceRecorder,
     SCHEMA,
     SpanRecorder,
@@ -98,17 +103,23 @@ class TestNonInterference:
             program, gamma, info, gen = generated
             memory = gen.memory()
             bare = _run(program, info, memory, None)
-            null = _run(program, info, memory, NULL_RECORDER)
             recorded = _run(
                 program, info, memory, RecordingTraceRecorder()
             )
             spanned = _run(program, info, memory, SpanRecorder())
+            profiled = _run(program, info, memory, Profiler())
             teed = _run(
                 program, info, memory,
                 TeeRecorder(RecordingTraceRecorder(),
                             SpanRecorder(journal=EventJournal())),
             )
-            for other in (null, recorded, spanned, teed):
+            teed_profiled = _run(
+                program, info, memory,
+                TeeRecorder(RecordingTraceRecorder(),
+                            SpanRecorder(journal=EventJournal()),
+                            Profiler()),
+            )
+            for other in (recorded, spanned, profiled, teed, teed_profiled):
                 assert other.time == bare.time
                 assert other.steps == bare.steps
                 assert other.events == bare.events
@@ -117,9 +128,73 @@ class TestNonInterference:
             checked += 1
         assert checked >= 5, "corpus produced too few well-typed programs"
 
+    def test_profiler_in_a_tee_changes_no_other_sink(self):
+        checked = 0
+        for seed in CORPUS_SEEDS:
+            generated = _generated(seed)
+            if generated is None:
+                continue
+            program, gamma, info, gen = generated
+            memory = gen.memory()
+            outputs = []
+            for profiler in (None, Profiler()):
+                metrics = RecordingTraceRecorder(
+                    meter=DynamicLeakageMeter(LAT))
+                journal = EventJournal()
+                regions = RegionRecorder()
+                result = _run(program, info, memory, TeeRecorder(
+                    metrics, SpanRecorder(journal=journal), regions,
+                    profiler))
+                outputs.append((
+                    metrics.registry.as_dict(
+                        leakage=metrics.meter.as_dict()),
+                    journal.records(),
+                    regions.mitigations,
+                ))
+            assert outputs[0] == outputs[1]
+            # Tee'd with the other sinks, the profiler's cycle counters
+            # still partition the clock: hardware + sleep + padding.
+            partition = sum(
+                cycles for name, cycles in profiler.cycles.items()
+                if name.startswith("hardware.")
+                or name in ("interpreter.sleep", "mitigation.padding"))
+            assert partition == profiler.total_cycles() == result.time
+            assert profiler.calls["interpreter.dispatch"] == result.steps
+            checked += 1
+        assert checked >= 5, "corpus produced too few well-typed programs"
+
     def test_null_recorder_is_inactive(self):
-        assert NULL_RECORDER.active is False
-        assert RecordingTraceRecorder().active is True
+        # ``None`` is the null recorder: nothing is attached to the
+        # hardware or the mitigation runtime, so every guard skips.
+        program, _, info, gen = next(
+            g for g in map(_generated, CORPUS_SEEDS) if g is not None)
+        for recorder in (None, RecordingTraceRecorder()):
+            interp = Interpreter(
+                program=program, memory=gen.memory(),
+                environment=PartitionedHardware(LAT, tiny_machine()),
+                mitigate_pc=info.mitigate_pc, recorder=recorder)
+            assert interp.environment.recorder is recorder
+            assert interp.mitigation.recorder is recorder
+            for hierarchy in interp.environment.partitions.values():
+                assert hierarchy.recorder is recorder
+
+    def test_unrecorded_run_detaches_previous_recorder(self):
+        # Regression: a run with no recorder on the same environment and
+        # mitigation state kept feeding the previous run's recorder.
+        app = PasswordChecker(length=4)
+        environment = make_hardware("partitioned", app.lattice)
+        state = MitigationState()
+        recorder = RecordingTraceRecorder()
+        snapshots = []
+        for run_recorder in (recorder, None):
+            execute(app.program, app.memory([1, 2, 3, 4], [1, 2, 0, 0]),
+                    environment, mitigation=state,
+                    mitigate_pc=app.typing.mitigate_pc,
+                    recorder=run_recorder)
+            snapshots.append(json.dumps(recorder.registry.as_dict()))
+        assert recorder.registry.counter("hw.l1d.hits") > 0
+        assert snapshots[0] == snapshots[1]
+        assert environment.recorder is None and state.recorder is None
 
     def test_recording_matches_execution_result(self):
         compiled = compile_program(MITIGATED, {"h": "H", "ready": "L"})
