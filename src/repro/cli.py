@@ -136,13 +136,15 @@ from .hardware import (
 from .lang.parser import DEFAULT_LATTICE
 from .lang.pretty import pretty
 from .lattice import Lattice, chain
-from .machine.memory import Memory
+from .machine.memory import Memory, MemoryError_
 from .quantitative import (
     leakage_bound,
     measure_leakage,
     secret_variants,
     timing_variations,
 )
+from .semantics.core import EvaluationError
+from .semantics.full import SemanticsError
 from .semantics.mitigation import SCHEME_CHOICES, MitigationState, make_scheme
 from .telemetry import (
     DynamicLeakageMeter,
@@ -167,8 +169,12 @@ class CliError(Exception):
     """Bad input; :func:`main` reports it and exits 2."""
 
 
-#: What :func:`main` reports as ``repro <command>: <message>`` (exit 2).
-INPUT_ERRORS = (CliError, OSError, HardwareRegistryError, UnboundVariable)
+#: What :func:`main` reports as ``repro <command>: <message>`` (exit 2):
+#: bad input, including a program that fails at run time on the given
+#: memory (an out-of-bounds index, a name ``--set`` declared with the
+#: wrong shape, no termination within the step budget).
+INPUT_ERRORS = (CliError, OSError, HardwareRegistryError, UnboundVariable,
+                EvaluationError, MemoryError_, SemanticsError)
 
 
 # -- option-value converters (argparse ``type=``) ------------------------------
@@ -1492,7 +1498,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except INPUT_ERRORS as err:
-        print(f"repro {args.command}: {err}", file=sys.stderr)
+        # MemoryError_ is a KeyError, whose str() quotes the message.
+        message = err.args[0] if isinstance(err, MemoryError_) else err
+        print(f"repro {args.command}: {message}", file=sys.stderr)
         return 2
 
 

@@ -23,63 +23,74 @@ high-context hit in a low partition, Property 5).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, Tuple
 
 from .params import CacheParams
 
 
 class Cache:
-    """One cache: ``sets`` sets of ``ways`` lines of ``block_bytes`` bytes."""
+    """One cache: ``sets`` sets of ``ways`` lines of ``block_bytes`` bytes.
+
+    A set is allocated on its first :meth:`touch`; an untouched set holds
+    nothing and snapshots as ``()``.  Geometry is power-of-two-validated
+    by the params, so an address splits into set index and tag with one
+    shift and one mask (for any integer, exactly ``//`` and ``%``).
+    """
 
     def __init__(self, params: CacheParams):
         self.params = params
-        # Each set is an OrderedDict from tag to None; order encodes LRU
+        self._ways = params.ways
+        line_shift = self._line_bytes(params).bit_length() - 1
+        self._line_shift = line_shift
+        self._set_mask = params.sets - 1
+        self._tag_shift = line_shift + params.sets.bit_length() - 1
+        # Set index -> OrderedDict from tag to None; order encodes LRU
         # (least-recently-used first).
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(params.sets)
-        ]
+        self._sets: Dict[int, OrderedDict] = {}
 
-    # -- address arithmetic ---------------------------------------------------
-
-    def _locate(self, address: int) -> Tuple[int, int]:
-        block = address // self.params.block_bytes
-        return block % self.params.sets, block // self.params.sets
+    @staticmethod
+    def _line_bytes(params) -> int:
+        """Bytes one line (one tag) covers."""
+        return params.block_bytes
 
     # -- operations -------------------------------------------------------------
 
     def lookup(self, address: int) -> bool:
         """Is the block containing ``address`` present?  No state change."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        lines = self._sets.get((address >> self._line_shift) & self._set_mask)
+        return lines is not None and address >> self._tag_shift in lines
 
     def touch(self, address: int) -> bool:
         """Use the block: LRU-promote on hit, install (evicting LRU) on miss.
 
         Returns True on hit.
         """
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
+        set_index = (address >> self._line_shift) & self._set_mask
+        tag = address >> self._tag_shift
+        lines = self._sets.get(set_index)
+        if lines is None:
+            self._sets[set_index] = OrderedDict.fromkeys((tag,))
+            return False
         if tag in lines:
             lines.move_to_end(tag)
             return True
-        if len(lines) >= self.params.ways:
+        if len(lines) >= self._ways:
             lines.popitem(last=False)
         lines[tag] = None
         return False
 
     def evict(self, address: int) -> bool:
         """Remove the block containing ``address`` if present."""
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        if tag in lines:
+        lines = self._sets.get((address >> self._line_shift) & self._set_mask)
+        tag = address >> self._tag_shift
+        if lines is not None and tag in lines:
             del lines[tag]
             return True
         return False
 
     def flush(self) -> None:
         """Empty the cache."""
-        for lines in self._sets:
-            lines.clear()
+        self._sets.clear()
 
     def preload(self, addresses) -> None:
         """Touch a sequence of addresses (e.g. to warm the cache)."""
@@ -90,7 +101,7 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of valid lines."""
-        return sum(len(lines) for lines in self._sets)
+        return sum(len(lines) for lines in self._sets.values())
 
     def state(self) -> Tuple[Tuple[int, ...], ...]:
         """A hashable snapshot: per set, the resident tags in LRU order.
@@ -100,11 +111,17 @@ class Cache:
         LRU order is included because it determines future evictions and is
         therefore timing-relevant state.
         """
-        return tuple(tuple(lines.keys()) for lines in self._sets)
+        sets = self._sets
+        return tuple(
+            tuple(sets[index]) if index in sets else ()
+            for index in range(self.params.sets)
+        )
 
     def clone(self) -> "Cache":
-        twin = Cache(self.params)
-        twin._sets = [OrderedDict(lines) for lines in self._sets]
+        """An independent deep copy (of the same class)."""
+        twin = type(self)(self.params)
+        twin._sets = {index: OrderedDict(lines)
+                      for index, lines in self._sets.items()}
         return twin
 
     def __repr__(self) -> str:

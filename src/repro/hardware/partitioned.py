@@ -37,7 +37,7 @@ no state change -- which is trivially secure.  The type system offers
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict, Hashable, NamedTuple, Tuple
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
@@ -46,6 +46,24 @@ from .hierarchy import Hierarchy
 from .interface import MachineEnvironment, StepKind
 from .params import MachineParams, paper_machine
 from .tlb import Tlb
+
+
+class _Route(NamedTuple):
+    """Where one timing label's accesses go on one side (data or
+    instruction): per component, the own-level partition, the searched
+    partitions (every level at or below the label, in
+    ``lattice.levels()`` order: the first hit in that order wins) and the
+    partitions strictly above the label (single-copy evictions)."""
+
+    tlb: Tlb
+    tlbs: Tuple[Tlb, ...]
+    tlbs_above: Tuple[Tlb, ...]
+    l1: Cache
+    l1s: Tuple[Cache, ...]
+    l1s_above: Tuple[Cache, ...]
+    l2: Cache
+    l2s: Tuple[Cache, ...]
+    l2s_above: Tuple[Cache, ...]
 
 
 class PartitionedHardware(MachineEnvironment):
@@ -57,6 +75,35 @@ class PartitionedHardware(MachineEnvironment):
         self.partitions: Dict[Label, Hierarchy] = {
             level: Hierarchy(self.params) for level in lattice.levels()
         }
+        self._build_routes()
+
+    def _build_routes(self) -> None:
+        """Precompute every label's routes, indexed ``[label][instruction]``
+        (the lattice order is fixed, so no access recomputes it)."""
+        levels = self.lattice.levels()
+
+        def route(label: Label, parts) -> _Route:
+            tlb, l1, l2 = parts(self.partitions[label])
+            below = [parts(self.partitions[p])
+                     for p in levels if p.flows_to(label)]
+            above = [parts(self.partitions[q])
+                     for q in levels if q != label and label.flows_to(q)]
+            return _Route(
+                tlb, tuple(b[0] for b in below), tuple(a[0] for a in above),
+                l1, tuple(b[1] for b in below), tuple(a[1] for a in above),
+                l2, tuple(b[2] for b in below), tuple(a[2] for a in above),
+            )
+
+        def data(h: Hierarchy):
+            return h.data_tlb, h.l1_data, h.l2_data
+
+        def inst(h: Hierarchy):
+            return h.inst_tlb, h.l1_inst, h.l2_inst
+
+        self._routes: Dict[Label, Tuple[_Route, _Route]] = {
+            label: (route(label, data), route(label, inst))
+            for label in levels
+        }
 
     def attach_recorder(self, recorder) -> None:
         """Propagate the telemetry recorder to every partition (the
@@ -67,17 +114,10 @@ class PartitionedHardware(MachineEnvironment):
 
     # -- the partitioned access algorithm ------------------------------------
 
-    def _partitioned_access(
-        self, address: int, label: Label, instruction: bool
-    ) -> int:
-        """One access with timing label ``label``; returns its cost.
-
-        Split into a TLB stage and a cache stage so variant designs (the
-        zoo's leaky-TLB model, future vectorized fast models) can replace
-        one stage without re-implementing the other.
-        """
-        return self._tlb_access(address, label, instruction) + \
-            self._cache_access(address, label, instruction)
+    # One access with timing label ``label`` is a TLB stage plus a cache
+    # stage, each returning its cost.  They are separate methods so that
+    # variant designs (the zoo's leaky-TLB model) can replace one stage
+    # without re-implementing the other.
 
     def _tlb_access(
         self, address: int, label: Label, instruction: bool
@@ -87,100 +127,77 @@ class PartitionedHardware(MachineEnvironment):
         A hit in any partition at or below ``label`` is free; a miss walks
         the page table and installs into the own-level partition.
         """
-        searched = [
-            p for p in self.lattice.levels() if p.flows_to(label)
-        ]
-        own = self.partitions[label]
-        if instruction:
-            tlb_of = lambda h: h.inst_tlb  # noqa: E731
-        else:
-            tlb_of = lambda h: h.data_tlb  # noqa: E731
-
-        cost = 0
-        tlb_hit = None
-        for p in searched:
-            if tlb_of(self.partitions[p]).lookup(address):
-                tlb_hit = p
+        route = self._routes[label][instruction]
+        own = route.tlb
+        hit = None
+        for tlb in route.tlbs:
+            if tlb.lookup(address):
+                hit = tlb
                 break
         if self.recorder is not None:
             self.recorder.on_cache_access(
-                "itlb" if instruction else "dtlb", tlb_hit is not None
+                "itlb" if instruction else "dtlb", hit is not None
             )
-        if tlb_hit is None:
-            cost += tlb_of(own).params.miss_penalty
-            tlb_of(own).touch(address)
-            self._evict_above(address, label, tlb_of)
-        elif tlb_hit == label:
-            tlb_of(own).touch(address)  # LRU promotion in the own partition
-        return cost
+        if hit is None:
+            own.touch(address)
+            for tlb in route.tlbs_above:
+                tlb.evict(address)
+            return own.params.miss_penalty
+        if hit is own:
+            own.touch(address)  # LRU promotion in the own partition
+        return 0
 
     def _cache_access(
         self, address: int, label: Label, instruction: bool
     ) -> int:
         """The L1/L2 stage of one access with timing label ``label``."""
-        searched = [
-            p for p in self.lattice.levels() if p.flows_to(label)
-        ]
-        own = self.partitions[label]
-        if instruction:
-            l1_of = lambda h: h.l1_inst  # noqa: E731
-            l2_of = lambda h: h.l2_inst  # noqa: E731
-        else:
-            l1_of = lambda h: h.l1_data  # noqa: E731
-            l2_of = lambda h: h.l2_data  # noqa: E731
-
+        route = self._routes[label][instruction]
         recorder = self.recorder
-        cache_side = "i" if instruction else "d"
+        own_l1 = route.l1
 
-        cost = 0
         # L1 search across all partitions at or below the timing label.
-        l1_params = l1_of(own).params
-        l2_params = l2_of(own).params
-        cost += l1_params.latency
-        l1_hit = None
-        for p in searched:
-            if l1_of(self.partitions[p]).lookup(address):
-                l1_hit = p
+        cost = own_l1.params.latency
+        hit = None
+        for l1 in route.l1s:
+            if l1.lookup(address):
+                hit = l1
                 break
         if recorder is not None:
-            recorder.on_cache_access(f"l1{cache_side}", l1_hit is not None)
-        if l1_hit is not None:
-            if l1_hit == label:
-                l1_of(own).touch(address)
+            recorder.on_cache_access("l1i" if instruction else "l1d",
+                                     hit is not None)
+        if hit is not None:
+            if hit is own_l1:
+                own_l1.touch(address)
             return cost
 
         # L1 miss: search L2 the same way.
-        cost += l2_params.latency
-        l2_hit = None
-        for p in searched:
-            if l2_of(self.partitions[p]).lookup(address):
-                l2_hit = p
+        own_l2 = route.l2
+        cost += own_l2.params.latency
+        for l2 in route.l2s:
+            if l2.lookup(address):
+                hit = l2
                 break
         if recorder is not None:
-            recorder.on_cache_access(f"l2{cache_side}", l2_hit is not None)
-        if l2_hit is not None:
-            if l2_hit == label:
-                l2_of(own).touch(address)
-            l1_of(own).touch(address)
-            self._evict_above(address, label, l1_of)
+            recorder.on_cache_access("l2i" if instruction else "l2d",
+                                     hit is not None)
+        if hit is not None:
+            if hit is own_l2:
+                own_l2.touch(address)
+            own_l1.touch(address)
+            for l1 in route.l1s_above:
+                l1.evict(address)
             return cost
 
         # Full miss: the controller either fetches from memory or moves the
         # line from a strictly-higher partition; both take the full miss
         # latency so that timing is independent of unsearched state.
-        cost += self.params.memory_latency
-        l2_of(own).touch(address)
-        l1_of(own).touch(address)
-        self._evict_above(address, label, l1_of)
-        self._evict_above(address, label, l2_of)
-        return cost
-
-    def _evict_above(self, address: int, label: Label, component_of) -> None:
-        """Single-copy consistency: drop the entry from partitions strictly
-        above ``label`` (permitted by Property 5 since ``lw = label <= q``)."""
-        for q in self.lattice.levels():
-            if q != label and label.flows_to(q):
-                component_of(self.partitions[q]).evict(address)
+        own_l2.touch(address)
+        own_l1.touch(address)
+        for l1 in route.l1s_above:
+            l1.evict(address)
+        for l2 in route.l2s_above:
+            l2.evict(address)
+        return cost + self.params.memory_latency
 
     # -- the contract interface ------------------------------------------------
 
@@ -208,19 +225,19 @@ class PartitionedHardware(MachineEnvironment):
                 cost += self.params.branch.penalty  # flat worst case
             return cost
         label = read_label
-        cost += self._partitioned_access(
-            trace.instruction, label, instruction=True
-        )
+        tlb, cache = self._tlb_access, self._cache_access
+        instruction = trace.instruction
+        cost += tlb(instruction, label, True) + cache(instruction, label, True)
         if trace.taken is not None:
             # Each level owns a private predictor: reads and training stay
             # at exactly the step's own level.
             cost += self.partitions[label].branch_cost(
-                trace.instruction, trace.taken
+                instruction, trace.taken
             )
         for address in trace.reads:
-            cost += self._partitioned_access(address, label, instruction=False)
+            cost += tlb(address, label, False) + cache(address, label, False)
         for address in trace.writes:
-            cost += self._partitioned_access(address, label, instruction=False)
+            cost += tlb(address, label, False) + cache(address, label, False)
         return cost
 
     def project(self, level: Label) -> Hashable:
@@ -232,4 +249,5 @@ class PartitionedHardware(MachineEnvironment):
             level: hierarchy.clone()
             for level, hierarchy in self.partitions.items()
         }
+        twin._build_routes()
         return twin

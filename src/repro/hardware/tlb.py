@@ -9,67 +9,20 @@ translation overlaps the pipeline); a miss adds the Table 1 penalty
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Tuple
-
-from .params import TlbParams
+from .cache import Cache
 
 
-class Tlb:
-    """A set-associative TLB with true-LRU replacement over page numbers."""
+class Tlb(Cache):
+    """A set-associative TLB with true-LRU replacement over page numbers.
 
-    def __init__(self, params: TlbParams):
-        self.params = params
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(params.sets)
-        ]
+    :meth:`lookup` tests whether a page mapping is resident (no state
+    change); :meth:`touch` translates -- LRU-promote on hit,
+    walk-and-install on miss -- and returns True on hit.
+    """
 
-    def _locate(self, address: int) -> Tuple[int, int]:
-        page = address // self.params.page_bytes
-        return page % self.params.sets, page // self.params.sets
-
-    def lookup(self, address: int) -> bool:
-        """Is the page mapping resident?  No state change."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
-
-    def touch(self, address: int) -> bool:
-        """Translate: LRU-promote on hit, walk-and-install on miss.
-
-        Returns True on hit.
-        """
-        set_index, tag = self._locate(address)
-        entries = self._sets[set_index]
-        if tag in entries:
-            entries.move_to_end(tag)
-            return True
-        if len(entries) >= self.params.ways:
-            entries.popitem(last=False)
-        entries[tag] = None
-        return False
-
-    def evict(self, address: int) -> bool:
-        """Remove the page mapping if resident."""
-        set_index, tag = self._locate(address)
-        entries = self._sets[set_index]
-        if tag in entries:
-            del entries[tag]
-            return True
-        return False
-
-    def flush(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-
-    def state(self) -> Tuple[Tuple[int, ...], ...]:
-        """Hashable snapshot (resident page tags per set, LRU order)."""
-        return tuple(tuple(entries.keys()) for entries in self._sets)
-
-    def clone(self) -> "Tlb":
-        twin = Tlb(self.params)
-        twin._sets = [OrderedDict(entries) for entries in self._sets]
-        return twin
+    @staticmethod
+    def _line_bytes(params) -> int:
+        return params.page_bytes
 
     def __repr__(self) -> str:
-        resident = sum(len(entries) for entries in self._sets)
-        return f"Tlb({self.params.name!r}, {resident} entries)"
+        return f"Tlb({self.params.name!r}, {self.occupancy()} entries)"

@@ -37,15 +37,18 @@ class Label:
 
     Labels are interned per lattice, so identity comparison is safe within
     one lattice, and rich comparisons implement the information-flow order
-    (``a <= b`` means "information at ``a`` may flow to ``b``").
+    (``a <= b`` means "information at ``a`` may flow to ``b``").  The hash
+    is computed once: labels key the hardware models' per-level tables,
+    which look them up on every access.
     """
 
-    __slots__ = ("name", "lattice", "_index")
+    __slots__ = ("name", "lattice", "_index", "_hash")
 
     def __init__(self, name: str, lattice: "Lattice", index: int):
         self.name = name
         self.lattice = lattice
         self._index = index
+        self._hash = hash((id(lattice), name))
 
     def flows_to(self, other: "Label") -> bool:
         """True when information at this level may flow to ``other``."""
@@ -86,7 +89,7 @@ class Label:
         return self.name
 
     def __hash__(self) -> int:
-        return hash((id(self.lattice), self.name))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Label):

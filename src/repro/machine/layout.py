@@ -93,11 +93,18 @@ class Layout:
 
     def data_address(self, access: DataAccess) -> int:
         """The byte address of a resolved data access."""
-        if access.name in self.var_addr:
-            return self.var_addr[access.name]
-        if access.name in self.array_addr:
-            return self.array_addr[access.name] + WORD_BYTES * access.index
-        raise KeyError(f"name {access.name!r} has no address in this layout")
+        base, stride = self.placement(access.name)
+        return base + stride * access.index
+
+    def placement(self, name: str) -> Tuple[int, int]:
+        """``(base, stride)``: element ``i`` of ``name`` lives at
+        ``base + stride * i`` (a scalar has stride 0).  The static half of
+        :meth:`data_address`, resolved once by compiled code."""
+        if name in self.var_addr:
+            return self.var_addr[name], 0
+        if name in self.array_addr:
+            return self.array_addr[name], WORD_BYTES
+        raise KeyError(f"name {name!r} has no address in this layout")
 
     def instruction_address(self, node_id: int) -> int:
         """The fetch address of a labeled command, by node id."""

@@ -63,6 +63,13 @@ class Memory:
         self._require_array(name)
         return len(self._arrays[name])
 
+    def stores(self) -> Tuple[Dict[str, int], Dict[str, list]]:
+        """The live scalar and array stores, for compiled code to read and
+        write in place.  Names and array lengths never change after
+        construction, so code resolved against them stays valid; callers
+        may only assign values to existing cells."""
+        return self._scalars, self._arrays
+
     # -- reads and writes -------------------------------------------------------
 
     def read(self, name: str) -> int:

@@ -22,8 +22,9 @@ Array index errors (the one partiality the array extension introduces) raise
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..lang import ast
 from ..machine.layout import DataAccess
@@ -32,6 +33,20 @@ from ..machine.memory import Memory
 
 class EvaluationError(RuntimeError):
     """Raised on an out-of-bounds array access."""
+
+
+def _read_out_of_bounds(array: str, index: int,
+                        length: int) -> EvaluationError:
+    return EvaluationError(
+        f"array read {array}[{index}] out of bounds (length {length})"
+    )
+
+
+def _write_out_of_bounds(array: str, index: int,
+                         length: int) -> EvaluationError:
+    return EvaluationError(
+        f"array write {array}[{index}] out of bounds (length {length})"
+    )
 
 
 #: Syntactic marker for a finished computation.  Distinct from ``skip``,
@@ -81,11 +96,9 @@ def eval_expr_traced(
             return memory.read(e.name)
         if isinstance(e, ast.ArrayRead):
             index = go(e.index)
-            if not 0 <= index < memory.array_length(e.array):
-                raise EvaluationError(
-                    f"array read {e.array}[{index}] out of bounds "
-                    f"(length {memory.array_length(e.array)})"
-                )
+            length = memory.array_length(e.array)
+            if not 0 <= index < length:
+                raise _read_out_of_bounds(e.array, index, length)
             accesses.append(DataAccess(e.array, index))
             return memory.read_elem(e.array, index)
         if isinstance(e, ast.UnOp):
@@ -101,44 +114,36 @@ def eval_expr_traced(
     return value, tuple(accesses)
 
 
+#: Binary operator semantics, by source operator.  Comparisons and the
+#: boolean operators yield 0/1 ints, never bools (values land in memory
+#: and events).
+OPERATORS: Dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _truncdiv,
+    "%": _truncmod,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<<": lambda a, b: a << b if b >= 0 else a,
+    ">>": lambda a, b: a >> b if b >= 0 else a,
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b),
+    "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b),
+    ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(a != 0 and b != 0),
+    "||": lambda a, b: int(a != 0 or b != 0),
+}
+
+
 def _apply(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _truncdiv(a, b)
-    if op == "%":
-        return _truncmod(a, b)
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "<<":
-        return a << b if b >= 0 else a
-    if op == ">>":
-        return a >> b if b >= 0 else a
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "&&":
-        return int(a != 0 and b != 0)
-    if op == "||":
-        return int(a != 0 or b != 0)
-    raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+    fn = OPERATORS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+    return fn(a, b)
 
 
 @dataclass(frozen=True)
@@ -172,11 +177,9 @@ def core_step(cmd: ast.Command, memory: Memory) -> CoreStep:
     if isinstance(cmd, ast.ArrayAssign):
         index = eval_expr(cmd.index, memory)
         value = eval_expr(cmd.expr, memory)
-        if not 0 <= index < memory.array_length(cmd.array):
-            raise EvaluationError(
-                f"array write {cmd.array}[{index}] out of bounds "
-                f"(length {memory.array_length(cmd.array)})"
-            )
+        length = memory.array_length(cmd.array)
+        if not 0 <= index < length:
+            raise _write_out_of_bounds(cmd.array, index, length)
         memory.write_elem(cmd.array, index, value)
         return CoreStep(cmd, STOP, assigned=(cmd.array, value))
     if isinstance(cmd, ast.If):

@@ -378,12 +378,10 @@ class SeamlessInterpreter(Interpreter):
     """The interpreter with the observation seam physically removed from
     the per-step hot path -- the calibration baseline for the <= 5%
     profiler-off overhead claim in BENCH_core.json.  Mirrors
-    :meth:`Interpreter._charge` minus its ``recorder is not None``
-    check."""
+    :meth:`Interpreter._charge`, the one method every charged step goes
+    through, minus its ``recorder is not None`` check."""
 
-    def _charge(self, kind, cmd, reads=(), writes=(), taken=None):
-        read_label, write_label = self._labels(cmd)
-        trace = self._trace(cmd, reads, writes, taken=taken)
+    def _charge(self, kind, trace, read_label, write_label):
         self.time += self.environment.step(kind, trace, read_label,
                                            write_label)
 

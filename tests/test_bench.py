@@ -12,11 +12,14 @@ import os
 
 import pytest
 
+from repro.apps.password import PasswordChecker
 from repro.cli import main
 from repro.telemetry.bench import (
     BenchError,
     DEFAULT_TOLERANCE,
     SCHEMA,
+    SeamlessInterpreter,
+    _app_runner,
     compare_documents,
     load_bench_document,
     make_entry,
@@ -151,6 +154,26 @@ class TestCoreSuite:
                                  "overhead_pct", "tolerance_pct", "ok"}
         assert overhead["with_seam_s"] > 0
         assert overhead["seamless_s"] > 0
+
+    def test_seamless_side_runs_its_own_charge(self, monkeypatch):
+        # The overhead race measures something only if every charged step
+        # of the seamless side goes through its override.
+        charged = []
+        seamless_charge = SeamlessInterpreter._charge
+
+        def counting(self, *args):
+            charged.append(args[0])
+            seamless_charge(self, *args)
+        monkeypatch.setattr(SeamlessInterpreter, "_charge", counting)
+        app = PasswordChecker(length=4, mitigated=True)
+        args = ([1, 2, 3, 4], [1, 2, 0, 0])
+        seamless = _app_runner(app, args, "partitioned",
+                               interpreter_cls=SeamlessInterpreter)()
+        shipped = _app_runner(app, args, "partitioned")()
+        assert (seamless.time, seamless.steps) == (shipped.time,
+                                                   shipped.steps)
+        # Every step but the mitigate exits is a charged hardware step.
+        assert len(charged) == shipped.steps - len(shipped.mitigations) > 0
 
 
 class TestServiceSuite:

@@ -17,6 +17,8 @@ PROGRAMS = {
     ),
     "secret_only.tl": "mitigate(16, H) { while h > 0 do { h := h - 1 } }\n",
     "explicit_flow.tl": "l := h\n",
+    "array_read.tl": "x := a[5] + 1\n",
+    "array_write.tl": "a[x] := 1\n",
 }
 
 GAMMA = ["--gamma", "h=H,ready=L"]
@@ -40,18 +42,52 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, code", ROWS, ids=[" ".join(argv) for argv, _ in ROWS]
-)
-def test_bad_input_exits_with_a_message(tmp_path, argv, code):
+ARRAYS = ["--gamma", "x=L,a=L"]
+
+#: Programs that fail at run time on the given memory: exit 2 with the
+#: error's own message (unquoted), never a traceback.
+RUNTIME_ROWS = [
+    (["run", "array_read.tl", *ARRAYS, "--set", "a=1:2"],
+     "repro run: array read a[5] out of bounds (length 2)"),
+    (["run", "array_write.tl", *ARRAYS, "--set", "a=1:2", "--set", "x=7"],
+     "repro run: array write a[7] out of bounds (length 2)"),
+    (["run", "array_read.tl", *ARRAYS, "--set", "a=3"],
+     "repro run: undeclared array 'a'"),
+    (["run", "array_write.tl", *ARRAYS, "--set", "x=1:2"],
+     "repro run: undeclared scalar variable 'x'"),
+    (["leakage", "array_read.tl", *ARRAYS, "--set", "a=1:2",
+      "--secret", "x", "--values", "0..1"],
+     "repro leakage: array read a[5] out of bounds (length 2)"),
+]
+
+
+def _repro(tmp_path, argv):
     for name, text in PROGRAMS.items():
         (tmp_path / name).write_text(text)
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True,
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message", RUNTIME_ROWS,
+    ids=[" ".join(argv) for argv, _ in RUNTIME_ROWS],
+)
+def test_runtime_error_exits_2_with_its_message(tmp_path, argv, message):
+    proc = _repro(tmp_path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv, code", ROWS, ids=[" ".join(argv) for argv, _ in ROWS]
+)
+def test_bad_input_exits_with_a_message(tmp_path, argv, code):
+    proc = _repro(tmp_path, argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code:

@@ -6,9 +6,11 @@ from repro.lang import DEFAULT_LATTICE, ast, parse
 from repro.lattice import chain
 from repro.machine import Layout, Memory
 from repro.hardware import NullHardware, PartitionedHardware, tiny_machine
+from repro.machine.memory import MemoryError_
 from repro.semantics import (
     EvaluationError,
     MitigationState,
+    SemanticsError,
     execute,
 )
 
@@ -71,12 +73,48 @@ class TestDeepNesting:
 
 class TestErrors:
     def test_array_oob_in_full_semantics(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match=(
+                r"^array read a\[9\] out of bounds \(length 2\)$")):
             run("x := a[9] [L,L]", {"x": 0, "a": [1, 2]})
 
     def test_array_store_oob(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match=(
+                r"^array write a\[5\] out of bounds \(length 1\)$")):
             run("a[5] := 1 [L,L]", {"a": [0]})
+
+    def test_unlabeled_dead_branch_still_runs(self):
+        # Resolution errors surface only when the step is reached.
+        r = run("x := 1 [L,L]; if x then { skip [L,L] } "
+                "else { y := 2 } [L,L]", {"x": 0, "y": 0})
+        assert r.steps == 3
+
+    def test_unlabeled_command_fails_when_reached(self):
+        with pytest.raises(SemanticsError, match=(
+                r"^command Assign \(node \d+\) has no timing labels; "
+                r"annotate it or run label inference first$")):
+            run("x := 0 [L,L]; if x then { skip [L,L] } "
+                "else { y := 2 } [L,L]", {"x": 0, "y": 0})
+
+    @pytest.mark.parametrize("src, mem, error, message", [
+        ("sleep(a[3]) [L,L]", {"a": [1]}, EvaluationError,
+         "array read a[3] out of bounds (length 1)"),
+        ("x := y + 1 [L,L]", {"x": 0}, MemoryError_,
+         "undeclared scalar variable 'y'"),
+        ("x := a[0] [L,L]", {"x": 0, "a": 3}, MemoryError_,
+         "undeclared array 'a'"),
+        ("a[0] := 1 [L,L]", {"a": 3}, MemoryError_,
+         "undeclared array 'a'"),
+        ("z := 1 [L,L]", {"x": 0}, KeyError,
+         "name 'z' has no address in this layout"),
+        # Evaluation runs before label resolution, so its error wins.
+        ("x := a[9]", {"x": 0, "a": [1]}, EvaluationError,
+         "array read a[9] out of bounds (length 1)"),
+    ])
+    def test_runtime_errors_keep_their_messages(self, src, mem, error,
+                                                message):
+        with pytest.raises(error) as raised:
+            run(src, mem)
+        assert raised.value.args == (message,)
 
     def test_foreign_layout_rejected(self):
         prog = parse("x := 1 [L,L]")
