@@ -44,17 +44,10 @@ def write_metrics(name: str, payload: Mapping[str, Any]) -> str:
     return path
 
 
-def write_bench(doc: Mapping[str, Any], path: "str | None" = None) -> str:
-    """Write a perf-trajectory document (``repro.bench/1``, stamping the
-    schema) and return the path.  Defaults to the repo-root
-    ``BENCH_<kind>.json`` — the committed baselines that ``repro bench
-    --compare`` gates against (docs/PROFILING.md)."""
-    from repro.telemetry.bench import write_bench_document
-
-    if path is None:
-        kind = doc.get("kind", "core")
-        path = os.path.join(REPO_ROOT, f"BENCH_{kind}.json")
-    return write_bench_document(path, doc)
+def repo_path(path: str) -> str:
+    """``path`` relative to the repo root, for the committed reports: a
+    report names its artifacts the same way in every checkout."""
+    return os.path.relpath(path, REPO_ROOT)
 
 
 def write_trace(name: str, spans) -> str:

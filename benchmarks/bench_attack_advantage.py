@@ -31,7 +31,7 @@ import time
 
 from repro.adversary import REGISTRY, run_campaign
 
-from _report import Report, ensure_results_dir
+from _report import Report, ensure_results_dir, repo_path
 import os
 
 SEED = 7
@@ -115,16 +115,14 @@ def _build_report():
         language_level,
     )
 
-    ensure_results_dir()
-    doc_path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "results",
-        "attack_advantage_campaign.json",
-    )
+    doc_path = os.path.join(ensure_results_dir(),
+                            "attack_advantage_campaign.json")
     with open(doc_path, "w") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
     report.line()
-    report.line(f"Campaign document ({document['schema']}): {doc_path}")
+    report.line(f"Campaign document ({document['schema']}): "
+                f"{repo_path(doc_path)}")
     report.emit()
     return positive and defended and language_level and document["ok"]
 

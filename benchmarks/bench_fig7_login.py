@@ -32,6 +32,7 @@ from repro.telemetry import (
 from _report import (
     Report,
     ascii_plot,
+    repo_path,
     series_constant,
     write_metrics,
     write_trace,
@@ -141,9 +142,11 @@ def _build_report():
     )
     trace_path = write_trace("fig7", span_recorder.spans)
     report.line()
-    report.line(f"Execution timeline (Perfetto-loadable): {trace_path} "
+    report.line(f"Execution timeline (Perfetto-loadable): "
+                f"{repo_path(trace_path)} "
                 f"({len(span_recorder.spans)} spans)")
-    report.line(f"Telemetry over the mitigated stream ({metrics_path}):")
+    report.line(f"Telemetry over the mitigated stream "
+                f"({repo_path(metrics_path)}):")
     for line in registry.summary_lines():
         report.line(f"  {line}")
     leakage_ok = meter.holds()

@@ -25,7 +25,13 @@ from repro.telemetry import (
     TeeRecorder,
 )
 
-from _report import Report, ascii_plot, write_metrics, write_trace
+from _report import (
+    Report,
+    ascii_plot,
+    repo_path,
+    write_metrics,
+    write_trace,
+)
 
 KEY_BITS = 48
 BLOCKS = 4
@@ -133,9 +139,11 @@ def _build_report():
     )
     trace_path = write_trace("fig8", span_recorder.spans)
     report.line()
-    report.line(f"Execution timeline (Perfetto-loadable): {trace_path} "
+    report.line(f"Execution timeline (Perfetto-loadable): "
+                f"{repo_path(trace_path)} "
                 f"({len(span_recorder.spans)} spans)")
-    report.line(f"Telemetry over the mitigated stream ({metrics_path}):")
+    report.line(f"Telemetry over the mitigated stream "
+                f"({repo_path(metrics_path)}):")
     for line in registry.summary_lines():
         report.line(f"  {line}")
     leakage_ok = meter.holds()

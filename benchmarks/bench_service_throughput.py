@@ -22,43 +22,50 @@ advantage, and the audit verdict.  The expected shape:
 * quantized throughput <= fifo throughput at equal load, and quantized
   latency >= fifo latency: the price of holding releases to the grid is
   idle boundary time, which is exactly Ford's TIFC trade-off.
-
-The sweep grid (policies, client counts, request count, quantum, seed,
-tenants) is the canonical one from :mod:`repro.telemetry.bench`, so the
-``BENCH_service.json`` this benchmark writes to the repo root agrees
-cell-for-cell with ``repro bench --suite service``.
 """
 
-import time
-
-from repro.service import audit_service, serve_workload
+from repro.service import WorkloadSpec, audit_service, serve_workload
 from repro.service.audit import service_document
 from repro.telemetry import StreamingHistogram
-from repro.telemetry.bench import (
-    SCHEMA as BENCH_SCHEMA,
-    SERVICE_CLIENT_COUNTS as CLIENT_COUNTS,
-    SERVICE_POLICIES as POLICIES,
-    SERVICE_QUANTUM as QUANTUM,
-    SERVICE_REQUESTS as REQUESTS,
-    SERVICE_SEED as SEED,
-    SERVICE_TENANTS as TENANTS,
-    service_case,
-    service_spec,
-)
 
-from _report import Report, write_bench, write_metrics
+from _report import Report, repo_path, write_metrics
+
+POLICIES = ("fifo", "rr", "quantized")
+CLIENT_COUNTS = (4, 12)
+REQUESTS = 80
+QUANTUM = 2048
+SEED = 2012
+TENANTS = [
+    {"name": "acme-login", "app": "login", "weight": 2.0,
+     "config": {"table_size": 8}},
+    {"name": "bank-passwords", "app": "password", "weight": 2.0,
+     "config": {"length": 6}},
+    {"name": "cdn-sbox", "app": "sbox", "weight": 1.0,
+     "config": {"length": 6}},
+]
+
+
+def service_spec(policy, clients):
+    """One cell of the closed-loop sweep."""
+    return WorkloadSpec.from_dict({
+        "seed": SEED,
+        "requests": REQUESTS,
+        "policy": policy,
+        "quantum": QUANTUM,
+        "workers": 2,
+        "queue_depth": 8,
+        "arrival": {"kind": "closed", "clients": clients, "think": 512},
+        "tenants": TENANTS,
+    })
 
 
 def _sweep():
-    """Measure every cell: (result, audit, wall seconds)."""
+    """Run and audit every cell: {(policy, clients): (result, audit)}."""
     cells = {}
     for policy in POLICIES:
         for clients in CLIENT_COUNTS:
-            started = time.perf_counter_ns()
             result = serve_workload(service_spec(policy, clients))
-            wall = (time.perf_counter_ns() - started) / 1e9
-            audit = audit_service(result)
-            cells[(policy, clients)] = (result, audit, wall)
+            cells[(policy, clients)] = (result, audit_service(result))
     return cells
 
 
@@ -80,7 +87,7 @@ def _build_report():
     report.line()
 
     rows = []
-    for (policy, clients), (result, audit, _wall) in sorted(cells.items()):
+    for (policy, clients), (result, audit) in sorted(cells.items()):
         q = _latency_quantiles(result)
         cross = max(
             (p.probe.advantage for p in audit.cross_tenant), default=0.0
@@ -99,11 +106,11 @@ def _build_report():
         rows,
     )
 
-    all_ok = all(audit.ok for _, audit, _ in cells.values())
+    all_ok = all(audit.ok for _, audit in cells.values())
     report.expect(
         "every policy x load cell within the Theorem 2 bound",
         "all audits hold",
-        f"{sum(a.ok for _, a, _ in cells.values())}/{len(cells)} ok",
+        f"{sum(a.ok for _, a in cells.values())}/{len(cells)} ok",
         all_ok,
     )
     tifc_price = all(
@@ -120,27 +127,6 @@ def _build_report():
         tifc_price,
     )
 
-    # The perf-trajectory document: makespan cycles over host wall time
-    # per cell, gated by `repro bench --compare BENCH_service.json`.
-    bench_doc = {
-        "schema": BENCH_SCHEMA,
-        "kind": "service",
-        "config": {
-            "requests": REQUESTS,
-            "client_counts": list(CLIENT_COUNTS),
-            "policies": list(POLICIES),
-            "quantum": QUANTUM,
-            "seed": SEED,
-            "tenants": [t["name"] for t in TENANTS],
-        },
-        "entries": {
-            f"service/{policy}/c{clients}": service_case(result, audit, wall)
-            for (policy, clients), (result, audit, wall)
-            in sorted(cells.items())
-        },
-    }
-    bench_path = write_bench(bench_doc)
-
     # One full telemetry document for the heaviest quantized cell, so the
     # service section is inspectable with `repro report`.
     heavy = cells[("quantized", CLIENT_COUNTS[-1])]
@@ -149,8 +135,7 @@ def _build_report():
     )
     report.line()
     report.line(f"Telemetry (quantized, {CLIENT_COUNTS[-1]} clients): "
-                f"{metrics_path}")
-    report.line(f"Perf trajectory: {bench_path}")
+                f"{repo_path(metrics_path)}")
     report.emit()
     return all_ok and tifc_price
 

@@ -87,14 +87,6 @@ report
 
         python -m repro report benchmarks/results/fig7_metrics.json
 
-bench
-    Run the perf-trajectory suites (docs/PROFILING.md) and write
-    ``BENCH_core.json`` / ``BENCH_service.json``; with ``--compare`` the
-    measured (or ``--current``) numbers are diffed against a committed
-    baseline, and exit 1 means a regression::
-
-        python -m repro bench --suite core --compare BENCH_core.json
-
 Exit codes
 ----------
 
@@ -117,7 +109,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -955,87 +946,6 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    """`bench`: the perf-trajectory suites and the regression gate; a
-    regression is a rate drop past ``--tolerance`` or a vanished entry."""
-    from .telemetry.bench import (
-        BenchError,
-        compare_documents,
-        load_bench_document,
-        render_bench_lines,
-        render_comparison_lines,
-        run_core_bench,
-        run_service_bench,
-        write_bench_document,
-    )
-
-    if args.current and not args.compare:
-        raise CliError("--current requires --compare")
-
-    try:
-        if args.current:
-            # Gate-only mode: no measurement, diff two documents.
-            current = load_bench_document(args.current)
-            baseline = load_bench_document(args.compare)
-        else:
-            suites = ("core", "service") if args.suite == "all" \
-                else (args.suite,)
-            baseline = None
-            if args.compare:
-                # Validate the baseline before spending measurement time.
-                baseline = load_bench_document(args.compare)
-                if baseline.get("kind") not in suites:
-                    raise BenchError(
-                        f"baseline {args.compare} is "
-                        f"kind={baseline.get('kind')!r} but that suite was "
-                        f"not selected (--suite {args.suite})"
-                    )
-            docs = {}
-            out_dir = Path(args.output_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            if "core" in suites:
-                kwargs = dict(repeats=args.repeats)
-                if args.quick:
-                    # Shrunken workloads finish in microseconds, where
-                    # timer noise swamps the seam-overhead comparison --
-                    # skip it (full-size runs and bench_core_speed.py
-                    # measure it).
-                    kwargs.update(password_length=8, sbox_length=8,
-                                  rsa_bits=8, rsa_blocks=1,
-                                  gateway_requests=8, check_overhead=False)
-                docs["core"] = run_core_bench(**kwargs)
-            if "service" in suites:
-                docs["service"] = run_service_bench(
-                    requests=args.requests if args.requests is not None
-                    else (24 if args.quick else 80)
-                )
-            for kind, doc in docs.items():
-                path = write_bench_document(
-                    str(out_dir / f"BENCH_{kind}.json"), doc
-                )
-                for line in render_bench_lines(doc):
-                    print(line)
-                print(f"wrote {path}")
-                print()
-            overhead = docs.get("core", {}).get("overhead")
-            if overhead is not None and not overhead.get("ok", True):
-                print("repro bench: profiler-off seam overhead exceeded "
-                      f"{overhead.get('tolerance_pct')}% "
-                      f"(measured {overhead.get('overhead_pct')}%)",
-                      file=sys.stderr)
-                return 1
-            if baseline is None:
-                return 0
-            current = docs[baseline["kind"]]
-        comparison = compare_documents(current, baseline,
-                                       tolerance=args.tolerance)
-    except BenchError as err:
-        raise CliError(err) from err
-    for line in render_comparison_lines(comparison):
-        print(line)
-    return 0 if comparison["ok"] else 1
-
-
 def cmd_contract(args) -> int:
     """`contract`: run the hardware property checkers; 0 iff all hold."""
     lattice = _lattice(args)
@@ -1459,35 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document",
                    help="a metrics JSON (--metrics-out) or an event "
                         "journal (--journal-out)")
-
-    p = command("bench", cmd_bench,
-                "measure the perf trajectory (BENCH_*.json) and gate "
-                "regressions against a baseline")
-    p.add_argument("--suite", choices=("core", "service", "all"),
-                   default="all",
-                   help="which suite(s) to measure (default all)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed repetitions per core entry; the minimum "
-                        "wall time wins (default 3)")
-    p.add_argument("--requests", type=int,
-                   help="service-suite request count (default 80, "
-                        "24 with --quick)")
-    p.add_argument("--quick", action="store_true",
-                   help="shrink workloads for a fast smoke run (numbers "
-                        "are NOT comparable to a full baseline)")
-    p.add_argument("--output-dir", metavar="DIR", default=".",
-                   help="where BENCH_*.json land (default: current "
-                        "directory; the repo root holds the committed "
-                        "baselines)")
-    p.add_argument("--compare", metavar="BASELINE",
-                   help="diff against this BENCH_*.json baseline; exit 1 "
-                        "when any entry regresses past --tolerance")
-    p.add_argument("--current", metavar="FILE",
-                   help="with --compare: diff this pre-measured document "
-                        "instead of re-measuring")
-    p.add_argument("--tolerance", type=float, default=0.20,
-                   help="relative cycles-per-second drop tolerated before "
-                        "an entry counts as regressed (default 0.20)")
 
     return parser
 

@@ -27,12 +27,11 @@ On top of the raw stream sit the execution timelines
 (:mod:`repro.telemetry.export`), and the ``repro report`` audit renderer
 (:mod:`repro.telemetry.report`).
 
-The performance half lives in :mod:`repro.telemetry.profiling` (the
+The performance half lives in :mod:`repro.telemetry.profiling`: the
 :class:`Profiler` sink attributing simulated cycles and wall-time to
 subsystems, with streaming latency histograms and a Prometheus text
-exposition) and :mod:`repro.telemetry.bench` (the
-``BENCH_*.json`` perf-trajectory harness behind ``repro bench``; kept out
-of this package namespace because it imports the apps/service layers).
+exposition.  How fast the simulator runs is measured outside the
+package, by the repo benchmark ``perfbench/``.
 """
 
 from .export import chrome_trace, write_chrome_trace

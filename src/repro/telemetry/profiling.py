@@ -11,8 +11,7 @@ sink, attached as (or tee'd into) a run's ``recorder``:
 
 * **Zero overhead when off.**  ``None`` is the only "off": with no recorder
   the interpreter hot path pays one identity check per site and reads no
-  clock.  ``benchmarks/bench_core_speed.py`` measures this against a build
-  with the check physically removed and asserts the gap stays under 5%.
+  clock (``tests/test_recorder_off.py`` checks both).
 * **Cycle attribution is exact.**  ``on_step`` charges ``hardware.<model>``,
   ``on_sleep`` ``interpreter.sleep`` and ``on_mitigation``
   ``mitigation.padding``, so per run ``hardware.* + interpreter.sleep +

@@ -74,6 +74,11 @@ class TestArtifactWriters:
         assert phases.count("B") == len(spans)
         assert phases.count("B") == phases.count("E")
 
+    def test_repo_path_is_relative_to_the_repo_root(self):
+        path = os.path.join(_report.RESULTS_DIR, "fig7_metrics.json")
+        assert _report.repo_path(path) == os.path.join(
+            "benchmarks", "results", "fig7_metrics.json")
+
     def test_writers_create_results_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "fresh" / "results"
         monkeypatch.setattr(_report, "RESULTS_DIR", str(target))

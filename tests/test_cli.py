@@ -1,5 +1,6 @@
 """The command-line interface (python -m repro)."""
 
+import argparse
 import glob
 import json
 import os
@@ -7,7 +8,7 @@ import re
 
 import pytest
 
-from repro import __version__
+from repro import __version__, cli
 from repro.cli import main
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -481,6 +482,19 @@ class TestVersion:
         # The single source of truth is the installed distribution
         # metadata, not a hand-maintained string.
         assert __version__ == "1.0.0"
+
+
+class TestDocs:
+    def test_docstring_lists_exactly_the_subcommands(self):
+        section = cli.__doc__.split("Subcommands\n-----------\n")[1]
+        section = section.split("Exit codes\n")[0]
+        documented = [line for line in section.splitlines()
+                      if line and not line[0].isspace()]
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert documented == list(subparsers.choices)
 
 
 class TestReport:

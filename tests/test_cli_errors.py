@@ -39,6 +39,7 @@ ROWS = [
     (["check", "mitigated.tl", "--gamma", "h=H", "--levels", "L"], 2),
     (["check", "mitigated.tl", "--gamma", "h=TOPSECRET"], 2),
     (["check", "secret_only.tl", "--gamma", "h = H"], 0),
+    (["bench"], 2),
 ]
 
 
