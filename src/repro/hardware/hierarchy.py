@@ -20,13 +20,20 @@ does not flow to the partition's level).
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
-from ..telemetry.recorder import TraceRecorder
 from .branch import BranchPredictor
 from .cache import Cache
 from .params import MachineParams
 from .tlb import Tlb
+
+#: Burst keys of one side's TLB, L1 and L2, each indexed ``[hit]``.
+DATA_KEYS = (("dtlb.misses", "dtlb.hits"), ("l1d.misses", "l1d.hits"),
+             ("l2d.misses", "l2d.hits"))
+INST_KEYS = (("itlb.misses", "itlb.hits"), ("l1i.misses", "l1i.hits"),
+             ("l2i.misses", "l2i.hits"))
+#: Burst keys of a resolved branch, indexed ``[predicted correctly]``.
+BRANCH_KEYS = ("branch.mispredictions", "branch.hits")
 
 
 class Hierarchy:
@@ -34,10 +41,9 @@ class Hierarchy:
 
     def __init__(self, params: MachineParams):
         self.params = params
-        #: Telemetry seam: hit/miss classifications go here when a
-        #: recorder is attached (see :mod:`repro.telemetry`).  Clones start
-        #: detached so pairwise contract checks never double-record.
-        self.recorder: Optional[TraceRecorder] = None
+        #: The owning environment's telemetry burst, else ``None``.
+        #: Clones start detached so contract checks never double-count.
+        self.hw: Optional[Dict[str, int]] = None
         self.l1_data = Cache(params.l1_data)
         self.l2_data = Cache(params.l2_data)
         self.l1_inst = Cache(params.l1_inst)
@@ -58,13 +64,13 @@ class Hierarchy:
         address: int,
         fill: bool,
         promote: bool,
-        side: str = "d",
+        keys: Tuple[Tuple[str, str], ...],
     ) -> int:
-        recorder = self.recorder
+        hw = self.hw
         cost = 0
         tlb_hit = tlb.lookup(address)
-        if recorder is not None:
-            recorder.on_cache_access(f"{side}tlb", tlb_hit)
+        if hw is not None:
+            hw[keys[0][tlb_hit]] += 1
         if tlb_hit:
             if promote:
                 tlb.touch(address)
@@ -74,16 +80,16 @@ class Hierarchy:
                 tlb.touch(address)
         cost += l1.params.latency
         l1_hit = l1.lookup(address)
-        if recorder is not None:
-            recorder.on_cache_access(f"l1{side}", l1_hit)
+        if hw is not None:
+            hw[keys[1][l1_hit]] += 1
         if l1_hit:
             if promote:
                 l1.touch(address)
             return cost
         cost += l2.params.latency
         l2_hit = l2.lookup(address)
-        if recorder is not None:
-            recorder.on_cache_access(f"l2{side}", l2_hit)
+        if hw is not None:
+            hw[keys[2][l2_hit]] += 1
         if l2_hit:
             if promote:
                 l2.touch(address)
@@ -102,11 +108,9 @@ class Hierarchy:
         predictor component is disabled); optionally trains the counter."""
         if self.branch is None:
             return 0
-        if self.recorder is not None:
+        if self.hw is not None:
             # predict() is pure, so classifying before resolving is safe.
-            self.recorder.on_branch(
-                taken, self.branch.predict(address) != taken
-            )
+            self.hw[BRANCH_KEYS[self.branch.predict(address) == taken]] += 1
         return self.branch.resolve(address, taken, train=train)
 
     def data_access(self, address: int, fill: bool = True,
@@ -114,7 +118,7 @@ class Hierarchy:
         """One data read or write; returns its cost in cycles."""
         return self._access(
             self.data_tlb, self.l1_data, self.l2_data, address, fill, promote,
-            side="d",
+            DATA_KEYS,
         )
 
     def inst_fetch(self, address: int, fill: bool = True,
@@ -122,7 +126,7 @@ class Hierarchy:
         """One instruction fetch; returns its cost in cycles."""
         return self._access(
             self.inst_tlb, self.l1_inst, self.l2_inst, address, fill, promote,
-            side="i",
+            INST_KEYS,
         )
 
     # -- worst-case costs (used by the partitioned design's bypass path) --------
@@ -190,14 +194,3 @@ class Hierarchy:
         twin.inst_tlb = self.inst_tlb.clone()
         twin.branch = self.branch.clone() if self.branch is not None else None
         return twin
-
-    def components(self) -> Tuple:
-        """The six components, for tests that poke at internals."""
-        return (
-            self.l1_data,
-            self.l2_data,
-            self.l1_inst,
-            self.l2_inst,
-            self.data_tlb,
-            self.inst_tlb,
-        )

@@ -27,17 +27,23 @@ their compiler and architecture designs control timing channels".
 Projections: :meth:`MachineEnvironment.project` returns a hashable view of
 the state at exactly one level, defining projected equivalence ``E1 =l= E2``
 (Sec. 3.4); ``l``-equivalence follows by conjunction over all levels below.
+
+Telemetry comes out of ``step`` too: while a run is recorded,
+:attr:`MachineEnvironment.hw` is a burst dict, shared with the model's
+hierarchies, to which each classification adds one under a precomputed key
+(``"l1d.hits"``, ``"branch.mispredictions"``, ``"bypass.accesses"``, ...);
+the interpreter passes it to ``on_step`` and clears it.  Unrecorded it is
+``None``: one identity check per site.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
-from ..telemetry.recorder import TraceRecorder
 
 
 class StepKind(enum.Enum):
@@ -56,17 +62,19 @@ class MachineEnvironment(ABC):
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
-        #: Telemetry seam (see :mod:`repro.telemetry`): models report
-        #: cache/TLB/branch hit-miss classifications here, guarded by
-        #: ``recorder is not None`` so an unobserved run costs nothing.
-        self.recorder: Optional[TraceRecorder] = None
+        #: The step's telemetry burst, a ``defaultdict(int)``, or ``None``.
+        self.hw: Optional[Dict[str, int]] = None
 
-    def attach_recorder(self, recorder: Optional[TraceRecorder]) -> None:
-        """Attach a trace recorder (``None`` detaches).  Models with
-        internal components that classify hits and misses themselves
-        override this to propagate the recorder (recording is passive:
-        attaching never changes timing)."""
-        self.recorder = recorder
+    def hierarchies(self) -> Tuple:
+        """The cache hierarchies inside the model (none by default)."""
+        return ()
+
+    def attach_hw(self, hw: Optional[Dict[str, int]]) -> None:
+        """Share the burst ``hw`` (``None`` detaches) with the model and
+        its hierarchies.  Counting is passive: it never changes timing."""
+        self.hw = hw
+        for hierarchy in self.hierarchies():
+            hierarchy.hw = hw
 
     @abstractmethod
     def step(

@@ -59,16 +59,12 @@ class LeakyTlbHardware(PartitionedHardware):
             )
         )
 
-    def _tlb_access(
-        self, address: int, label: Label, instruction: bool
-    ) -> int:
+    def _tlb_access(self, address: int, route) -> int:
         """Label-oblivious translation through the one shared TLB."""
-        tlb = self.shared_itlb if instruction else self.shared_dtlb
+        tlb = self.shared_itlb if route.instruction else self.shared_dtlb
         hit = tlb.lookup(address)
-        if self.recorder is not None:
-            self.recorder.on_cache_access(
-                "itlb" if instruction else "dtlb", hit
-            )
+        if self.hw is not None:
+            self.hw[route.keys[0][hit]] += 1
         # touch() promotes on hit and walk-installs on miss -- in both
         # cases on behalf of *any* label: the Property 5 violation.
         tlb.touch(address)

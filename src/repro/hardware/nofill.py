@@ -42,10 +42,8 @@ class NoFillHardware(MachineEnvironment):
         self.params = params if params is not None else paper_machine()
         self.hierarchy = Hierarchy(self.params)
 
-    def attach_recorder(self, recorder) -> None:
-        """Propagate the telemetry recorder into the single hierarchy."""
-        super().attach_recorder(recorder)
-        self.hierarchy.recorder = recorder
+    def hierarchies(self):
+        return (self.hierarchy,)
 
     def step(
         self,

@@ -42,7 +42,7 @@ from typing import Dict, Hashable, NamedTuple, Tuple
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
 from .cache import Cache
-from .hierarchy import Hierarchy
+from .hierarchy import DATA_KEYS, INST_KEYS, Hierarchy
 from .interface import MachineEnvironment, StepKind
 from .params import MachineParams, paper_machine
 from .tlb import Tlb
@@ -53,7 +53,8 @@ class _Route(NamedTuple):
     instruction): per component, the own-level partition, the searched
     partitions (every level at or below the label, in
     ``lattice.levels()`` order: the first hit in that order wins) and the
-    partitions strictly above the label (single-copy evictions)."""
+    partitions strictly above the label (single-copy evictions), plus
+    the side itself and its telemetry burst keys."""
 
     tlb: Tlb
     tlbs: Tuple[Tlb, ...]
@@ -64,6 +65,8 @@ class _Route(NamedTuple):
     l2: Cache
     l2s: Tuple[Cache, ...]
     l2s_above: Tuple[Cache, ...]
+    instruction: bool
+    keys: Tuple[Tuple[str, str], ...]
 
 
 class PartitionedHardware(MachineEnvironment):
@@ -82,7 +85,7 @@ class PartitionedHardware(MachineEnvironment):
         (the lattice order is fixed, so no access recomputes it)."""
         levels = self.lattice.levels()
 
-        def route(label: Label, parts) -> _Route:
+        def route(label: Label, parts, instruction: bool) -> _Route:
             tlb, l1, l2 = parts(self.partitions[label])
             below = [parts(self.partitions[p])
                      for p in levels if p.flows_to(label)]
@@ -92,6 +95,7 @@ class PartitionedHardware(MachineEnvironment):
                 tlb, tuple(b[0] for b in below), tuple(a[0] for a in above),
                 l1, tuple(b[1] for b in below), tuple(a[1] for a in above),
                 l2, tuple(b[2] for b in below), tuple(a[2] for a in above),
+                instruction, INST_KEYS if instruction else DATA_KEYS,
             )
 
         def data(h: Hierarchy):
@@ -101,43 +105,34 @@ class PartitionedHardware(MachineEnvironment):
             return h.inst_tlb, h.l1_inst, h.l2_inst
 
         self._routes: Dict[Label, Tuple[_Route, _Route]] = {
-            label: (route(label, data), route(label, inst))
+            label: (route(label, data, False), route(label, inst, True))
             for label in levels
         }
 
-    def attach_recorder(self, recorder) -> None:
-        """Propagate the telemetry recorder to every partition (the
-        per-level branch predictors classify inside the hierarchy)."""
-        super().attach_recorder(recorder)
-        for hierarchy in self.partitions.values():
-            hierarchy.recorder = recorder
+    def hierarchies(self):
+        return tuple(self.partitions.values())
 
     # -- the partitioned access algorithm ------------------------------------
 
-    # One access with timing label ``label`` is a TLB stage plus a cache
+    # One access along a timing label's route is a TLB stage plus a cache
     # stage, each returning its cost.  They are separate methods so that
     # variant designs (the zoo's leaky-TLB model) can replace one stage
     # without re-implementing the other.
 
-    def _tlb_access(
-        self, address: int, label: Label, instruction: bool
-    ) -> int:
-        """Address translation with timing label ``label``.
+    def _tlb_access(self, address: int, route: _Route) -> int:
+        """Address translation along ``route`` (one label, one side).
 
-        A hit in any partition at or below ``label`` is free; a miss walks
+        A hit in any partition at or below the label is free; a miss walks
         the page table and installs into the own-level partition.
         """
-        route = self._routes[label][instruction]
         own = route.tlb
         hit = None
         for tlb in route.tlbs:
             if tlb.lookup(address):
                 hit = tlb
                 break
-        if self.recorder is not None:
-            self.recorder.on_cache_access(
-                "itlb" if instruction else "dtlb", hit is not None
-            )
+        if self.hw is not None:
+            self.hw[route.keys[0][hit is not None]] += 1
         if hit is None:
             own.touch(address)
             for tlb in route.tlbs_above:
@@ -147,12 +142,9 @@ class PartitionedHardware(MachineEnvironment):
             own.touch(address)  # LRU promotion in the own partition
         return 0
 
-    def _cache_access(
-        self, address: int, label: Label, instruction: bool
-    ) -> int:
-        """The L1/L2 stage of one access with timing label ``label``."""
-        route = self._routes[label][instruction]
-        recorder = self.recorder
+    def _cache_access(self, address: int, route: _Route) -> int:
+        """The L1/L2 stage of one access along ``route``."""
+        hw = self.hw
         own_l1 = route.l1
 
         # L1 search across all partitions at or below the timing label.
@@ -162,9 +154,8 @@ class PartitionedHardware(MachineEnvironment):
             if l1.lookup(address):
                 hit = l1
                 break
-        if recorder is not None:
-            recorder.on_cache_access("l1i" if instruction else "l1d",
-                                     hit is not None)
+        if hw is not None:
+            hw[route.keys[1][hit is not None]] += 1
         if hit is not None:
             if hit is own_l1:
                 own_l1.touch(address)
@@ -177,9 +168,8 @@ class PartitionedHardware(MachineEnvironment):
             if l2.lookup(address):
                 hit = l2
                 break
-        if recorder is not None:
-            recorder.on_cache_access("l2i" if instruction else "l2d",
-                                     hit is not None)
+        if hw is not None:
+            hw[route.keys[2][hit is not None]] += 1
         if hit is not None:
             if hit is own_l2:
                 own_l2.touch(address)
@@ -217,27 +207,29 @@ class PartitionedHardware(MachineEnvironment):
             cost += reference.data_miss_cost() * (
                 len(trace.reads) + len(trace.writes)
             )
-            if self.recorder is not None:
-                self.recorder.on_bypass(
+            hw = self.hw
+            if hw is not None:
+                hw["bypass.steps"] += 1
+                hw["bypass.accesses"] += (
                     1 + len(trace.reads) + len(trace.writes)
                 )
             if trace.taken is not None and self.params.branch is not None:
                 cost += self.params.branch.penalty  # flat worst case
             return cost
-        label = read_label
+        data, inst = self._routes[read_label]
         tlb, cache = self._tlb_access, self._cache_access
         instruction = trace.instruction
-        cost += tlb(instruction, label, True) + cache(instruction, label, True)
+        cost += tlb(instruction, inst) + cache(instruction, inst)
         if trace.taken is not None:
             # Each level owns a private predictor: reads and training stay
             # at exactly the step's own level.
-            cost += self.partitions[label].branch_cost(
+            cost += self.partitions[read_label].branch_cost(
                 instruction, trace.taken
             )
         for address in trace.reads:
-            cost += tlb(address, label, False) + cache(address, label, False)
+            cost += tlb(address, data) + cache(address, data)
         for address in trace.writes:
-            cost += tlb(address, label, False) + cache(address, label, False)
+            cost += tlb(address, data) + cache(address, data)
         return cost
 
     def project(self, level: Label) -> Hashable:

@@ -33,10 +33,8 @@ class StandardHardware(MachineEnvironment):
         self.params = params if params is not None else paper_machine()
         self.hierarchy = Hierarchy(self.params)
 
-    def attach_recorder(self, recorder) -> None:
-        """Propagate the telemetry recorder into the shared hierarchy."""
-        super().attach_recorder(recorder)
-        self.hierarchy.recorder = recorder
+    def hierarchies(self):
+        return (self.hierarchy,)
 
     def step(
         self,

@@ -52,6 +52,7 @@ first), so an unlabeled dead branch still runs.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -143,11 +144,12 @@ class Interpreter:
             self.layout = Layout.build(self.program, self.memory)
         if self.mitigation is None:
             self.mitigation = MitigationState()
-        # Thread the run's recorder through every layer that advances or
-        # explains the clock: hardware (hit/miss classification) and the
-        # mitigation runtime (Miss[l] transitions).  Always assigned, so
-        # an unrecorded run detaches the previous run's recorder.
-        self.environment.attach_recorder(self.recorder)
+        # Thread the run's telemetry through every layer that advances or
+        # explains the clock: hardware (one hit/miss burst per step) and the
+        # mitigation runtime (Miss[l] transitions).  Always assigned, so an
+        # unrecorded run detaches the previous run's.
+        self._hw = defaultdict(int) if self.recorder is not None else None
+        self.environment.attach_hw(self._hw)
         self.mitigation.recorder = self.recorder
         self.time = 0
         self.steps = 0
@@ -158,7 +160,8 @@ class Interpreter:
                 read_label: Label, write_label: Label) -> None:
         """Charge one hardware step and advance the clock: every labeled
         step but ``sleep`` comes through here, so this is the one place a
-        step checks for a recorder."""
+        step checks for a recorder.  Recorded, it hands the step's
+        hardware burst to ``on_step`` and clears it."""
         recorder = self.recorder
         if recorder is None:
             self.time += self.environment.step(kind, trace, read_label,
@@ -168,7 +171,9 @@ class Interpreter:
         cost = self.environment.step(kind, trace, read_label, write_label)
         wall_ns = perf_counter_ns() - started
         self.time += cost
-        recorder.on_step(kind, cost, self.time, wall_ns)
+        hw = self._hw
+        recorder.on_step(kind, cost, self.time, wall_ns, hw)
+        hw.clear()
 
     def _finish_mitigation(self, mit_id: str, level: Label, estimate: int,
                            start_time: int,
@@ -229,6 +234,10 @@ class Interpreter:
                     )
                 pop()()
                 steps += 1
+        except BaseException as error:
+            if recorder is not None:
+                recorder.on_abort(error)
+            raise
         finally:
             self.steps = steps
         # Mitigate vectors are ordered by completion time; records are

@@ -160,13 +160,13 @@ class Gateway:
         names = [t.name for t in spec.tenants]
         self.policy = make_policy(spec.policy, names, spec.quantum)
         self.registry = MetricsRegistry()
-        global_recorder = RecordingTraceRecorder(registry=self.registry)
         scheme = make_scheme(spec.scheme)
         self.states: Dict[str, MitigationState] = {}
         self.meters: Dict[str, DynamicLeakageMeter] = {}
         self.tenant_registries: Dict[str, MetricsRegistry] = {}
-        #: One recorder per tenant for its handler runs: the global and
-        #: tenant registries plus the caller's ``recorder``.
+        #: One recorder per tenant for its handler runs: it fills the
+        #: tenant's registry and the global one, tee'd with the caller's
+        #: ``recorder``.
         self._tenant_recorders: Dict[str, TraceRecorder] = {}
         lattice = spec.lattice()
         for name in names:
@@ -178,9 +178,9 @@ class Gateway:
             )
             self.tenant_registries[name] = MetricsRegistry()
             self._tenant_recorders[name] = combine(
-                global_recorder,
                 RecordingTraceRecorder(registry=self.tenant_registries[name],
-                                       meter=self.meters[name]),
+                                       meter=self.meters[name],
+                                       mirrors=(self.registry,)),
                 recorder,
             )
         self._queues = new_queues(names)

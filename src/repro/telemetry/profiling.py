@@ -253,7 +253,8 @@ class Profiler(TraceRecorder):
         self._nested_before = self._nested_wall()
         self._run_started = self.clock()
 
-    def on_step(self, kind, cost: int, time: int, wall_ns: int) -> None:
+    def on_step(self, kind, cost: int, time: int, wall_ns: int,
+                hw: Mapping[str, int]) -> None:
         if self._serving:
             return
         self.add_cycles(self._hardware, cost, calls=1)

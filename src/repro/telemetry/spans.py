@@ -217,7 +217,6 @@ class SpanRecorder(TraceRecorder):
         self._stack: List[Span] = []
         self._next_id = 0
         self._track = -1
-        self._hw: Dict[str, int] = {}
         self._run_attrs: Dict[str, Any] = {}
 
     # -- span plumbing -------------------------------------------------------
@@ -274,16 +273,6 @@ class SpanRecorder(TraceRecorder):
         attrs = self._innermost().attrs
         attrs[key] = attrs.get(key, 0) + amount
 
-    def _flush_hardware(self, start: int, end: int,
-                        parent: Optional[Span]) -> Optional[Span]:
-        if not self._hw:
-            return None
-        counts, self._hw = self._hw, {}
-        span = self._open_span("hw burst", CATEGORY_HARDWARE, start, parent)
-        span.attrs.update(counts)
-        self._close_span(span, end)
-        return span
-
     # -- interpreter-level hooks ---------------------------------------------
 
     def on_run_start(self, attrs: Mapping[str, Any]) -> None:
@@ -292,22 +281,26 @@ class SpanRecorder(TraceRecorder):
         self._run_attrs = dict(attrs)
         self._ensure_run()
 
-    def on_step(self, kind, cost: int, time: int, wall_ns: int) -> None:
+    def on_step(self, kind, cost: int, time: int, wall_ns: int,
+                hw: Mapping[str, int]) -> None:
         self._ensure_run(time - cost)
         if self.detail == "epochs":
             self._aggregate("steps")
             self._aggregate("machine_cycles", cost)
-            for key, count in self._hw.items():
+            for key, count in hw.items():
                 self._aggregate(f"hw.{key}", count)
-            self._hw = {}
             return
         parent = self._innermost()
         span = self._open_span(kind.value, CATEGORY_COMMAND, time - cost,
                                parent)
         span.attrs["cost"] = cost
-        # The hardware child closes first so journal order stays
-        # child-before-parent (matching B/E nesting).
-        self._flush_hardware(time - cost, time, span)
+        if hw:
+            # The hardware child (a copy of the burst) closes first so
+            # journal order stays child-before-parent (B/E nesting).
+            burst = self._open_span("hw burst", CATEGORY_HARDWARE,
+                                    time - cost, span)
+            burst.attrs.update(hw)
+            self._close_span(burst, time)
         self._close_span(span, time)
 
     def on_sleep(self, duration: int, time: int) -> None:
@@ -336,7 +329,6 @@ class SpanRecorder(TraceRecorder):
                 "time": result.time,
                 "steps": result.steps,
             })
-        self._hw = {}
         self._run_attrs = {}
 
     # -- mitigation-runtime hooks --------------------------------------------
@@ -404,22 +396,6 @@ class SpanRecorder(TraceRecorder):
                                   span.start + elapsed, span)
             self._close_span(pad, end_time)
         self._close_span(span, end_time)
-
-    # -- hardware hooks ------------------------------------------------------
-
-    def on_cache_access(self, component: str, hit: bool) -> None:
-        key = f"{component}.{'hits' if hit else 'misses'}"
-        self._hw[key] = self._hw.get(key, 0) + 1
-
-    def on_branch(self, taken: bool, mispredicted: bool) -> None:
-        key = ("branch.mispredictions" if mispredicted else "branch.hits")
-        self._hw[key] = self._hw.get(key, 0) + 1
-
-    def on_bypass(self, accesses: int) -> None:
-        self._hw["bypass.steps"] = self._hw.get("bypass.steps", 0) + 1
-        self._hw["bypass.accesses"] = (
-            self._hw.get("bypass.accesses", 0) + accesses
-        )
 
     # -- adversary hooks -----------------------------------------------------
 

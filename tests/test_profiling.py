@@ -161,10 +161,10 @@ class TestProfiler:
         prof = Profiler()
         assert isinstance(prof, TraceRecorder)
         # Tee'd, it is subscribed to the hooks it consumes and never to
-        # the per-access hardware hooks.
+        # the ones it leaves as no-ops.
         tee = TeeRecorder(RecordingTraceRecorder(), prof)
         assert tee.on_request == prof.on_request
-        assert tee.on_cache_access != prof.on_cache_access
+        assert tee.on_miss_update != prof.on_miss_update
         assert combine(None, prof) is prof
 
     def test_hardware_subsystem_key(self):

@@ -333,13 +333,13 @@ class TestTeeRecorder:
         metrics, profiler = RecordingTraceRecorder(), Profiler()
         tee = TeeRecorder(metrics, profiler)
         # One consumer: the hook is that sink's own bound method.
-        assert tee.on_cache_access == metrics.on_cache_access
+        assert tee.on_miss_update == metrics.on_miss_update
         assert tee.on_run_start == profiler.on_run_start
         assert tee.on_request == profiler.on_request
         # Nobody consumes it: the inherited no-op, not a fan-out.
-        assert "on_cache_access" in vars(tee)
-        assert "on_cache_access" not in vars(TeeRecorder(profiler,
-                                                         Profiler()))
+        assert "on_miss_update" in vars(tee)
+        assert "on_miss_update" not in vars(TeeRecorder(profiler,
+                                                        Profiler()))
 
     def test_nested_tee_reaches_every_sink(self):
         metrics, spans, profiler = (RecordingTraceRecorder(),
