@@ -32,6 +32,7 @@ from typing import Dict, Hashable
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
+from .hierarchy import BRANCH_KEYS
 from .interface import StepKind
 from .params import MachineParams
 from .partitioned import PartitionedHardware
@@ -66,6 +67,8 @@ class SpeculativeHardware(PartitionedHardware):
             return cost
         counter = self._counters.get(trace.instruction, 1)
         predicted_taken = counter >= 2
+        if self.hw is not None:
+            self.hw[BRANCH_KEYS[predicted_taken == trace.taken]] += 1
         # Label-oblivious training: every level writes the shared table.
         self._counters[trace.instruction] = (
             min(3, counter + 1) if trace.taken else max(0, counter - 1)
