@@ -1,25 +1,27 @@
 """Static cycle-cost analysis: interval bounds per command, region, and
 mitigate block, parameterized by hardware model.
 
-The analyzer is an abstract interpreter over the program term (the same
-structured control flow the CFG mirrors), with two abstract components:
-
-* a flat constant environment (the :class:`ConstantPropagation` lattice's
-  per-point facts, recomputed flow-sensitively along the interpretation)
-  that resolves guards and loop bounds;
-* the hardware contract's abstract state (bus queue occupancy, cumulative
-  write counts) from :mod:`repro.hardware.costmodel`.
+The cost analysis is the timing-class census of
+:mod:`repro.analysis.quantify` seen by an observer who sees everything.
+To that observer nothing is secret, so the census never forks and its
+walk is path-insensitive: one class carries a flat constant environment
+(resolving guards and loop bounds) and the hardware contract's abstract
+state (bus queue occupancy, cumulative write counts) from
+:mod:`repro.hardware.costmodel`.  :func:`compute_cost` reads that walk's
+unpadded tables into a :class:`CostReport`.
 
 Loops whose guards stay constant are unrolled concretely (up to
-:data:`MAX_UNROLL` iterations); anything else is *widened* to ⊤ -- the
+``MAX_UNROLL`` iterations); anything else is *widened* to ⊤ -- the
 loop's cost interval loses its finite upper bound and the report carries
 a :class:`WideningNote` diagnostic.  Intervals measure **unpadded**
 cycles: hardware-charged steps plus ``sleep``, excluding mitigation
 padding (padding is what the predictor adds on top, so static bounds on
-the unpadded body are exactly what quantum tuning needs).
+the unpadded body are exactly what quantum tuning needs).  The same walk
+also yields the padded program interval, kept on the report for the
+replay harness.
 
 Soundness is checked, not assumed: :func:`replay_program` re-executes a
-program under the real interpreter with the PR 7 profiler and a region
+program under the real interpreter with the profiler and a region
 recorder attached, and asserts every observed per-region cycle total
 falls inside the static interval.  ``tests/test_cost.py`` runs that
 harness over the whole lint corpus for every registry model, and a
@@ -31,20 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..hardware.costmodel import (
-    CostContract,
-    Interval,
-    ZERO,
-    contract_for,
-)
-from ..hardware.interface import StepKind
+from ..hardware.costmodel import CostContract, Interval, contract_for
 from ..hardware.params import MachineParams
 from ..lang import ast
+from ..semantics.mitigation import DoublingScheme
 from ..telemetry.recorder import TeeRecorder, TraceRecorder
-from .dataflow import eval_const
-
-#: Concrete-unroll budget per loop before widening to ⊤.
-MAX_UNROLL = 4096
+from .audit import DEFAULT_HORIZON
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +101,10 @@ class CostReport:
 
     hardware: str
     program: Interval
+    #: The census's worst-case *padded* duration under the runtime's
+    #: default doubling scheme; the replay harness checks a run's end
+    #: time against it.  Not part of :meth:`as_dict`.
+    padded: Interval
     per_command: Dict[int, Interval] = field(default_factory=dict)
     mitigates: Dict[str, MitigateCost] = field(default_factory=dict)
     branches: Dict[int, BranchCost] = field(default_factory=dict)
@@ -147,281 +145,42 @@ class CostReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# Access counting (mirrors eval_expr_traced: no short-circuit, one access
-# per Var / ArrayRead occurrence, in evaluation order)
-# ---------------------------------------------------------------------------
-
-
-def expr_accesses(expr: ast.Expr) -> int:
-    """How many data accesses evaluating ``expr`` performs."""
-    if isinstance(expr, ast.IntLit):
-        return 0
-    if isinstance(expr, ast.Var):
-        return 1
-    if isinstance(expr, ast.ArrayRead):
-        return expr_accesses(expr.index) + 1
-    if isinstance(expr, ast.BinOp):
-        return expr_accesses(expr.left) + expr_accesses(expr.right)
-    if isinstance(expr, ast.UnOp):
-        return expr_accesses(expr.operand)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _assigned_names(cmd: ast.Command) -> frozenset:
-    """Scalar names any path through ``cmd`` may write."""
-    names = set()
-    for sub in cmd.walk():
-        if isinstance(sub, ast.Assign):
-            names.add(sub.target)
-    return frozenset(names)
-
-
-# ---------------------------------------------------------------------------
-# The abstract interpreter
-# ---------------------------------------------------------------------------
-
-Env = Dict[str, int]
-
-
-class _CostInterpreter:
-    def __init__(self, contract: CostContract):
-        self.contract = contract
-        self.per_command: Dict[int, Interval] = {}
-        self.mitigates: Dict[str, MitigateCost] = {}
-        self.branches: Dict[int, BranchCost] = {}
-        self.loops: Dict[int, LoopCost] = {}
-        self.notes: List[WideningNote] = []
-
-    # -- recording -----------------------------------------------------------
-
-    def _record_step(self, cmd: ast.LabeledCommand, interval: Interval) -> None:
-        seen = self.per_command.get(cmd.node_id)
-        self.per_command[cmd.node_id] = (
-            interval if seen is None else seen.join(interval)
-        )
-
-    def _note(self, cmd: ast.LabeledCommand, message: str) -> None:
-        if any(n.node_id == cmd.node_id for n in self.notes):
-            return
-        self.notes.append(WideningNote(cmd.node_id, cmd.span, message))
-
-    # -- one hardware step ----------------------------------------------------
-
-    def _step(
-        self,
-        cmd: ast.LabeledCommand,
-        kind: StepKind,
-        reads: int,
-        writes: int,
-        hw,
-        is_branch: bool = False,
-    ):
-        interval, hw = self.contract.step_cost(
-            kind, reads, writes, is_branch,
-            cmd.read_label, cmd.write_label, hw,
-        )
-        self._record_step(cmd, interval)
-        return interval, hw
-
-    # -- environment helpers ---------------------------------------------------
-
-    @staticmethod
-    def _join_env(a: Env, b: Env) -> Env:
-        return {
-            name: value for name, value in a.items()
-            if b.get(name) == value
-        }
-
-    # -- commands --------------------------------------------------------------
-
-    def run(self, cmd: ast.Command, env: Env, hw):
-        """Abstractly execute ``cmd``; returns (interval, env', hw')."""
-        if isinstance(cmd, ast.Seq):
-            first, env, hw = self.run(cmd.first, env, hw)
-            second, env, hw = self.run(cmd.second, env, hw)
-            return first + second, env, hw
-
-        if isinstance(cmd, ast.Skip):
-            interval, hw = self._step(cmd, StepKind.SKIP, 0, 0, hw)
-            return interval, env, hw
-
-        if isinstance(cmd, ast.Assign):
-            interval, hw = self._step(
-                cmd, StepKind.ASSIGN, expr_accesses(cmd.expr), 1, hw
-            )
-            value = eval_const(cmd.expr, env)
-            env = dict(env)
-            if value is None:
-                env.pop(cmd.target, None)
-            else:
-                env[cmd.target] = value
-            return interval, env, hw
-
-        if isinstance(cmd, ast.ArrayAssign):
-            reads = expr_accesses(cmd.index) + expr_accesses(cmd.expr)
-            interval, hw = self._step(cmd, StepKind.ASSIGN, reads, 1, hw)
-            return interval, env, hw
-
-        if isinstance(cmd, ast.Sleep):
-            duration = eval_const(cmd.duration, env)
-            if duration is None:
-                interval = Interval.top()
-                self._note(
-                    cmd,
-                    "sleep duration is not a compile-time constant; "
-                    "its cycle cost is unbounded (⊤)",
-                )
-            else:
-                interval = Interval.exact(max(duration, 0))
-            # Property 4: sleep never touches the hardware.
-            self._record_step(cmd, interval)
-            return interval, env, hw
-
-        if isinstance(cmd, ast.If):
-            return self._branch(cmd, env, hw)
-
-        if isinstance(cmd, ast.While):
-            return self._loop(cmd, env, hw)
-
-        if isinstance(cmd, ast.Mitigate):
-            return self._mitigate(cmd, env, hw)
-
-        raise TypeError(f"not a command: {cmd!r}")
-
-    def _branch(self, cmd: ast.If, env: Env, hw):
-        head, hw = self._step(
-            cmd, StepKind.BRANCH, expr_accesses(cmd.cond), 0, hw,
-            is_branch=True,
-        )
-        guard = eval_const(cmd.cond, env)
-        if guard is not None:
-            arm = cmd.then_branch if guard != 0 else cmd.else_branch
-            body, env, hw = self.run(arm, env, hw)
-            return head + body, env, hw
-
-        then_iv, then_env, then_hw = self.run(cmd.then_branch, dict(env), hw)
-        else_iv, else_env, else_hw = self.run(cmd.else_branch, dict(env), hw)
-        seen = self.branches.get(cmd.node_id)
-        if seen is None:
-            self.branches[cmd.node_id] = BranchCost(
-                cmd.node_id, cmd.span, then_iv, else_iv
-            )
-        else:
-            seen.then_interval = seen.then_interval.join(then_iv)
-            seen.else_interval = seen.else_interval.join(else_iv)
-        return (
-            head + then_iv.join(else_iv),
-            self._join_env(then_env, else_env),
-            self.contract.join_state(then_hw, else_hw),
-        )
-
-    def _loop(self, cmd: ast.While, env: Env, hw):
-        total = ZERO
-        iterations = 0
-        widened = False
-        guard_reads = expr_accesses(cmd.cond)
-        while True:
-            head, hw = self._step(
-                cmd, StepKind.BRANCH, guard_reads, 0, hw, is_branch=True
-            )
-            total = total + head
-            guard = eval_const(cmd.cond, env)
-            if guard == 0:
-                break
-            if guard is None:
-                self._note(
-                    cmd,
-                    "loop bound is not a compile-time constant; the loop's "
-                    "cycle cost is unbounded (⊤)",
-                )
-                widened = True
-                break
-            if iterations >= MAX_UNROLL:
-                self._note(
-                    cmd,
-                    f"loop exceeds the {MAX_UNROLL}-iteration unroll budget; "
-                    "its cycle cost is widened to ⊤",
-                )
-                widened = True
-                break
-            body, env, hw = self.run(cmd.body, env, hw)
-            total = total + body
-            iterations += 1
-
-        if widened:
-            # Kill every name the body may write, widen the hardware state,
-            # and abstractly execute the body once so inner commands (and
-            # nested mitigate regions) still get their per-visit intervals.
-            env = {
-                name: value for name, value in env.items()
-                if name not in _assigned_names(cmd.body)
-            }
-            hw = self.contract.widen_state(hw)
-            _, _, body_hw = self.run(cmd.body, dict(env), hw)
-            hw = self.contract.widen_state(
-                self.contract.join_state(hw, body_hw)
-            )
-            total = Interval.top(total.lo)
-
-        loop_iv = total
-        seen = self.loops.get(cmd.node_id)
-        if seen is None:
-            self.loops[cmd.node_id] = LoopCost(
-                cmd.node_id, cmd.span, loop_iv, widened,
-                unrolled=None if widened else iterations,
-            )
-        else:
-            seen.interval = seen.interval.join(loop_iv)
-            seen.widened = seen.widened or widened
-            if widened:
-                seen.unrolled = None
-        return total, env, hw
-
-    def _mitigate(self, cmd: ast.Mitigate, env: Env, hw):
-        budget = eval_const(cmd.budget, env)
-        head, hw = self._step(
-            cmd, StepKind.MITIGATE, expr_accesses(cmd.budget), 0, hw
-        )
-        body, env, hw = self.run(cmd.body, env, hw)
-        region = body + self.contract.region_overhead(hw)
-        seen = self.mitigates.get(cmd.mit_id)
-        if seen is None:
-            self.mitigates[cmd.mit_id] = MitigateCost(
-                mit_id=cmd.mit_id,
-                node_id=cmd.node_id,
-                span=cmd.span,
-                level=cmd.level.name if cmd.level is not None else "?",
-                budget=budget,
-                interval=region,
-            )
-        else:
-            seen.interval = seen.interval.join(region)
-            if seen.budget != budget:
-                seen.budget = None
-        return head + body, env, hw
-
-
 def compute_cost(
     program: ast.Command,
     hardware: str = "null",
     params: Optional[MachineParams] = None,
     contract: Optional[CostContract] = None,
 ) -> CostReport:
-    """Static interval cycle bounds for ``program`` on one hardware model."""
+    """Static interval cycle bounds for ``program`` on one hardware model:
+    the census walk seen by an observer who sees everything."""
+    # Imported here: the walker records this module's report types.
+    from .quantify import CensusWalker
+
     contract = contract if contract is not None else contract_for(
         hardware, params
     )
-    interp = _CostInterpreter(contract)
-    total, _, hw = interp.run(program, {}, contract.initial_state())
+    walker = CensusWalker(contract, DoublingScheme(), DEFAULT_HORIZON)
+    # Nothing is secret to this observer, so the census never forks.
+    (final,) = walker.walk(program)
     return CostReport(
         hardware=contract.name,
-        program=total + contract.region_overhead(hw),
-        per_command=interp.per_command,
-        mitigates=interp.mitigates,
-        branches=interp.branches,
-        loops=interp.loops,
-        notes=interp.notes,
+        program=final.unpadded,
+        padded=final.interval,
+        per_command=walker.per_command,
+        mitigates={
+            mit_id: MitigateCost(
+                mit_id=site.mit_id,
+                node_id=site.node_id,
+                span=site.span,
+                level=site.level,
+                budget=site.budget,
+                interval=site.unpadded,
+            )
+            for mit_id, site in walker.sites.items()
+        },
+        branches=walker.branches,
+        loops=walker.loops,
+        notes=walker.widenings,
     )
 
 

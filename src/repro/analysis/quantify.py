@@ -10,9 +10,10 @@ CostContract` and enumerates the **timing-equivalence classes** an observer
 of that model can separate.  Channel capacity is ``log2(#classes)`` --
 attacker-distinguishable bits, usually far below the worst-case bound.
 
-The walk maintains a set of :class:`TimingClass` states (accumulated
-duration interval, constant env, abstract hardware state, per-level Miss
-counters).  Three constructs change the class count:
+The walk (:class:`CensusWalker`) maintains a set of :class:`TimingClass`
+states (accumulated padded and unpadded duration intervals, constant env,
+abstract hardware state, per-level Miss counters).  Three constructs
+change the class count:
 
 * a branch on confidential data **forks** a class when the contract says
   the two arms' cost intervals are distinguishable
@@ -30,12 +31,19 @@ counters).  Three constructs change the class count:
 Class counts saturate at :data:`MAX_CLASSES`; a saturated report means
 "at least this much" and budget checks treat it as exceeding any finite
 budget.
+
+The same walk is the static cost analysis.  Along the way the walker
+tabulates unpadded intervals per command, branch, loop and mitigate site
+(the tables of :class:`repro.analysis.cost.CostReport`).  For an observer
+who sees everything nothing is secret, so no class ever forks and the
+walk is path-insensitive; :func:`repro.analysis.cost.compute_cost` is that
+walk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..hardware.costmodel import (
@@ -51,11 +59,14 @@ from ..lattice import Label
 from ..semantics.mitigation import PredictionScheme, make_scheme
 from ..typesystem.environment import SecurityEnvironment
 from .audit import DEFAULT_HORIZON
-from .cost import MAX_UNROLL, expr_accesses, _assigned_names
+from .cost import BranchCost, LoopCost, WideningNote
 from .dataflow import eval_const
 
 #: Saturation cap on simultaneously-tracked timing classes per model.
 MAX_CLASSES = 4096
+
+#: Concrete-unroll budget per loop before widening to ⊤.
+MAX_UNROLL = 4096
 
 #: Cap on Miss-counter iterations when quantizing a body interval into
 #: deadlines.  Polynomial schemes grow like ``(m+1)^q``, so settling a
@@ -104,6 +115,9 @@ class SiteQuant:
     deadline_classes: int
     #: Worst-case padded duration (None when unbounded misses saturate).
     padded_hi: Optional[int]
+    #: Unpadded body cost interval (with region overhead), joined over
+    #: visits: nested sites count their bodies, not their padding.
+    unpadded: Interval = ZERO
 
     @property
     def deadline_bits(self) -> float:
@@ -214,6 +228,36 @@ def deadline_span(
 
 
 # ---------------------------------------------------------------------------
+# Access counting (mirrors eval_expr_traced: no short-circuit, one access
+# per Var / ArrayRead occurrence, in evaluation order)
+# ---------------------------------------------------------------------------
+
+
+def expr_accesses(expr: ast.Expr) -> int:
+    """How many data accesses evaluating ``expr`` performs."""
+    if isinstance(expr, ast.IntLit):
+        return 0
+    if isinstance(expr, ast.Var):
+        return 1
+    if isinstance(expr, ast.ArrayRead):
+        return expr_accesses(expr.index) + 1
+    if isinstance(expr, ast.BinOp):
+        return expr_accesses(expr.left) + expr_accesses(expr.right)
+    if isinstance(expr, ast.UnOp):
+        return expr_accesses(expr.operand)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _assigned_names(cmd: ast.Command) -> frozenset:
+    """Scalar names any path through ``cmd`` may write."""
+    names = set()
+    for sub in cmd.walk():
+        if isinstance(sub, ast.Assign):
+            names.add(sub.target)
+    return frozenset(names)
+
+
+# ---------------------------------------------------------------------------
 # Timing classes
 # ---------------------------------------------------------------------------
 
@@ -233,20 +277,39 @@ class TimingClass:
     #: Extra distinguishable bits accrued from widened secret constructs
     #: not (yet) absorbed by a mitigate's deadline collapse.
     secret_bits: float = 0.0
+    #: Accumulated *unpadded* duration: hardware-charged steps plus
+    #: ``sleep``, no mitigation padding (the cost analysis's measure).
+    unpadded: Interval = ZERO
 
     def env_dict(self) -> Dict[str, int]:
         return dict(self.env)
 
-    def with_env(self, env: Dict[str, int]) -> "TimingClass":
-        return replace(self, env=tuple(sorted(env.items())))
-
     def miss_of(self, level: str) -> int:
         return dict(self.misses).get(level, 0)
 
-    def with_miss(self, level: str, count: int) -> "TimingClass":
-        misses = dict(self.misses)
-        misses[level] = count
-        return replace(self, misses=tuple(sorted(misses.items())))
+    def after(self, step: Interval, hw: Hashable) -> "TimingClass":
+        """This class after ``step`` more cycles, leaving state ``hw``."""
+        return TimingClass(self.interval + step, self.env, hw, self.misses,
+                           self.secret_bits, self.unpadded + step)
+
+    def restarted(self) -> "TimingClass":
+        """This class at the start of a region: both durations zero."""
+        return TimingClass(ZERO, self.env, self.hw, self.misses,
+                           self.secret_bits, ZERO)
+
+    def following(self, head: "TimingClass") -> "TimingClass":
+        """A region's class placed after ``head``, the class that
+        entered the region: both durations continue from it."""
+        return TimingClass(head.interval + self.interval, self.env,
+                           self.hw, self.misses, self.secret_bits,
+                           head.unpadded + self.unpadded)
+
+
+def _with_miss(misses: Tuple[Tuple[str, int], ...], level: str,
+               count: int) -> Tuple[Tuple[str, int], ...]:
+    updated = dict(misses)
+    updated[level] = count
+    return tuple(sorted(updated.items()))
 
 
 def _merge_classes(
@@ -257,6 +320,7 @@ def _merge_classes(
     merged = classes[0]
     env = merged.env_dict()
     interval = merged.interval
+    unpadded = merged.unpadded
     hw = merged.hw
     secret_bits = merged.secret_bits
     misses = dict(merged.misses)
@@ -264,6 +328,7 @@ def _merge_classes(
         other_env = cls.env_dict()
         env = {k: v for k, v in env.items() if other_env.get(k) == v}
         interval = interval.join(cls.interval)
+        unpadded = unpadded.join(cls.unpadded)
         hw = contract.join_state(hw, cls.hw)
         secret_bits = max(secret_bits, cls.secret_bits)
         for level, count in cls.misses:
@@ -274,36 +339,65 @@ def _merge_classes(
         hw=hw,
         misses=tuple(sorted(misses.items())),
         secret_bits=secret_bits,
+        unpadded=unpadded,
     )
 
 
 # ---------------------------------------------------------------------------
-# The path-sensitive interpreter
+# The walker: census and cost analysis in one path-sensitive pass
 # ---------------------------------------------------------------------------
 
 
-class _QuantifyInterpreter:
+class CensusWalker:
+    """The abstract interpreter over the program term.
+
+    It enumerates the timing classes ``observer`` can separate and, along
+    the same walk, tabulates the unpadded cost facts of
+    :class:`~repro.analysis.cost.CostReport` (per command, branch, loop
+    and mitigate site, plus widening notes).  ``observer=None`` is the
+    observer who sees everything: nothing is secret, so no class ever
+    forks and the walk is the path-insensitive cost analysis (``gamma``
+    is then never consulted).
+    """
+
     def __init__(
         self,
         contract: CostContract,
-        gamma: SecurityEnvironment,
-        observer: Label,
         scheme: PredictionScheme,
         horizon: int,
+        gamma: Optional[SecurityEnvironment] = None,
+        observer: Optional[Label] = None,
     ):
         self.contract = contract
-        self.gamma = gamma
-        self.observer = observer
         self.scheme = scheme
         self.horizon = horizon
+        self.gamma = gamma
+        self.observer = observer
         self.sites: Dict[str, SiteQuant] = {}
         self.forks: List[ForkNote] = []
         self.notes: List[PrecisionNote] = []
         self.saturated = False
+        #: Unpadded interval per command, joined over every visit.
+        self.per_command: Dict[int, Interval] = {}
+        self.branches: Dict[int, BranchCost] = {}
+        self.loops: Dict[int, LoopCost] = {}
+        #: Why a region lost its finite upper bound (cost's notes).
+        self.widenings: List[WideningNote] = []
         #: Extra widening bits one widened secret loop may contribute.
         self.widen_bits = math.log2(
             1 + max(math.log2(max(horizon, 2)), 1)
         )
+
+    def walk(self, program: ast.Command) -> List[TimingClass]:
+        """Abstractly execute the whole program; its final classes, each
+        charged the program's closing region overhead."""
+        initial = TimingClass(
+            interval=ZERO, env=(), hw=self.contract.initial_state()
+        )
+        return [
+            cls.after(self.contract.region_overhead(cls.hw), cls.hw)
+            for cls in self.run(program, [initial])
+        ]
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -324,9 +418,49 @@ class _QuantifyInterpreter:
             return
         self.notes.append(PrecisionNote(cmd.node_id, cmd.span, message))
 
+    def _widened(self, cmd: ast.LabeledCommand, message: str) -> None:
+        if any(n.node_id == cmd.node_id for n in self.widenings):
+            return
+        self.widenings.append(WideningNote(cmd.node_id, cmd.span, message))
+
+    def _record_step(self, cmd: ast.LabeledCommand,
+                     interval: Interval) -> None:
+        seen = self.per_command.get(cmd.node_id)
+        self.per_command[cmd.node_id] = (
+            interval if seen is None else seen.join(interval)
+        )
+
+    def _record_branch(self, cmd: ast.If, then_iv: Interval,
+                       else_iv: Interval) -> None:
+        seen = self.branches.get(cmd.node_id)
+        if seen is None:
+            self.branches[cmd.node_id] = BranchCost(
+                cmd.node_id, cmd.span, then_iv, else_iv
+            )
+        else:
+            seen.then_interval = seen.then_interval.join(then_iv)
+            seen.else_interval = seen.else_interval.join(else_iv)
+
+    def _record_loop(self, cmd: ast.While, interval: Interval,
+                     iterations: Optional[int]) -> None:
+        """One exit from the loop; ``iterations`` is None when widened."""
+        widened = iterations is None
+        seen = self.loops.get(cmd.node_id)
+        if seen is None:
+            self.loops[cmd.node_id] = LoopCost(
+                cmd.node_id, cmd.span, interval, widened,
+                unrolled=iterations,
+            )
+        else:
+            seen.interval = seen.interval.join(interval)
+            seen.widened = seen.widened or widened
+            if widened:
+                seen.unrolled = None
+
     def _secret(self, expr: ast.Expr) -> bool:
         """Does the expression read data invisible to the observer?"""
-        return not self.gamma.label_of_expr(expr).flows_to(self.observer)
+        return self.observer is not None and not self.gamma.label_of_expr(
+            expr).flows_to(self.observer)
 
     def _cap(self, classes: List[TimingClass]) -> List[TimingClass]:
         classes = _dedupe(classes, self.contract)
@@ -353,9 +487,8 @@ class _QuantifyInterpreter:
             kind, reads, writes, is_branch,
             cmd.read_label, cmd.write_label, cls.hw,
         )
-        return replace(
-            cls, interval=cls.interval + interval, hw=hw
-        )
+        self._record_step(cmd, interval)
+        return cls.after(interval, hw)
 
     # -- commands --------------------------------------------------------------
 
@@ -385,7 +518,9 @@ class _QuantifyInterpreter:
                 env.pop(cmd.target, None)
             else:
                 env[cmd.target] = value
-            return [nxt.with_env(env)]
+            return [TimingClass(nxt.interval, tuple(sorted(env.items())),
+                                nxt.hw, nxt.misses, nxt.secret_bits,
+                                nxt.unpadded)]
 
         if isinstance(cmd, ast.ArrayAssign):
             reads = expr_accesses(cmd.index) + expr_accesses(cmd.expr)
@@ -413,15 +548,22 @@ class _QuantifyInterpreter:
         duration = eval_const(cmd.duration, cls.env_dict())
         if duration is not None:
             interval = Interval.exact(max(duration, 0))
-            return [replace(cls, interval=cls.interval + interval)]
-        interval = Interval.top()
-        nxt = replace(cls, interval=cls.interval + interval)
-        if self._secret(cmd.duration):
+        else:
+            interval = Interval.top()
+            self._widened(
+                cmd,
+                "sleep duration is not a compile-time constant; "
+                "its cycle cost is unbounded (⊤)",
+            )
+        # Property 4: sleep never touches the hardware.
+        self._record_step(cmd, interval)
+        nxt = cls.after(interval, cls.hw)
+        if duration is None and self._secret(cmd.duration):
             # Every distinct duration is its own observation; the horizon
             # bounds how many the clock can tell apart.
-            nxt = replace(
-                nxt, secret_bits=nxt.secret_bits + self.widen_bits
-            )
+            nxt = TimingClass(nxt.interval, nxt.env, nxt.hw, nxt.misses,
+                              nxt.secret_bits + self.widen_bits,
+                              nxt.unpadded)
             self._fork(
                 cmd, "sleep", self.widen_bits,
                 "a confidential, non-constant sleep exposes its duration "
@@ -446,9 +588,11 @@ class _QuantifyInterpreter:
             arm = cmd.then_branch if guard != 0 else cmd.else_branch
             return self.run(arm, [head])
 
-        base = replace(head, interval=ZERO)
+        base = head.restarted()
         then_out = self.run(cmd.then_branch, [base])
         else_out = self.run(cmd.else_branch, [base])
+        self._record_branch(cmd, _joined_unpadded(then_out),
+                            _joined_unpadded(else_out))
         then_iv = _joined_interval(then_out)
         else_iv = _joined_interval(else_out)
 
@@ -460,28 +604,23 @@ class _QuantifyInterpreter:
                 f"{then_iv}, else {else_iv}): the clock reads the arm "
                 "taken",
             )
-            return [
-                replace(sub, interval=head.interval + sub.interval)
-                for sub in then_out + else_out
-            ]
-
-        # Public guard, or arms the observer cannot separate: one class
-        # per arm-internal fork survives only if the arms forked
-        # internally (conservative for public guards); otherwise merge.
-        if len(then_out) == 1 and len(else_out) == 1:
+        elif len(then_out) == 1 and len(else_out) == 1:
+            # Public guard, or arms the observer cannot separate: one
+            # class per arm-internal fork survives only if the arms
+            # forked internally (conservative for public guards);
+            # otherwise merge.
             merged = _merge_classes([then_out[0], else_out[0]],
                                     self.contract)
-            return [replace(merged, interval=head.interval
-                            + merged.interval)]
-        return [
-            replace(sub, interval=head.interval + sub.interval)
-            for sub in then_out + else_out
-        ]
+            return [merged.following(head)]
+        return [sub.following(head) for sub in then_out + else_out]
 
     def _loop(self, cmd: ast.While,
               cls: TimingClass) -> List[TimingClass]:
         guard_reads = expr_accesses(cmd.cond)
-        current = [cls]
+        # The unpadded duration restarts so each exit reads the loop's
+        # own total (the padded one stays cumulative: classes merge on it).
+        current = [TimingClass(cls.interval, cls.env, cls.hw, cls.misses,
+                               cls.secret_bits, ZERO)]
         done: List[TimingClass] = []
         iterations = 0
         while current:
@@ -495,8 +634,21 @@ class _QuantifyInterpreter:
             for c in stepped:
                 guard = eval_const(cmd.cond, c.env_dict())
                 if guard == 0:
+                    self._record_loop(cmd, c.unpadded, iterations)
                     done.append(c)
-                elif guard is None or iterations >= MAX_UNROLL:
+                elif guard is None:
+                    self._widened(
+                        cmd,
+                        "loop bound is not a compile-time constant; the "
+                        "loop's cycle cost is unbounded (⊤)",
+                    )
+                    widen.append(c)
+                elif iterations >= MAX_UNROLL:
+                    self._widened(
+                        cmd,
+                        f"loop exceeds the {MAX_UNROLL}-iteration unroll "
+                        "budget; its cycle cost is widened to ⊤",
+                    )
                     widen.append(c)
                 else:
                     nxt.append(c)
@@ -506,41 +658,44 @@ class _QuantifyInterpreter:
                 break
             current = self._cap(self.run(cmd.body, nxt))
             iterations += 1
-        return done if done else [cls]
+        return [
+            TimingClass(c.interval, c.env, c.hw, c.misses, c.secret_bits,
+                        cls.unpadded + c.unpadded)
+            for c in done
+        ]
 
     def _widen_loop(self, cmd: ast.While,
                     classes: List[TimingClass]) -> List[TimingClass]:
         """A loop whose guard is not a compile-time constant: cost widens
         to ⊤; a confidential guard also widens the class census."""
         secret = self._secret(cmd.cond)
+        extra_bits = self.widen_bits if secret else 0.0
         killed = _assigned_names(cmd.body)
         out: List[TimingClass] = []
         for c in classes:
-            env = {
-                name: value for name, value in c.env_dict().items()
+            # Kill every name the body may write (the loop may also run
+            # zero times) and widen the hardware state.
+            env = tuple(
+                (name, value) for name, value in c.env
                 if name not in killed
-            }
+            )
             hw = self.contract.widen_state(c.hw)
-            seeded = replace(
-                c, interval=ZERO, hw=hw,
-            ).with_env(env)
+            seeded = TimingClass(ZERO, env, hw, c.misses, c.secret_bits)
             # One abstract body pass so nested sites still get facts.
-            body_out = self.run(cmd.body, [seeded])
-            landed = _merge_classes(body_out, self.contract) if (
-                body_out) else seeded
-            landed = replace(
-                landed,
+            landed = _merge_classes(self.run(cmd.body, [seeded]),
+                                    self.contract)
+            unpadded = Interval.top(c.unpadded.lo)
+            self._record_loop(cmd, unpadded, None)
+            out.append(TimingClass(
                 interval=Interval.top(c.interval.lo),
+                env=env,
                 hw=self.contract.widen_state(
                     self.contract.join_state(hw, landed.hw)
                 ),
-            )
-            if secret:
-                landed = replace(
-                    landed,
-                    secret_bits=landed.secret_bits + self.widen_bits,
-                )
-            out.append(landed)
+                misses=landed.misses,
+                secret_bits=landed.secret_bits + extra_bits,
+                unpadded=unpadded,
+            ))
         if secret:
             self._fork(
                 cmd, "loop", self.widen_bits,
@@ -571,15 +726,19 @@ class _QuantifyInterpreter:
         level_name = cmd.level.name if cmd.level is not None else "?"
         entry_bits = head.secret_bits
 
-        body_out = self.run(
-            cmd.body, [replace(head, interval=ZERO)]
-        )
-        overhead = [
-            replace(sub, interval=sub.interval
-                    + self.contract.region_overhead(sub.hw))
-            for sub in body_out
-        ]
+        # Each body class closes with the region overhead; the running
+        # unpadded total does not carry it (the site's interval does).
+        overhead: List[TimingClass] = []
+        body_unpadded: List[Interval] = []
+        for sub in self.run(cmd.body, [head.restarted()]):
+            region = self.contract.region_overhead(sub.hw)
+            overhead.append(TimingClass(
+                sub.interval + region, sub.env, sub.hw, sub.misses,
+                sub.secret_bits, sub.unpadded,
+            ))
+            body_unpadded.append(sub.unpadded + region)
         body_iv = _joined_interval(overhead)
+        body_cost = _join(body_unpadded)
 
         if budget is None:
             self._note(
@@ -587,19 +746,21 @@ class _QuantifyInterpreter:
                 "mitigate budget is not a compile-time constant; the "
                 "deadline sequence cannot be quantized statically",
             )
-            self._record_site(cmd, level_name, None, body_iv, 1, None)
+            self._record_site(cmd, level_name, None, body_iv, body_cost,
+                              1, None)
             merged = _merge_classes(overhead, self.contract)
-            return [replace(
-                merged,
-                interval=head.interval + merged.interval,
-                secret_bits=max(entry_bits, merged.secret_bits),
+            return [TimingClass(
+                head.interval + merged.interval, merged.env, merged.hw,
+                merged.misses, max(entry_bits, merged.secret_bits),
+                head.unpadded + merged.unpadded,
             )]
 
         # Was any of the body's variation confidential?  Declared-secret
         # levels (above the observer) always count; purely public
         # variation under an observable level pads to a public deadline.
         body_secret = (
-            not cmd.level.flows_to(self.observer)
+            (self.observer is not None
+             and not cmd.level.flows_to(self.observer))
             or len(overhead) > 1
             or any(sub.secret_bits > entry_bits for sub in overhead)
         )
@@ -619,6 +780,7 @@ class _QuantifyInterpreter:
                 self.scheme.predict(budget, m)
                 for m in range(m_lo, m_hi + 1)
             )
+            unpadded = head.unpadded + sub.unpadded
             if not body_secret:
                 # Public variation: every deadline is a public function
                 # of public data -- one class, padded somewhere in the
@@ -626,25 +788,25 @@ class _QuantifyInterpreter:
                 lo_pad = self.scheme.predict(budget, m_lo)
                 hi_pad = self.scheme.predict(budget, m_hi)
                 worst_deadline = max(worst_deadline, hi_pad)
-                out.append(replace(
-                    sub.with_miss(level_name, m_hi),
-                    interval=head.interval + Interval(lo_pad, hi_pad),
-                    secret_bits=entry_bits,
+                out.append(TimingClass(
+                    head.interval + Interval(lo_pad, hi_pad), sub.env,
+                    sub.hw, _with_miss(sub.misses, level_name, m_hi),
+                    entry_bits, unpadded,
                 ))
                 continue
             for m in range(m_lo, m_hi + 1):
                 deadline = self.scheme.predict(budget, m)
                 worst_deadline = max(worst_deadline, deadline)
-                out.append(replace(
-                    sub.with_miss(level_name, m),
-                    interval=head.interval + Interval.exact(deadline),
+                out.append(TimingClass(
+                    head.interval + Interval.exact(deadline), sub.env,
+                    sub.hw, _with_miss(sub.misses, level_name, m),
                     # The deadline collapse absorbs body-internal
                     # widening: the padded duration is all that leaks.
-                    secret_bits=entry_bits,
+                    entry_bits, unpadded,
                 ))
         site_classes = max(len(deadlines), 1) if body_secret else 1
         self._record_site(
-            cmd, level_name, budget, body_iv, site_classes,
+            cmd, level_name, budget, body_iv, body_cost, site_classes,
             None if unbounded and site_classes >= _MAX_MISSES
             else worst_deadline,
         )
@@ -663,6 +825,7 @@ class _QuantifyInterpreter:
         level: str,
         budget: Optional[int],
         body: Interval,
+        unpadded: Interval,
         classes: int,
         padded_hi: Optional[int],
     ) -> None:
@@ -677,9 +840,11 @@ class _QuantifyInterpreter:
                 body=body,
                 deadline_classes=classes,
                 padded_hi=padded_hi,
+                unpadded=unpadded,
             )
             return
         seen.body = seen.body.join(body)
+        seen.unpadded = seen.unpadded.join(unpadded)
         seen.deadline_classes = max(seen.deadline_classes, classes)
         if seen.budget != budget:
             seen.budget = None
@@ -710,13 +875,21 @@ def _dedupe(
     ]
 
 
-def _joined_interval(classes: List[TimingClass]) -> Interval:
-    if not classes:
+def _join(intervals: List[Interval]) -> Interval:
+    if not intervals:
         return ZERO
-    joined = classes[0].interval
-    for cls in classes[1:]:
-        joined = joined.join(cls.interval)
+    joined = intervals[0]
+    for interval in intervals[1:]:
+        joined = joined.join(interval)
     return joined
+
+
+def _joined_interval(classes: List[TimingClass]) -> Interval:
+    return _join([cls.interval for cls in classes])
+
+
+def _joined_unpadded(classes: List[TimingClass]) -> Interval:
+    return _join([cls.unpadded for cls in classes])
 
 
 # ---------------------------------------------------------------------------
@@ -746,24 +919,16 @@ def quantify(
         hardware, params
     )
     observer = observer if observer is not None else gamma.lattice.bottom
-    interp = _QuantifyInterpreter(
-        contract, gamma, observer, make_scheme(scheme), horizon
+    walker = CensusWalker(
+        contract, make_scheme(scheme), horizon, gamma, observer
     )
-    initial = TimingClass(
-        interval=ZERO, env=(), hw=contract.initial_state()
-    )
-    final = interp.run(program, [initial])
-    final = [
-        replace(cls, interval=cls.interval
-                + contract.region_overhead(cls.hw))
-        for cls in final
-    ]
+    final = walker.walk(program)
     # Each class stands for 2^secret_bits indistinguishable-by-structure
     # but duration-separable observations.
     weight = sum(2.0 ** cls.secret_bits for cls in final)
     weight = max(weight, 1.0)
     capacity = math.log2(weight)
-    if interp.saturated:
+    if walker.saturated:
         capacity = max(capacity, math.log2(MAX_CLASSES))
     return QuantifyReport(
         hardware=contract.name,
@@ -771,11 +936,11 @@ def quantify(
         horizon=horizon,
         classes=max(int(round(weight)), len(final)),
         capacity_bits=capacity,
-        saturated=interp.saturated,
+        saturated=walker.saturated,
         padded=_joined_interval(final),
-        sites=interp.sites,
-        forks=interp.forks,
-        notes=interp.notes,
+        sites=walker.sites,
+        forks=walker.forks,
+        notes=walker.notes,
     )
 
 
