@@ -272,8 +272,9 @@ class TimingClass:
     env: Tuple[Tuple[str, int], ...]
     #: Contract abstract state (bus queue, cumulative writes, ...).
     hw: Hashable
-    #: Per-mitigation-level Miss counters (local penalty policy).
-    misses: Tuple[Tuple[str, int], ...] = ()
+    #: Per-mitigation-level Miss counter ranges ``(level, lo, hi)``
+    #: (local penalty policy); an unlisted level is at ``(0, 0)``.
+    misses: Tuple[Tuple[str, int, int], ...] = ()
     #: Extra distinguishable bits accrued from widened secret constructs
     #: not (yet) absorbed by a mitigate's deadline collapse.
     secret_bits: float = 0.0
@@ -284,8 +285,11 @@ class TimingClass:
     def env_dict(self) -> Dict[str, int]:
         return dict(self.env)
 
-    def miss_of(self, level: str) -> int:
-        return dict(self.misses).get(level, 0)
+    def miss_range(self, level: str) -> Tuple[int, int]:
+        for name, lo, hi in self.misses:
+            if name == level:
+                return lo, hi
+        return 0, 0
 
     def after(self, step: Interval, hw: Hashable) -> "TimingClass":
         """This class after ``step`` more cycles, leaving state ``hw``."""
@@ -305,11 +309,27 @@ class TimingClass:
                            head.unpadded + self.unpadded)
 
 
-def _with_miss(misses: Tuple[Tuple[str, int], ...], level: str,
-               count: int) -> Tuple[Tuple[str, int], ...]:
-    updated = dict(misses)
-    updated[level] = count
-    return tuple(sorted(updated.items()))
+def _with_miss(misses: Tuple[Tuple[str, int, int], ...], level: str,
+               lo: int, hi: int) -> Tuple[Tuple[str, int, int], ...]:
+    others = tuple(entry for entry in misses if entry[0] != level)
+    return tuple(sorted(others + ((level, lo, hi),)))
+
+
+def _join_misses(
+    a: Tuple[Tuple[str, int, int], ...],
+    b: Tuple[Tuple[str, int, int], ...],
+) -> Tuple[Tuple[str, int, int], ...]:
+    """Per level, the least lower end and the greatest upper end."""
+    if a == b:
+        return a
+    left = {name: (lo, hi) for name, lo, hi in a}
+    right = {name: (lo, hi) for name, lo, hi in b}
+    joined = []
+    for name in sorted(left.keys() | right.keys()):
+        a_lo, a_hi = left.get(name, (0, 0))
+        b_lo, b_hi = right.get(name, (0, 0))
+        joined.append((name, min(a_lo, b_lo), max(a_hi, b_hi)))
+    return tuple(joined)
 
 
 def _merge_classes(
@@ -323,7 +343,7 @@ def _merge_classes(
     unpadded = merged.unpadded
     hw = merged.hw
     secret_bits = merged.secret_bits
-    misses = dict(merged.misses)
+    misses = merged.misses
     for cls in classes[1:]:
         other_env = cls.env_dict()
         env = {k: v for k, v in env.items() if other_env.get(k) == v}
@@ -331,13 +351,12 @@ def _merge_classes(
         unpadded = unpadded.join(cls.unpadded)
         hw = contract.join_state(hw, cls.hw)
         secret_bits = max(secret_bits, cls.secret_bits)
-        for level, count in cls.misses:
-            misses[level] = max(misses.get(level, 0), count)
+        misses = _join_misses(misses, cls.misses)
     return TimingClass(
         interval=interval,
         env=tuple(sorted(env.items())),
         hw=hw,
-        misses=tuple(sorted(misses.items())),
+        misses=misses,
         secret_bits=secret_bits,
         unpadded=unpadded,
     )
@@ -692,7 +711,8 @@ class CensusWalker:
                 hw=self.contract.widen_state(
                     self.contract.join_state(hw, landed.hw)
                 ),
-                misses=landed.misses,
+                # The loop may also run zero times.
+                misses=_join_misses(c.misses, landed.misses),
                 secret_bits=landed.secret_bits + extra_bits,
                 unpadded=unpadded,
             ))
@@ -770,10 +790,18 @@ class CensusWalker:
         worst_deadline = 0
         unbounded = False
         for sub in overhead:
-            m0 = sub.miss_of(level_name)
+            # Settle each end of the entry Miss range on its own: the
+            # earliest deadline from the lowest count, the latest from
+            # the highest.
+            miss_lo, miss_hi = sub.miss_range(level_name)
             m_lo, m_hi = deadline_span(
-                self.scheme, budget, m0, sub.interval, self.horizon
+                self.scheme, budget, miss_lo, sub.interval, self.horizon
             )
+            if miss_hi != miss_lo:
+                m_hi = deadline_span(
+                    self.scheme, budget, miss_hi, sub.interval,
+                    self.horizon,
+                )[1]
             if sub.interval.hi is None:
                 unbounded = True
             deadlines.update(
@@ -790,7 +818,7 @@ class CensusWalker:
                 worst_deadline = max(worst_deadline, hi_pad)
                 out.append(TimingClass(
                     head.interval + Interval(lo_pad, hi_pad), sub.env,
-                    sub.hw, _with_miss(sub.misses, level_name, m_hi),
+                    sub.hw, _with_miss(sub.misses, level_name, m_lo, m_hi),
                     entry_bits, unpadded,
                 ))
                 continue
@@ -799,7 +827,7 @@ class CensusWalker:
                 worst_deadline = max(worst_deadline, deadline)
                 out.append(TimingClass(
                     head.interval + Interval.exact(deadline), sub.env,
-                    sub.hw, _with_miss(sub.misses, level_name, m),
+                    sub.hw, _with_miss(sub.misses, level_name, m, m),
                     # The deadline collapse absorbs body-internal
                     # widening: the padded duration is all that leaks.
                     entry_bits, unpadded,

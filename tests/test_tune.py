@@ -123,6 +123,26 @@ class TestQuantify:
         assert not report.exceeds(1.0)
         assert not report.exceeds(2.0)
 
+    def test_miss_counter_range_keeps_later_deadlines_sound(self):
+        # The first site's public loop may settle Miss[L] anywhere from 0
+        # to the horizon's count; the second site must start from that
+        # whole range, not its top, or h's one bit disappears.
+        from repro import api
+
+        compiled = api.compile_program(
+            "mitigate(1, L) { while l > 0 do { l := l - 1 } };\n"
+            "mitigate(1, L) { if h > 0 then { sleep(100) } "
+            "else { skip } }\n",
+            gamma={"l": "L", "h": "H", "x": "L"}, infer=True, check=False,
+        )
+        report = quantify(compiled.program, compiled.gamma,
+                          hardware="null")
+        assert report.capacity_bits >= 1.0
+        for h in (0, 1):
+            run = compiled.run({"l": 0, "h": h, "x": 0}, hardware="null")
+            assert report.padded.contains(run.final_time()), (
+                h, run.final_time(), report.padded)
+
     def test_deadline_helpers(self):
         scheme = make_scheme("doubling")
         from repro.hardware.costmodel import Interval
