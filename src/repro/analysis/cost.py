@@ -328,7 +328,7 @@ def replay_program(
     Files that cannot be parsed, labeled, or executed (the corpus contains
     deliberately broken fixtures) come back as ``status="skipped"`` with
     the reason; everything else is ``"checked"`` with one observation per
-    mitigate epoch plus the whole-program total.
+    mitigate epoch plus the whole-program total, unpadded and padded.
     """
     from .. import api
     from ..lang.lexer import LexError
@@ -392,7 +392,10 @@ def replay_program(
         "mitigation.padding", 0
     )
     observations = [
-        RegionObservation("<program>", program_observed, report.program)
+        RegionObservation("<program>", program_observed, report.program),
+        # The padded end time is what the census (and `repro tune`'s
+        # objective) bounds.
+        RegionObservation("<padded>", result.final_time(), report.padded),
     ]
     if profiled != program_observed:
         observations.append(
