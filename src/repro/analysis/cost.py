@@ -278,8 +278,8 @@ def default_memory(program: ast.Command) -> Dict[str, object]:
     for cmd in program.walk():
         if isinstance(cmd, ast.ArrayAssign):
             arrays.add(cmd.array)
-        for expr in _command_exprs(cmd):
-            for node in _walk_expr(expr):
+        for expr in ast.step_exprs(cmd):
+            for node in expr.walk():
                 if isinstance(node, ast.ArrayRead):
                     arrays.add(node.array)
     names = ast.program_variables(program)
@@ -292,26 +292,6 @@ def default_memory(program: ast.Command) -> Dict[str, object]:
 
 
 DEFAULT_ARRAY_LENGTH = 64
-
-
-def _command_exprs(cmd: ast.Command):
-    if isinstance(cmd, ast.Assign):
-        return (cmd.expr,)
-    if isinstance(cmd, ast.ArrayAssign):
-        return (cmd.index, cmd.expr)
-    if isinstance(cmd, (ast.If, ast.While)):
-        return (cmd.cond,)
-    if isinstance(cmd, ast.Sleep):
-        return (cmd.duration,)
-    if isinstance(cmd, ast.Mitigate):
-        return (cmd.budget,)
-    return ()
-
-
-def _walk_expr(expr: ast.Expr):
-    yield expr
-    for child in expr.children():
-        yield from _walk_expr(child)
 
 
 def replay_program(

@@ -179,17 +179,9 @@ def eval_const(
 
 def _reads(cmd: ast.LabeledCommand) -> FrozenSet[str]:
     """Variables whose values the command reads in its own step."""
-    if isinstance(cmd, ast.Assign):
-        return cmd.expr.variables()
-    if isinstance(cmd, ast.ArrayAssign):
-        return cmd.index.variables() | cmd.expr.variables()
-    if isinstance(cmd, (ast.If, ast.While)):
-        return cmd.cond.variables()
-    if isinstance(cmd, ast.Sleep):
-        return cmd.duration.variables()
-    if isinstance(cmd, ast.Mitigate):
-        return cmd.budget.variables()
-    return frozenset()
+    return frozenset().union(
+        *(expr.variables() for expr in ast.step_exprs(cmd))
+    )
 
 
 # -- reaching definitions ------------------------------------------------------

@@ -59,12 +59,9 @@ def _index_vars(expr: ast.Expr) -> FrozenSet[str]:
     """Variables appearing inside array subscripts of ``expr``: their values
     choose the address, which is visible in cache state."""
     out: Set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
+    for node in expr.walk():
         if isinstance(node, ast.ArrayRead):
             out |= node.index.variables()
-        stack.extend(node.children())
     return frozenset(out)
 
 
@@ -494,19 +491,8 @@ class FlowExplainer:
     def _explain_tl006(self, cmd) -> Optional[List[FlowStep]]:
         lw = cmd.write_label if cmd.write_label is not None \
             else self.lattice.bottom
-        exprs: Tuple[ast.Expr, ...] = ()
-        if isinstance(cmd, ast.Assign):
-            exprs = (cmd.expr,)
-        elif isinstance(cmd, ast.ArrayAssign):
-            exprs = (cmd.index, cmd.expr)
-        elif isinstance(cmd, (ast.If, ast.While)):
-            exprs = (cmd.cond,)
-        elif isinstance(cmd, ast.Sleep):
-            exprs = (cmd.duration,)
-        elif isinstance(cmd, ast.Mitigate):
-            exprs = (cmd.budget,)
         index_names: Set[str] = set()
-        for expr in exprs:
+        for expr in ast.step_exprs(cmd):
             index_names |= _index_vars(expr)
             if isinstance(cmd, ast.ArrayAssign) and expr is cmd.index:
                 index_names |= expr.variables()

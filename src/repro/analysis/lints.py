@@ -230,18 +230,12 @@ def lint_unused_variable(ctx: LintContext) -> Iterator[Diagnostic]:
     reads: set = set()
     writes: Dict[str, ast.LabeledCommand] = {}
     for cmd in ctx.program.walk():
+        for expr in ast.step_exprs(cmd):
+            reads |= expr.variables()
         if isinstance(cmd, ast.Assign):
-            reads |= cmd.expr.variables()
             writes.setdefault(cmd.target, cmd)
         elif isinstance(cmd, ast.ArrayAssign):
-            reads |= cmd.index.variables() | cmd.expr.variables()
             writes.setdefault(cmd.array, cmd)
-        elif isinstance(cmd, (ast.If, ast.While)):
-            reads |= cmd.cond.variables()
-        elif isinstance(cmd, ast.Sleep):
-            reads |= cmd.duration.variables()
-        elif isinstance(cmd, ast.Mitigate):
-            reads |= cmd.budget.variables()
     for name in sorted(set(writes) - reads):
         yield _diag(
             "TL015",
@@ -579,20 +573,9 @@ def _index_interval(expr: ast.Expr) -> Optional[Tuple[int, int]]:
 def _array_accesses(cmd: ast.LabeledCommand):
     """Yield ``(array, index_expr)`` for every data array access in one
     command, in evaluation order."""
-    if isinstance(cmd, ast.Assign):
-        exprs = (cmd.expr,)
-    elif isinstance(cmd, ast.ArrayAssign):
+    if isinstance(cmd, ast.ArrayAssign):
         yield (cmd.array, cmd.index)
-        exprs = (cmd.index, cmd.expr)
-    elif isinstance(cmd, (ast.If, ast.While)):
-        exprs = (cmd.cond,)
-    elif isinstance(cmd, ast.Sleep):
-        exprs = (cmd.duration,)
-    elif isinstance(cmd, ast.Mitigate):
-        exprs = (cmd.budget,)
-    else:
-        exprs = ()
-    stack = list(exprs)
+    stack = list(ast.step_exprs(cmd))
     while stack:
         expr = stack.pop()
         if isinstance(expr, ast.ArrayRead):

@@ -91,6 +91,12 @@ class Expr:
     def children(self) -> Tuple["Expr", ...]:
         return ()
 
+    def walk(self) -> Iterator["Expr"]:
+        """All expressions in this subtree, preorder."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
 
 @dataclass(eq=False)
 class IntLit(Expr):
@@ -420,6 +426,22 @@ def labeled_commands(root: Command) -> Tuple[LabeledCommand, ...]:
 def mitigates(root: Command) -> Tuple[Mitigate, ...]:
     """All mitigate commands in the tree, preorder."""
     return tuple(c for c in root.walk() if isinstance(c, Mitigate))
+
+
+def step_exprs(cmd: Command) -> Tuple[Expr, ...]:
+    """The expressions ``cmd`` evaluates in its own step, in evaluation
+    order (cf. ``vars1``); ``()`` for ``skip`` and sequences."""
+    if isinstance(cmd, Assign):
+        return (cmd.expr,)
+    if isinstance(cmd, ArrayAssign):
+        return (cmd.index, cmd.expr)
+    if isinstance(cmd, (If, While)):
+        return (cmd.cond,)
+    if isinstance(cmd, Sleep):
+        return (cmd.duration,)
+    if isinstance(cmd, Mitigate):
+        return (cmd.budget,)
+    return ()
 
 
 def program_variables(root: Command) -> FrozenSet[str]:

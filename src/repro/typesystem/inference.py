@@ -53,24 +53,9 @@ def _index_label(gamma: SecurityEnvironment, *exprs: ast.Expr) -> Label:
     )
 
 
-def _step_exprs(cmd: ast.LabeledCommand):
-    """The expressions this command evaluates in its own step (cf. vars1)."""
-    if isinstance(cmd, ast.Assign):
-        return (cmd.expr,)
-    if isinstance(cmd, ast.ArrayAssign):
-        return (cmd.index, cmd.expr)
-    if isinstance(cmd, ast.Sleep):
-        return (cmd.duration,)
-    if isinstance(cmd, (ast.If, ast.While)):
-        return (cmd.cond,)
-    if isinstance(cmd, ast.Mitigate):
-        return (cmd.budget,)
-    return ()
-
-
 def _fill(cmd: ast.LabeledCommand, gamma: SecurityEnvironment, pc: Label) -> None:
     lattice = gamma.lattice
-    inferred = lattice.join(pc, _index_label(gamma, *_step_exprs(cmd)))
+    inferred = lattice.join(pc, _index_label(gamma, *ast.step_exprs(cmd)))
     if isinstance(cmd, ast.ArrayAssign):
         # The stored element's address leaks the index; fold it in.
         inferred = lattice.join(inferred, gamma.label_of_expr(cmd.index))
