@@ -42,9 +42,10 @@ walk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..hardware.costmodel import (
     CostContract,
@@ -482,6 +483,8 @@ class CensusWalker:
             expr).flows_to(self.observer)
 
     def _cap(self, classes: List[TimingClass]) -> List[TimingClass]:
+        if len(classes) == 1:
+            return classes
         classes = _dedupe(classes, self.contract)
         if len(classes) <= MAX_CLASSES:
             return classes
@@ -557,9 +560,6 @@ class CensusWalker:
         if isinstance(cmd, ast.Mitigate):
             return self._mitigate(cmd, cls)
 
-        if isinstance(cmd, ast.Seq):
-            return self.run(cmd, [cls])
-
         raise TypeError(f"not a command: {cmd!r}")
 
     def _sleep(self, cmd: ast.Sleep,
@@ -610,10 +610,10 @@ class CensusWalker:
         base = head.restarted()
         then_out = self.run(cmd.then_branch, [base])
         else_out = self.run(cmd.else_branch, [base])
-        self._record_branch(cmd, _joined_unpadded(then_out),
-                            _joined_unpadded(else_out))
-        then_iv = _joined_interval(then_out)
-        else_iv = _joined_interval(else_out)
+        self._record_branch(cmd, _join(c.unpadded for c in then_out),
+                            _join(c.unpadded for c in else_out))
+        then_iv = _join(c.interval for c in then_out)
+        else_iv = _join(c.interval for c in else_out)
 
         if self._secret(cmd.cond) and self.contract.distinguishable(
                 then_iv, else_iv):
@@ -757,7 +757,7 @@ class CensusWalker:
                 sub.secret_bits, sub.unpadded,
             ))
             body_unpadded.append(sub.unpadded + region)
-        body_iv = _joined_interval(overhead)
+        body_iv = _join(c.interval for c in overhead)
         body_cost = _join(body_unpadded)
 
         if budget is None:
@@ -804,10 +804,6 @@ class CensusWalker:
                 )[1]
             if sub.interval.hi is None:
                 unbounded = True
-            deadlines.update(
-                self.scheme.predict(budget, m)
-                for m in range(m_lo, m_hi + 1)
-            )
             unpadded = head.unpadded + sub.unpadded
             if not body_secret:
                 # Public variation: every deadline is a public function
@@ -824,6 +820,7 @@ class CensusWalker:
                 continue
             for m in range(m_lo, m_hi + 1):
                 deadline = self.scheme.predict(budget, m)
+                deadlines.add(deadline)
                 worst_deadline = max(worst_deadline, deadline)
                 out.append(TimingClass(
                     head.interval + Interval.exact(deadline), sub.env,
@@ -903,21 +900,9 @@ def _dedupe(
     ]
 
 
-def _join(intervals: List[Interval]) -> Interval:
-    if not intervals:
-        return ZERO
-    joined = intervals[0]
-    for interval in intervals[1:]:
-        joined = joined.join(interval)
-    return joined
-
-
-def _joined_interval(classes: List[TimingClass]) -> Interval:
-    return _join([cls.interval for cls in classes])
-
-
-def _joined_unpadded(classes: List[TimingClass]) -> Interval:
-    return _join([cls.unpadded for cls in classes])
+def _join(intervals: Iterable[Interval]) -> Interval:
+    """The join of a non-empty run of intervals."""
+    return functools.reduce(Interval.join, intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +950,7 @@ def quantify(
         classes=max(int(round(weight)), len(final)),
         capacity_bits=capacity,
         saturated=walker.saturated,
-        padded=_joined_interval(final),
+        padded=_join(c.interval for c in final),
         sites=walker.sites,
         forks=walker.forks,
         notes=walker.notes,

@@ -123,23 +123,28 @@ class TestQuantify:
         assert not report.exceeds(1.0)
         assert not report.exceeds(2.0)
 
-    def test_miss_counter_range_keeps_later_deadlines_sound(self):
-        # The first site's public loop may settle Miss[L] anywhere from 0
-        # to the horizon's count; the second site must start from that
-        # whole range, not its top, or h's one bit disappears.
+    @pytest.mark.parametrize("first", [
+        # The public loop may settle Miss[L] anywhere from 0 up to the
+        # horizon's count.
+        "mitigate(1, L) { while l > 0 do { l := l - 1 } }",
+        # The widened loop may also run zero times, leaving Miss[L] at 0.
+        "while l > 0 do { mitigate(1, L) { sleep(100) }; l := l - 1 }",
+    ])
+    def test_miss_counter_range_keeps_later_deadlines_sound(self, first):
+        # The second site must start from the whole Miss range the first
+        # statement leaves, not its top, or h's bit disappears.
         from repro import api
 
         compiled = api.compile_program(
-            "mitigate(1, L) { while l > 0 do { l := l - 1 } };\n"
-            "mitigate(1, L) { if h > 0 then { sleep(100) } "
+            first + ";\nmitigate(1, L) { if h > 0 then { sleep(100) } "
             "else { skip } }\n",
-            gamma={"l": "L", "h": "H", "x": "L"}, infer=True, check=False,
+            gamma={"l": "L", "h": "H"}, infer=True, check=False,
         )
         report = quantify(compiled.program, compiled.gamma,
                           hardware="null")
         assert report.capacity_bits >= 1.0
         for h in (0, 1):
-            run = compiled.run({"l": 0, "h": h, "x": 0}, hardware="null")
+            run = compiled.run({"l": 0, "h": h}, hardware="null")
             assert report.padded.contains(run.final_time()), (
                 h, run.final_time(), report.padded)
 
