@@ -45,7 +45,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from ..hardware.costmodel import (
     CostContract,
@@ -263,9 +265,9 @@ def _assigned_names(cmd: ast.Command) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimingClass:
-    """One attacker-distinguishable equivalence class of executions."""
+class TimingClass(NamedTuple):
+    """One attacker-distinguishable equivalence class of executions
+    (immutable: the walker builds each next class with the constructor)."""
 
     #: Accumulated (padded) duration interval along this class.
     interval: Interval
