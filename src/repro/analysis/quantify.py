@@ -120,7 +120,7 @@ class SiteQuant:
     padded_hi: Optional[int]
     #: Unpadded body cost interval (with region overhead), joined over
     #: visits: nested sites count their bodies, not their padding.
-    unpadded: Interval = ZERO
+    unpadded: Interval
 
     @property
     def deadline_bits(self) -> float:
