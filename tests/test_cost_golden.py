@@ -12,6 +12,9 @@ the sha256 of every document either side writes for the shipped corpus
 * ``quantify_all(...).as_dict()`` per compiling corpus program under the
   ``doubling`` and ``polynomial`` schemes, on the program and tolerant
   Gamma the lint engine builds from the file's directives;
+* the same census per compiling program that has a mitigate, with every
+  mitigate budget rewritten to 1 (the tuner's probe: the smallest
+  budget fans each site out into the most deadline classes);
 * ``repro tune --bits-budget 0 --format json`` per tune example;
 * ``repro lint`` text per corpus file (its Theorem 2 audit, on by
   default, carries each site's ``cost=[lo, hi]`` column).
@@ -77,6 +80,9 @@ def _cli_cases():
 CLI_CASES = _cli_cases()
 CENSUS_CASES = [f"{scheme}/{path}" for scheme in SCHEMES
                 for path in corpus()]
+#: Census cases of the budget-1 rewrite (``budget1/<scheme>/<path>``),
+#: listed for every program that compiles and has a mitigate.
+BUDGET1 = "budget1/"
 
 
 def _sha256(text: str) -> str:
@@ -110,16 +116,40 @@ def cli_document(argv):
     return {"exit": code, "stdout": _sha256(out.getvalue())}
 
 
+def _compile(path: str):
+    """The lint engine's compile of one corpus file (program is ``None``
+    when it does not compile)."""
+    return analyze_source(
+        (ROOT / path).read_text(), path=path,
+        options=LintOptions(lints=False, audit=False))
+
+
+def _budget1_cases():
+    cases = []
+    for scheme in SCHEMES:
+        for path in corpus():
+            with _fresh_ids():
+                program = _compile(path).program
+            if program is not None and ast.mitigates(program):
+                cases.append(f"{BUDGET1}{scheme}/{path}")
+    return cases
+
+
+BUDGET1_CASES = _budget1_cases()
+
+
 def census_document(case: str):
     """The sha256 of one corpus program's census on every model, or
     ``None`` when the program does not compile."""
-    scheme, path = case.split("/", 1)
+    budget1 = case.startswith(BUDGET1)
+    scheme, path = case.removeprefix(BUDGET1).split("/", 1)
     with _fresh_ids():
-        result = analyze_source(
-            (ROOT / path).read_text(), path=path,
-            options=LintOptions(lints=False, audit=False))
+        result = _compile(path)
         if result.program is None:
             return None
+        if budget1:
+            for site in ast.mitigates(result.program):
+                site.budget = ast.IntLit(1)
         reports = quantify_all(result.program, result.gamma, scheme=scheme)
     document = {name: report.as_dict() for name, report in reports.items()}
     return _sha256(json.dumps(document, sort_keys=True))
@@ -130,7 +160,8 @@ def render():
     return {
         "cli": {name: cli_document(argv)
                 for name, argv in CLI_CASES.items()},
-        "census": {case: census_document(case) for case in CENSUS_CASES},
+        "census": {case: census_document(case)
+                   for case in CENSUS_CASES + BUDGET1_CASES},
     }
 
 
@@ -141,10 +172,12 @@ def _golden():
 def test_golden_covers_every_case():
     golden = _golden()
     assert list(golden["cli"]) == list(CLI_CASES)
-    assert list(golden["census"]) == CENSUS_CASES
+    assert list(golden["census"]) == CENSUS_CASES + BUDGET1_CASES
     assert len(corpus()) == 42
     # Every compiling program has a census; the syntax fixture does not.
-    assert sum(d is not None for d in golden["census"].values()) >= 80
+    assert sum(golden["census"][case] is not None
+               for case in CENSUS_CASES) >= 80
+    assert len(BUDGET1_CASES) == 38
 
 
 @pytest.mark.parametrize("name", list(CLI_CASES))
@@ -152,7 +185,7 @@ def test_cli_documents_match_golden(name):
     assert cli_document(CLI_CASES[name]) == _golden()["cli"][name]
 
 
-@pytest.mark.parametrize("case", CENSUS_CASES)
+@pytest.mark.parametrize("case", CENSUS_CASES + BUDGET1_CASES)
 def test_census_documents_match_golden(case):
     assert census_document(case) == _golden()["census"][case]
 
