@@ -32,6 +32,14 @@ Class counts saturate at :data:`MAX_CLASSES`; a saturated report means
 "at least this much" and budget checks treat it as exceeding any finite
 budget.
 
+Classes that reach a mitigate-free command in the same *state* (env,
+hardware state, secret bits) share one walk from a zero-duration origin,
+placed after each class's own durations, and a mitigate-free ``mitigate``
+body is walked once per entry state for the whole walk.  This is exact
+because the walk is translation-equivariant in the durations: regions
+start from a restarted origin, deadlines never read the entry time, and
+every table effect joins state-only values.
+
 The same walk is the static cost analysis.  Along the way the walker
 tabulates unpadded intervals per command, branch, loop and mitigate site
 (the tables of :class:`repro.analysis.cost.CostReport`).  For an observer
@@ -409,6 +417,12 @@ class CensusWalker:
         self.widen_bits = math.log2(
             1 + max(math.log2(max(horizon, 2)), 1)
         )
+        #: Each mitigate-free mitigate body's classes per entry state
+        #: (env, hardware state, secret bits), from a zero-duration
+        #: origin.  :meth:`walk` empties it when it ends.
+        self._bodies: Dict[Tuple, List[TimingClass]] = {}
+        #: Does the command (by ``id``) contain a ``mitigate``?
+        self._mitigating: Dict[int, bool] = {}
 
     def walk(self, program: ast.Command) -> List[TimingClass]:
         """Abstractly execute the whole program; its final classes, each
@@ -416,9 +430,14 @@ class CensusWalker:
         initial = TimingClass(
             interval=ZERO, env=(), hw=self.contract.initial_state()
         )
+        try:
+            final = self.run(program, [initial])
+        finally:
+            self._bodies.clear()
+            self._mitigating.clear()
         return [
             cls.after(self.contract.region_overhead(cls.hw), cls.hw)
-            for cls in self.run(program, [initial])
+            for cls in final
         ]
 
     # -- bookkeeping ----------------------------------------------------------
@@ -518,14 +537,60 @@ class CensusWalker:
 
     def run(self, cmd: ast.Command,
             classes: List[TimingClass]) -> List[TimingClass]:
-        """Abstractly execute ``cmd`` over every class."""
+        """Abstractly execute ``cmd`` over every class.
+
+        A mitigate-free command passes the Miss ranges through, so the
+        classes that reach it with the same env, hardware state and
+        secret bits take one walk from a zero-duration origin, placed
+        after each class's own durations.  This is exact because the walk
+        is translation-equivariant in the durations and every table effect
+        joins state-only values (``docs/ANALYSIS.md``).
+        """
         if isinstance(cmd, ast.Seq):
             classes = self.run(cmd.first, classes)
             return self.run(cmd.second, classes)
+        if len(classes) == 1 or self._contains_mitigate(cmd):
+            return self._cap([sub for cls in classes
+                              for sub in self._run_one(cmd, cls)])
+        walked: Dict[Tuple, List[TimingClass]] = {}
         out: List[TimingClass] = []
         for cls in classes:
-            out.extend(self._run_one(cmd, cls))
+            key = (cls.env, cls.hw, cls.secret_bits)
+            subs = walked.get(key)
+            if subs is None:
+                subs = walked[key] = self._run_one(cmd, TimingClass(
+                    ZERO, cls.env, cls.hw, cls.misses, cls.secret_bits))
+            out.extend(
+                TimingClass(cls.interval + sub.interval, sub.env, sub.hw,
+                            cls.misses, sub.secret_bits,
+                            cls.unpadded + sub.unpadded)
+                for sub in subs
+            )
         return self._cap(out)
+
+    def _contains_mitigate(self, cmd: ast.Command) -> bool:
+        known = self._mitigating.get(id(cmd))
+        if known is None:
+            known = self._mitigating[id(cmd)] = bool(ast.mitigates(cmd))
+        return known
+
+    def _walk_body(self, cmd: ast.Mitigate,
+                   entry: TimingClass) -> List[TimingClass]:
+        """The body's classes from ``entry`` (durations zero).  A
+        mitigate-free body is walked once per state; its classes carry
+        the entry's Miss ranges."""
+        body = cmd.body
+        if self._contains_mitigate(body):
+            return self.run(body, [entry])
+        key = (id(body), entry.env, entry.hw, entry.secret_bits)
+        subs = self._bodies.get(key)
+        if subs is None:
+            subs = self._bodies[key] = self.run(body, [entry])
+        if subs[0].misses == entry.misses:
+            return subs
+        return [TimingClass(sub.interval, sub.env, sub.hw, entry.misses,
+                            sub.secret_bits, sub.unpadded)
+                for sub in subs]
 
     def _run_one(self, cmd: ast.Command,
                  cls: TimingClass) -> List[TimingClass]:
@@ -752,7 +817,7 @@ class CensusWalker:
         # unpadded total does not carry it (the site's interval does).
         overhead: List[TimingClass] = []
         body_unpadded: List[Interval] = []
-        for sub in self.run(cmd.body, [head.restarted()]):
+        for sub in self._walk_body(cmd, head.restarted()):
             region = self.contract.region_overhead(sub.hw)
             overhead.append(TimingClass(
                 sub.interval + region, sub.env, sub.hw, sub.misses,
