@@ -38,7 +38,7 @@ interval -- is validated by the profiler-replay harness in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, NamedTuple, Optional, Tuple
 
 from ..lattice import Label
 from .interface import StepKind
@@ -52,10 +52,11 @@ from .registry import REGISTRY
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A closed cycle-count interval ``[lo, hi]``; ``hi=None`` means ⊤
-    (no finite upper bound, e.g. a widened loop or an unknown sleep)."""
+    (no finite upper bound, e.g. a widened loop or an unknown sleep).
+
+    Immutable; ``+`` is interval addition, not tuple concatenation."""
 
     lo: int
     hi: Optional[int]
