@@ -5,9 +5,11 @@ machine-environment properties (5-7), while *direct* dependencies -- timing
 that flows through control, like the early-exit comparison's loop trip
 count -- are the language level's job.  This bench quantifies that split:
 
-* the adaptive prefix-recovery attack extracts a password in
-  ``length x alphabet`` guesses on **every** hardware design, secure ones
-  included (hardware cannot see a direct channel);
+* the adaptive prefix-recovery attack (the adversary engine's
+  rank-then-verify ``prefix_crack``, run in process) extracts a password
+  in a number of guesses linear in ``length x alphabet`` on **every**
+  hardware design, secure ones included (hardware cannot see a direct
+  channel);
 * a single ``mitigate`` around the comparison defeats it on all of them;
 * the attack's cost collapse (linear vs exponential guessing) is reported,
   which is why the channel matters at all.
@@ -15,14 +17,29 @@ count -- are the language level's job.  This bench quantifies that split:
 
 import random
 
+from repro.adversary import prefix_crack, run_in_process
 from repro.apps.password import PasswordChecker
-from repro.attacks.prefix_attack import recover_password
 
 from _report import Report
 
 LENGTH = 6
 ALPHABET = 16
 DESIGNS = ("nopar", "nofill", "partitioned")
+
+
+def _crack(checker, secret, hardware):
+    """The engine's prefix crack against ``checker``, observing the
+    public ``done`` update; returns the findings and the guess count."""
+    times = []
+
+    def measure(args):
+        result = checker.run(secret, args["guess"], hardware=hardware)
+        times.append(next(e.time for e in result.events
+                          if e.name == "done"))
+        return times[-1]
+
+    strategy = prefix_crack(LENGTH, ALPHABET, lambda guess: {"guess": guess})
+    return run_in_process(strategy, measure), len(times)
 
 
 def _build_report():
@@ -39,19 +56,18 @@ def _build_report():
     rows = []
     unmit_ok = {}
     mit_ok = {}
+    guesses = {}
     for hw in DESIGNS:
-        u = recover_password(unmitigated, secret, alphabet=ALPHABET,
-                             hardware=hw)
-        m = recover_password(mitigated, secret, alphabet=ALPHABET,
-                             hardware=hw)
-        unmit_ok[hw] = u.succeeded
-        mit_ok[hw] = m.succeeded
+        u, guesses[hw] = _crack(unmitigated, secret, hw)
+        m, _ = _crack(mitigated, secret, hw)
+        unmit_ok[hw] = u.recovered == secret
+        mit_ok[hw] = m.recovered == secret
         rows.append((
             hw,
-            f"recovered in {u.guesses_used} guesses" if u.succeeded
+            f"recovered in {guesses[hw]} guesses" if unmit_ok[hw]
             else "failed",
-            f"{m.correct_prefix}/{LENGTH} positions"
-            + (" (defeated)" if not m.succeeded else ""),
+            f"{m.extracted}/{LENGTH} positions"
+            + (" (defeated)" if not mit_ok[hw] else ""),
         ))
     report.table(("hardware", "unmitigated checker", "mitigated checker"),
                  rows)
@@ -70,7 +86,7 @@ def _build_report():
     )
     report.line()
     report.line(
-        f"attack economics: {LENGTH * ALPHABET} timed guesses vs "
+        f"attack economics: {max(guesses.values())} timed guesses vs "
         f"{ALPHABET ** LENGTH:,} blind ones -- the exponential-to-linear "
         "collapse timing channels buy an attacker."
     )
@@ -78,6 +94,6 @@ def _build_report():
     return attack_universal and defense_universal
 
 
-def test_password_prefix_attack(benchmark):
+def test_password_attack(benchmark):
     ok = benchmark.pedantic(_build_report, rounds=1, iterations=1)
     assert ok

@@ -32,6 +32,7 @@ from .engine import (
     ContentionSource,
     Probe,
     ProbeSource,
+    run_in_process,
     worker_seed,
 )
 from .registry import (
@@ -62,6 +63,7 @@ __all__ = [
     "render_campaign",
     "run_campaign",
     "run_cell",
+    "run_in_process",
     "tag_forge",
     "worker_seed",
 ]

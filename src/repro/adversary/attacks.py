@@ -3,15 +3,18 @@
 Each strategy is a generator following the :data:`~.engine.Strategy`
 protocol -- yield a batch of :class:`~.engine.Probe` descriptors, receive
 ``{key: [times]}`` back, finish by returning :class:`AttackFindings`.
-They re-home the repo's in-process attack entry points onto the served
-system:
+The same strategy runs through the gateway
+(:class:`~.engine.ProbeSource`) or against an in-process victim
+(:func:`~.engine.run_in_process`):
 
-* :func:`password_crack` generalizes
-  ``repro.attacks.prefix_attack.recover_password`` -- per-character
-  recovery against the early-exit compare, upgraded to the DorFerenc
-  two-stage shape: a *quick rank* of every symbol from one cheap sample
-  each, then a *verify* pass that re-measures only the promoted
-  candidates with median-of-N and distinct suffix fillers;
+* :func:`prefix_crack` is the adaptive prefix attack on the early-exit
+  compare (Sec. 2.1) in the DorFerenc two-stage shape: a *quick rank*
+  of every symbol from one cheap sample each, then a *verify* pass that
+  re-measures only the promoted candidates with median-of-N and
+  distinct suffix fillers.  A full crack with the default ``quick_top``
+  takes ``length x (alphabet + 3 x verify_repeats)`` probes plus one
+  confirmation batch: linear where blind guessing is exponential;
+* :func:`password_crack` runs it against the password tenant;
 * :func:`tag_forge` is the oscar230 hex sweep -- the same prefix crack
   over the 16-symbol nibble alphabet of a keyed-hash tag, forging a
   valid tag for a message the adversary chose;
@@ -92,7 +95,15 @@ def prefix_crack(
     payloads -- whose Welch verdict becomes the findings' ``evidence``:
     the statistical claim that the channel exists, free of the verify
     pass's filler variation.
+
+    Raises ``ValueError`` at the first ``next()`` when ``alphabet < 2``
+    or ``verify_repeats < 1``.
     """
+    if alphabet < 2:
+        raise ValueError(f"alphabet must have >= 2 symbols, got {alphabet}")
+    if verify_repeats < 1:
+        raise ValueError(f"verify_repeats must be >= 1 sample per "
+                         f"candidate, got {verify_repeats}")
     recovered: List[int] = []
     extracted = 0
     evidence: Optional[AdvantageResult] = None

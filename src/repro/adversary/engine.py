@@ -1,4 +1,4 @@
-"""The concurrent measurement engine: adversary clients inside the gateway.
+"""The measurement engine: adversary strategies against a timing oracle.
 
 The related repos' over-the-wire attacks (ROADMAP: DorFerenc's threaded
 ``attack.py``, oscar230's ``program.py``) share one measurement shape: a
@@ -14,7 +14,10 @@ loop, via the request-source seam (``Gateway(spec, source=...)``):
   workers, interleaved with the spec's ordinary background load;
 * :class:`ContentionSource` runs the cross-tenant contention probe: one
   set of clients modulates a victim tenant's load in timed phases while a
-  receiver client on another tenant measures its own latency shift.
+  receiver client on another tenant measures its own latency shift;
+* :func:`run_in_process` drives the same strategies against an
+  in-process oracle -- a function from probe arguments to one measured
+  time -- with no gateway, no background load and no warm-up.
 
 Adversary requests live in their own id space (:data:`ADVERSARY_ID_BASE`)
 so they can never collide with the background generator's ids, and every
@@ -28,7 +31,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from zlib import crc32
 
 from ..service.handlers import Handler, Payload
@@ -69,6 +72,27 @@ class Probe:
 #: The strategy protocol: yield probe batches, receive ``{key: [times]}``,
 #: return findings (any object) via StopIteration.
 Strategy = Generator[List[Probe], Dict[Any, List[int]], Any]
+
+
+def run_in_process(strategy: Strategy,
+                   measure: Callable[[Dict[str, Any]], int]) -> Any:
+    """Drive ``strategy`` to completion against an in-process oracle.
+
+    Each probe's ``args`` is measured ``repeats`` times with
+    ``measure(args)``, in batch order; the strategy's findings are
+    returned.
+    """
+    try:
+        batch = next(strategy)
+        while True:
+            results: Dict[Any, List[int]] = {}
+            for probe in batch:
+                results.setdefault(probe.key, []).extend(
+                    measure(probe.args) for _ in range(probe.repeats)
+                )
+            batch = strategy.send(results)
+    except StopIteration as stop:
+        return stop.value
 
 
 class ProbeSource:

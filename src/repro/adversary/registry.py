@@ -34,6 +34,10 @@ static Theorem 2 budget is therefore zero bits (no mitigate sites means
 ``K = 0``), which is exactly the claim under test: fifo lets the
 adversary extract bits it was never budgeted, the quantized release
 policy does not.
+
+A probe attack's strategy is not tied to the gateway:
+:func:`~.engine.run_in_process` drives the same generator against an
+in-process victim, which is how the offline password benchmark runs it.
 """
 
 from __future__ import annotations
@@ -68,9 +72,6 @@ class AttackSpec:
     kind: str
     #: The handler app the victim tenant runs.
     target_app: str
-    #: The in-process ``attacks/`` entry point this adversary re-homes
-    #: onto the served system.
-    rehomes: str
     #: Policies expected to hold the attack at/below the victim's budget.
     #: A policy *not* listed here is expected to leak (fifo/rr for the
     #: unmitigated victims) -- the campaign's positive control.
@@ -234,7 +235,6 @@ def _default_registry() -> AttackRegistry:
                 "candidates with median-of-N",
         kind="probe",
         target_app="password",
-        rehomes="repro.attacks.prefix_attack.recover_password",
         defeated_by=frozenset({"quantized"}),
         metric="observable",
         client_counts=(1, 4),
@@ -249,7 +249,6 @@ def _default_registry() -> AttackRegistry:
                 "language-level defense holds under every policy",
         kind="probe",
         target_app="password",
-        rehomes="repro.attacks.prefix_attack.recover_password",
         defeated_by=frozenset({"fifo", "rr", "quantized"}),
         metric="observable",
         client_counts=(4,),
@@ -264,8 +263,6 @@ def _default_registry() -> AttackRegistry:
                 "nibble through the early-exit compare",
         kind="probe",
         target_app="tag",
-        rehomes="repro.attacks.prefix_attack.recover_password "
-                "(16-symbol nibble alphabet)",
         defeated_by=frozenset({"quantized"}),
         metric="observable",
         client_counts=(1, 4),
@@ -280,8 +277,6 @@ def _default_registry() -> AttackRegistry:
                 "timed phases, read the other tenant's queue wait",
         kind="contention",
         target_app="password",
-        rehomes="repro.attacks.distinguisher.advantage "
-                "(cross-tenant latency classes)",
         defeated_by=frozenset({"quantized"}),
         metric="latency",
         client_counts=(2,),

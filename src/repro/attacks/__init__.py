@@ -15,7 +15,6 @@ from .distinguisher import (
     username_probe,
     welch_t,
 )
-from .prefix_attack import PrefixAttackResult, recover_password
 from .sbox_attack import SboxAttackResult, recover_key_byte
 from .rsa_attack import (
     AttackOutcome,
@@ -29,7 +28,6 @@ __all__ = [
     "AdvantageResult",
     "AttackOutcome",
     "ProbeResult",
-    "PrefixAttackResult",
     "SboxAttackResult",
     "ThresholdResult",
     "WeightModel",
@@ -47,7 +45,6 @@ __all__ = [
     "probe",
     "probe_distinguishes",
     "recover_key_byte",
-    "recover_password",
     "threshold_classifier",
     "username_probe",
     "welch_t",

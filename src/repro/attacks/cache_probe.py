@@ -18,11 +18,10 @@ bottom state only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..machine.layout import AccessTrace
 from ..hardware.interface import MachineEnvironment, StepKind
-from ..telemetry.recorder import TraceRecorder
 
 
 @dataclass
@@ -41,17 +40,12 @@ def probe(
     environment: MachineEnvironment,
     addresses: Sequence[int],
     probe_instruction: int = 0x7FFF_0000,
-    recorder: Optional[TraceRecorder] = None,
-    attack: str = "cache_probe",
 ) -> ProbeResult:
     """Time a public access to each address on (a clone of) the environment.
 
     Each probe runs against its own clone so probes do not disturb each
-    other -- the attacker's strongest (simultaneous) variant.  ``recorder``
-    receives one ``attack_sample`` per probed address (the access cost the
-    adversary timed), tagged with ``attack``.
+    other -- the attacker's strongest (simultaneous) variant.
     """
-    observing = recorder is not None
     lattice = environment.lattice
     bottom = lattice.bottom
     costs = []
@@ -66,8 +60,6 @@ def probe(
             bottom,
         )
         costs.append(cost)
-        if observing:
-            recorder.on_attack_sample(attack, f"addr{address:#x}", cost)
     return ProbeResult(addresses=tuple(addresses), costs=tuple(costs))
 
 

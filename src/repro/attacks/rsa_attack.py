@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..apps.rsa import RsaSystem
 from ..apps.rsa_math import RsaKey, encrypt_blocks
-from ..telemetry.recorder import TraceRecorder
 from .distinguisher import pearson_correlation
 
 
@@ -66,25 +65,13 @@ def measure_key_times(
     message: List[int],
     hardware: str = "partitioned",
     params=None,
-    recorder: Optional[TraceRecorder] = None,
 ) -> List[int]:
-    """Decryption time of one shared message under each key.
-
-    ``recorder`` observes every decryption and receives one
-    ``attack_sample`` per key: the total time the adversary measured.
-    """
-    observing = recorder is not None
+    """Decryption time of one shared message under each key."""
     times = []
-    for index, key in enumerate(keys):
+    for key in keys:
         cipher = encrypt_blocks(message, key)
-        result = system.run(key, cipher, hardware=hardware, params=params,
-                            recorder=recorder)
+        result = system.run(key, cipher, hardware=hardware, params=params)
         times.append(result.time)
-        if observing:
-            recorder.on_attack_sample(
-                "rsa", f"key{index}.weight{key.hamming_weight()}",
-                result.time,
-            )
     return times
 
 
@@ -115,38 +102,23 @@ def hamming_weight_attack(
     message: List[int],
     hardware: str = "partitioned",
     params=None,
-    recorder: Optional[TraceRecorder] = None,
 ) -> AttackOutcome:
     """Calibrate on known keys, then recover the target key's weight.
 
     On an unmitigated system the recovered weight is essentially exact; on
     a mitigated one the calibration line is flat and recovery fails.
-    ``recorder`` observes every measurement and receives the fitted
-    model's slope/correlation and the recovery error as ``attack_stat``
-    records.
     """
     cal_times = measure_key_times(
         system, calibration_keys, message, hardware=hardware, params=params,
-        recorder=recorder,
     )
     model = fit_weight_model(
         [k.hamming_weight() for k in calibration_keys], cal_times
     )
     target_time = measure_key_times(
         system, [target_key], message, hardware=hardware, params=params,
-        recorder=recorder,
     )[0]
-    recovered = model.predict_weight(target_time)
-    outcome = AttackOutcome(
+    return AttackOutcome(
         true_weight=target_key.hamming_weight(),
-        recovered_weight=recovered,
+        recovered_weight=model.predict_weight(target_time),
         model=model,
     )
-    if recorder is not None:
-        recorder.on_attack_stat("rsa", "slope", model.slope)
-        recorder.on_attack_stat("rsa", "correlation", model.correlation)
-        if recovered == recovered:  # skip the NaN of a flat model
-            recorder.on_attack_stat("rsa", "recovered_weight", recovered)
-        recorder.on_attack_stat("rsa", "true_weight", outcome.true_weight)
-        recorder.on_attack_stat("rsa", "succeeded", int(outcome.succeeded()))
-    return outcome

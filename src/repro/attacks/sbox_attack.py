@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence, Set
 from ..apps.sbox_cipher import KEY_LENGTH, SBOX_SIZE, SboxCipher
 from ..machine.layout import WORD_BYTES, Layout
 from ..hardware import MachineParams
-from ..telemetry.recorder import TraceRecorder
 from .cache_probe import probe
 
 
@@ -84,18 +83,14 @@ def recover_key_byte(
     hardware: str = "nopar",
     params: Optional[MachineParams] = None,
     block_bytes: int = 32,
-    recorder: Optional[TraceRecorder] = None,
 ) -> SboxAttackResult:
     """Recover ``key[byte_index]`` by prime-and-probe over the S-box lines.
 
     ``cipher`` should encrypt a single byte at position ``byte_index``
     (``length = byte_index + 1`` works); each chosen plaintext byte drives
     one victim run on a fresh environment, after which the attacker times a
-    public read of every S-box block.  ``recorder`` observes every victim
-    run, receives one ``attack_sample`` per probed block, and summary
-    ``attack_stat`` records (probes, surviving candidates, bits learned).
+    public read of every S-box block.
     """
-    observing = recorder is not None
     candidates: Set[int] = set(range(SBOX_SIZE))
     probes = 0
     plaintext_template = [0] * cipher.plaintext_length
@@ -110,10 +105,9 @@ def recover_key_byte(
         plaintext = list(plaintext_template)
         plaintext[byte_index % cipher.plaintext_length] = p % SBOX_SIZE
         result = cipher.run(list(key), plaintext, hardware=hardware,
-                            params=params, recorder=recorder)
+                            params=params)
         probes += 1
-        costs = probe(result.environment, blocks, recorder=recorder,
-                      attack="sbox").costs
+        costs = probe(result.environment, blocks).costs
         fast = min(costs)
         slow = max(costs)
         if fast == slow:
@@ -127,16 +121,8 @@ def recover_key_byte(
         if len(candidates) <= 1:
             break
 
-    outcome = SboxAttackResult(
+    return SboxAttackResult(
         candidates=candidates,
         true_byte=key[byte_index % KEY_LENGTH] % SBOX_SIZE,
         probes_used=probes,
     )
-    if observing:
-        recorder.on_attack_stat("sbox", "probes", outcome.probes_used)
-        recorder.on_attack_stat("sbox", "candidates",
-                                len(outcome.candidates))
-        recorder.on_attack_stat("sbox", "bits_learned",
-                                outcome.bits_learned())
-        recorder.on_attack_stat("sbox", "recovered", int(outcome.recovered))
-    return outcome

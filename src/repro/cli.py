@@ -1050,8 +1050,7 @@ def cmd_attack(args) -> int:
             print(f"{spec.name:26s} target={spec.target_app} "
                   f"metric={spec.metric} defeated-by={defeated}")
             print(f"    {spec.summary}")
-            print(f"    re-homes {spec.rehomes}; "
-                  f"client pools {spec.client_counts}")
+            print(f"    client pools {spec.client_counts}")
         return 0
 
     try:

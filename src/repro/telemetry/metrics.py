@@ -94,13 +94,10 @@ class MetricsRegistry:
         return sites
 
     def attack_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-attack sample counts and distinguisher statistics, from the
-        ``attack.<name>.*`` counters and gauges."""
+        """Per-attack distinguisher statistics, from the
+        ``attack.<name>.<stat>`` gauges (the gateway's leakage audit
+        writes ``attack.service.*.advantage``)."""
         attacks: Dict[str, Dict[str, Any]] = {}
-        for name, value in self.counters.items():
-            if name.startswith("attack.") and name.endswith(".samples"):
-                attack = name[len("attack."):-len(".samples")]
-                attacks.setdefault(attack, {"stats": {}})["samples"] = value
         for name, value in self.gauges.items():
             if name.startswith("attack."):
                 attack, stat = name[len("attack."):].split(".", 1)

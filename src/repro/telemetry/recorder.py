@@ -6,7 +6,7 @@ resolved for it, every ``sleep``, every per-level ``Miss`` transition of
 the mitigation runtime, every completed ``mitigate`` block with its
 padding, and every request the gateway serves.  Recorders are strictly
 passive.  ``None`` is the only "off" value: the interpreter, the mitigation
-runtime, the hardware models, the gateway and the attacks check
+runtime, the hardware models and the gateway check
 ``recorder is not None`` (the hardware: ``hw is not None``) once per site
 before doing *any* recording work, so an unobserved run pays one identity
 check and recording can never perturb costs, state, or events (the
@@ -20,8 +20,6 @@ The hooks mirror the layers of the full semantics:
 * :meth:`on_mitigate_enter` / :meth:`on_miss_update` /
   :meth:`on_mitigation` -- the Fig. 6 runtime (epoch boundaries,
   ``Miss[l]`` increments, prediction settling, padding);
-* :meth:`on_attack_sample` / :meth:`on_attack_stat` -- the adversaries in
-  :mod:`repro.attacks` observing timing and computing distinguishers;
 * :meth:`on_serve_start` / :meth:`on_request` / :meth:`on_serve_end` --
   the gateway (:mod:`repro.service.gateway`) serving a workload;
 * :meth:`on_finish` -- the run completed with a final
@@ -109,17 +107,6 @@ class TraceRecorder:
         and was padded to ``padded`` (``padded - elapsed`` pure padding);
         ``misses`` is ``Miss[level]`` after settling, which took
         ``wall_ns`` of host time."""
-
-    # -- adversary hooks -----------------------------------------------------
-
-    def on_attack_sample(self, attack: str, probe: str, time: int) -> None:
-        """An adversary (:mod:`repro.attacks`) observed one timing sample
-        ``time`` for probe ``probe`` (e.g. ``pos2.sym7`` for a password
-        guess, a block address for a cache probe)."""
-
-    def on_attack_stat(self, attack: str, stat: str, value) -> None:
-        """An attack computed one distinguisher statistic (threshold
-        accuracy, fitted slope/correlation, candidates remaining, ...)."""
 
     # -- gateway hooks -------------------------------------------------------
 
@@ -261,17 +248,6 @@ class RecordingTraceRecorder(TraceRecorder):
             self.meter.observe(
                 mit_id, level, estimate, padded, pc_label
             )
-
-    # -- adversary hooks ------------------------------------------------------
-
-    def on_attack_sample(self, attack: str, probe: str, time: int) -> None:
-        for reg in self._registries:
-            reg.inc(f"attack.{attack}.samples")
-            reg.append_series(f"attack_times.{attack}", time)
-
-    def on_attack_stat(self, attack: str, stat: str, value) -> None:
-        for reg in self._registries:
-            reg.set_gauge(f"attack.{attack}.{stat}", value)
 
 
 class TeeRecorder(TraceRecorder):

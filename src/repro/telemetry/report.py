@@ -327,26 +327,6 @@ def _journal_report(records: List[Dict[str, Any]]) -> Tuple[List[str], bool]:
     else:
         lines.append("  (no mispredictions recorded)")
 
-    samples: Dict[str, int] = {}
-    stats: Dict[str, Dict[str, Any]] = {}
-    for record in records:
-        if record.get("type") == "attack_sample":
-            samples[record["attack"]] = samples.get(record["attack"], 0) + 1
-        elif record.get("type") == "attack_stat":
-            stats.setdefault(record["attack"], {})[record["stat"]] = (
-                record["value"]
-            )
-    if samples or stats:
-        lines.append("")
-        lines.append("adversary activity:")
-        for attack in sorted(set(samples) | set(stats)):
-            shown = ", ".join(
-                f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in sorted(stats.get(attack, {}).items())
-            )
-            lines.append(f"  {attack}: {samples.get(attack, 0)} timing "
-                         f"sample(s){'; ' + shown if shown else ''}")
-
     lines.append("")
     lines.append("leakage verdict: n/a (journals carry the raw stream; "
                  "run with --metrics-out for the Theorem 2 account)")

@@ -396,23 +396,3 @@ class SpanRecorder(TraceRecorder):
                                   span.start + elapsed, span)
             self._close_span(pad, end_time)
         self._close_span(span, end_time)
-
-    # -- adversary hooks -----------------------------------------------------
-
-    def on_attack_sample(self, attack: str, probe: str, time: int) -> None:
-        if self.journal is not None:
-            self.journal.emit({
-                "type": "attack_sample",
-                "attack": attack,
-                "probe": probe,
-                "time": time,
-            })
-
-    def on_attack_stat(self, attack: str, stat: str, value) -> None:
-        if self.journal is not None:
-            self.journal.emit({
-                "type": "attack_stat",
-                "attack": attack,
-                "stat": stat,
-                "value": value,
-            })

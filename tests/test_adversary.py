@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -18,31 +19,18 @@ from repro.adversary import (
     analyze_contention,
     cell_seed,
     password_crack,
+    prefix_crack,
     render_campaign,
     run_campaign,
     run_cell,
+    run_in_process,
     tag_forge,
     worker_seed,
 )
 from repro.adversary.engine import ADVERSARY_ID_BASE
 from repro.service.gateway import Gateway
+from repro.service.handlers import Payload
 from repro.service.workload import WorkloadSpec
-
-
-def drive(strategy, oracle):
-    """Run a strategy generator against a synthetic timing oracle."""
-    batch = next(strategy)
-    while True:
-        results = {}
-        for probe in batch:
-            if probe.key is None:
-                continue
-            values = [oracle(probe.args) for _ in range(probe.repeats)]
-            results.setdefault(probe.key, []).extend(values)
-        try:
-            batch = strategy.send(results)
-        except StopIteration as stop:
-            return stop.value
 
 
 def early_exit_oracle(secret, base=100, step=16):
@@ -108,7 +96,7 @@ class TestRegistry:
         with pytest.raises(AttackRegistryError, match="strategy"):
             registry.register(AttackSpec(
                 name="x", summary="", kind="probe", target_app="password",
-                rehomes="", defeated_by=frozenset(), metric="observable",
+                defeated_by=frozenset(), metric="observable",
                 client_counts=(1,), workload=dict,
             ))
 
@@ -117,7 +105,7 @@ class TestRegistry:
         with pytest.raises(AttackRegistryError, match="phase parameters"):
             registry.register(AttackSpec(
                 name="x", summary="", kind="contention",
-                target_app="password", rehomes="", defeated_by=frozenset(),
+                target_app="password", defeated_by=frozenset(),
                 metric="latency", client_counts=(2,), workload=dict,
             ))
 
@@ -126,7 +114,7 @@ class TestRegistry:
         with pytest.raises(AttackRegistryError, match="kind"):
             registry.register(AttackSpec(
                 name="x", summary="", kind="social", target_app="password",
-                rehomes="", defeated_by=frozenset(), metric="observable",
+                defeated_by=frozenset(), metric="observable",
                 client_counts=(1,), workload=dict,
             ))
 
@@ -135,7 +123,7 @@ class TestStrategies:
     def test_password_crack_recovers_against_leaky_oracle(self):
         secret = [2, 1, 3, 0]
         strategy = password_crack({"length": 4, "alphabet": 4}, None)
-        findings = drive(strategy, early_exit_oracle(secret))
+        findings = run_in_process(strategy, early_exit_oracle(secret))
         assert findings.recovered == secret
         assert findings.extracted == 4
         assert findings.bits_extracted == pytest.approx(4 * math.log2(4))
@@ -144,7 +132,7 @@ class TestStrategies:
 
     def test_password_crack_extracts_nothing_from_flat_oracle(self):
         strategy = password_crack({"length": 4, "alphabet": 4}, None)
-        findings = drive(strategy, lambda args: 4096)
+        findings = run_in_process(strategy, lambda args: 4096)
         assert findings.recovered == []
         assert findings.extracted == 0
         assert findings.bits_extracted == 0.0
@@ -156,10 +144,76 @@ class TestStrategies:
         strategy = tag_forge(
             {"nibbles": 3, "message_len": 4}, random.Random(5)
         )
-        findings = drive(strategy, early_exit_oracle(target))
+        findings = run_in_process(strategy, early_exit_oracle(target))
         assert findings.recovered == target
         assert findings.bits_extracted == pytest.approx(3 * 4)
         assert len(findings.extra["message"]) == 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"alphabet": 1}, "alphabet must have >= 2 symbols, got 1"),
+        ({"alphabet": 4, "verify_repeats": 0},
+         "verify_repeats must be >= 1 sample per candidate, got 0"),
+    ])
+    def test_prefix_crack_rejects_degenerate_inputs(self, kwargs, message):
+        strategy = prefix_crack(4, make_args=dict, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            next(strategy)
+
+
+class TestRunInProcess:
+    def test_measures_each_probe_repeats_times_and_returns_findings(self):
+        def toy():
+            first = yield [Probe(key="a", args={"x": 1}, repeats=3),
+                           Probe(key="b", args={"x": 2})]
+            second = yield [Probe(key="c", args={"x": 5}, repeats=2)]
+            return first, second
+
+        calls = []
+
+        def measure(args):
+            calls.append(args["x"])
+            return 10 * args["x"] + len(calls)
+
+        first, second = run_in_process(toy(), measure)
+        assert first == {"a": [11, 12, 13], "b": [24]}
+        assert second == {"c": [55, 56]}
+        assert calls == [1, 1, 1, 2, 5, 5]
+
+    #: The quick campaign's fifo cell at seed 0: what the gateway
+    #: adversary extracts, position by position.
+    FIFO_EXTRACTED = {"password-crack": 4, "tag-forge": 5,
+                      "password-crack-mitigated": 0}
+
+    @pytest.mark.parametrize("name", sorted(FIFO_EXTRACTED))
+    def test_in_process_oracle_agrees_with_the_gateway(self, name):
+        # Build the cell's victim exactly as run_cell does, then run the
+        # same strategy against the handler directly: under fifo the
+        # gateway's observable is the handler's service time.
+        spec = REGISTRY.get(name)
+        clients = spec.client_counts[0]
+        derived = cell_seed(0, name, "fifo", clients)
+        workload = spec.workload()
+        workload.update(policy="fifo", seed=derived, quantum=4096)
+        wspec = WorkloadSpec.from_dict(workload)
+        gateway = Gateway(wspec)
+        handler = gateway.handlers[spec.victim]
+        state = gateway.states[spec.victim]
+        strategy = spec.strategy(
+            spec.profile(handler),
+            random.Random(worker_seed(derived, "strategy")), 3,
+        )
+        findings = run_in_process(
+            strategy,
+            lambda args: handler.run(Payload(args, None), state, None,
+                                     wspec.hardware).time,
+        )
+        cell = run_cell(spec, "fifo", clients, seed=0)
+        assert findings.recovered == cell.recovered
+        assert findings.extracted == cell.extracted
+        assert cell.extracted == self.FIFO_EXTRACTED[name]
+        if cell.extracted:
+            assert findings.recovered == spec.truth(handler,
+                                                    findings.extra)
 
 
 class TestAnalyzeContention:

@@ -4,14 +4,34 @@ import random
 
 import pytest
 
+from repro.adversary import prefix_crack, run_in_process
 from repro.apps.password import PasswordChecker
-from repro.attacks.prefix_attack import recover_password
 from repro.semantics import MitigationState
 from repro.typesystem import TypingError, typecheck
 
 LENGTH = 5
 ALPHABET = 8
 SECRET = [3, 7, 1, 0, 5]
+#: The crack's probe count: per position, one quick sample per symbol and
+#: three verify samples for each of three promoted candidates; plus the
+#: first position's 2 x 3 confirmation batch.
+PROBES = LENGTH * (ALPHABET + 9) + 6
+
+
+def crack(checker, hardware):
+    """Run the engine's prefix crack against ``checker`` in process,
+    observing the public ``done`` update; returns the findings and the
+    number of victim runs."""
+    times = []
+
+    def measure(args):
+        result = checker.run(SECRET, args["guess"], hardware=hardware)
+        times.append(next(e.time for e in result.events
+                          if e.name == "done"))
+        return times[-1]
+
+    strategy = prefix_crack(LENGTH, ALPHABET, lambda guess: {"guess": guess})
+    return run_in_process(strategy, measure), len(times)
 
 
 @pytest.fixture(scope="module")
@@ -74,23 +94,22 @@ class TestAdaptiveAttack:
     def test_attack_succeeds_everywhere_unmitigated(self, unmitigated,
                                                     hardware):
         # A direct channel: the paper's secure hardware does NOT stop it.
-        result = recover_password(unmitigated, SECRET, alphabet=ALPHABET,
-                                  hardware=hardware)
-        assert result.succeeded
-        assert result.guesses_used == LENGTH * ALPHABET
+        findings, probes = crack(unmitigated, hardware)
+        assert findings.recovered == SECRET
+        assert findings.extracted == LENGTH
+        assert probes == PROBES
 
     def test_attack_is_linear_not_exponential(self, unmitigated):
-        result = recover_password(unmitigated, SECRET, alphabet=ALPHABET,
-                                  hardware="null")
-        assert result.guesses_used == LENGTH * ALPHABET
-        assert result.guesses_used < ALPHABET ** LENGTH
+        _, probes = crack(unmitigated, "null")
+        assert probes == PROBES == 91
+        assert probes < ALPHABET ** LENGTH
 
     def test_mitigation_defeats_the_attack(self, mitigated):
-        result = recover_password(mitigated, SECRET, alphabet=ALPHABET,
-                                  hardware="partitioned")
-        assert not result.succeeded
-        # The recovered string is essentially unrelated to the secret.
-        assert result.correct_prefix <= 1
+        findings, _ = crack(mitigated, "partitioned")
+        # Every guess takes the padded duration: the strict-signal gate
+        # refuses even the first position.
+        assert findings.recovered == []
+        assert findings.extracted == 0
 
     def test_mitigated_response_time_flat(self, mitigated):
         rng = random.Random(0)

@@ -243,82 +243,3 @@ class TestCacheProbe:
         for addr in eviction_set(victim, sets=4, block_bytes=16, ways=2):
             cache.touch(addr)
         assert not cache.lookup(victim)
-
-
-class TestAttackTelemetry:
-    """Every attack entry point threads an optional recorder: per-guess
-    timing samples plus end-of-attack distinguisher statistics."""
-
-    def test_probe_emits_per_address_samples(self):
-        from repro.telemetry import RecordingTraceRecorder
-
-        env = StandardHardware(LAT, tiny_machine())
-        recorder = RecordingTraceRecorder()
-        probe(env, [DATA, DATA + 64, DATA + 128], recorder=recorder)
-        attacks = recorder.registry.attack_summary()
-        assert attacks["cache_probe"]["samples"] == 3
-
-    def test_probe_without_recorder_unchanged(self):
-        from repro.telemetry import RecordingTraceRecorder
-
-        env = StandardHardware(LAT, tiny_machine())
-        bare = probe(env, [DATA, DATA + 64])
-        recorded = probe(env, [DATA, DATA + 64],
-                         recorder=RecordingTraceRecorder())
-        assert bare.costs == recorded.costs
-
-    def test_prefix_attack_records_guesses_and_stats(self):
-        from repro.apps.password import PasswordChecker
-        from repro.attacks.prefix_attack import recover_password
-        from repro.telemetry import RecordingTraceRecorder
-
-        checker = PasswordChecker(length=2, mitigated=False)
-        recorder = RecordingTraceRecorder()
-        result = recover_password(checker, [3, 1], alphabet=4,
-                                  hardware="null", recorder=recorder)
-        assert result.succeeded
-        attacks = recorder.registry.attack_summary()
-        prefix = attacks["prefix"]
-        assert prefix["samples"] == result.guesses_used
-        assert prefix["stats"]["guesses"] == result.guesses_used
-        assert prefix["stats"]["succeeded"] == 1
-        # Victim executions were recorded too, one run per guess.
-        assert recorder.registry.counter("runs") == result.guesses_used
-
-    def test_rsa_attack_records_model_stats(self):
-        from repro.apps.rsa import RsaSystem
-        from repro.apps.rsa_math import generate_keypair
-        from repro.attacks.rsa_attack import hamming_weight_attack
-        from repro.telemetry import RecordingTraceRecorder
-
-        system = RsaSystem(key_bits=16, blocks=1, mitigation_mode="none")
-        keys = [generate_keypair(16, seed=s) for s in range(4)]
-        target = generate_keypair(16, seed=9)
-        recorder = RecordingTraceRecorder()
-        hamming_weight_attack(system, keys, target, [9],
-                              hardware="null", recorder=recorder)
-        attacks = recorder.registry.attack_summary()
-        rsa = attacks["rsa"]
-        assert rsa["samples"] == len(keys) + 1
-        assert "slope" in rsa["stats"]
-        assert rsa["stats"]["true_weight"] == target.hamming_weight()
-
-    def test_sbox_attack_records_probe_sweep(self):
-        import random
-
-        from repro.apps.sbox_cipher import SboxCipher, random_key
-        from repro.attacks.sbox_attack import recover_key_byte
-        from repro.telemetry import RecordingTraceRecorder
-
-        cipher = SboxCipher(length=1, mitigated=True)
-        key = random_key(random.Random(2012))
-        recorder = RecordingTraceRecorder()
-        result = recover_key_byte(cipher, key, [0x00, 0xFF],
-                                  hardware="nopar", recorder=recorder)
-        attacks = recorder.registry.attack_summary()
-        sbox = attacks["sbox"]
-        # One sample per probed S-box block per prime-and-probe round.
-        assert sbox["stats"]["probes"] == result.probes_used
-        assert sbox["samples"] % result.probes_used == 0
-        assert sbox["samples"] > result.probes_used
-        assert sbox["stats"]["bits_learned"] == result.bits_learned()

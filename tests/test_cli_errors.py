@@ -45,8 +45,9 @@ ROWS = [
 
 ARRAYS = ["--gamma", "x=L,a=L"]
 
-#: Programs that fail at run time on the given memory: exit 2 with the
-#: error's own message (unquoted), never a traceback.
+#: Input that fails only once the command runs (a program on the given
+#: memory, a degenerate attack setting): exit 2 with the error's own
+#: message (unquoted), never a traceback.
 RUNTIME_ROWS = [
     (["run", "array_read.tl", *ARRAYS, "--set", "a=1:2"],
      "repro run: array read a[5] out of bounds (length 2)"),
@@ -59,6 +60,9 @@ RUNTIME_ROWS = [
     (["leakage", "array_read.tl", *ARRAYS, "--set", "a=1:2",
       "--secret", "x", "--values", "0..1"],
      "repro leakage: array read a[5] out of bounds (length 2)"),
+    (["attack", "--quick", "--samples", "0"],
+     "repro attack: verify_repeats must be >= 1 sample per candidate, "
+     "got 0"),
 ]
 
 
