@@ -23,7 +23,7 @@ performs the dynamic half::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .hardware import MachineEnvironment, MachineParams, make_hardware
@@ -32,7 +32,7 @@ from .lang.parser import parse
 from .lattice import Label, Lattice, two_point
 from .machine.layout import Layout
 from .machine.memory import Memory, ValueSpec
-from .semantics.full import ExecutionResult, execute
+from .semantics.full import ExecutionResult, Interpreter
 from .semantics.mitigation import MitigationState
 from .telemetry.recorder import TraceRecorder
 from .typesystem.environment import SecurityEnvironment
@@ -56,12 +56,20 @@ def _resolve_gamma(
 
 @dataclass
 class CompiledProgram:
-    """A parsed, label-complete, typechecked program."""
+    """A parsed, label-complete, typechecked program.
+
+    Its first :meth:`run` compiles the program for the run memory's shape
+    and keeps the compiled code; later runs on a memory of that shape reuse
+    it, and a memory of another shape compiles anew.  The program's labels
+    must therefore not change once it has run.
+    """
 
     program: ast.Command
     gamma: SecurityEnvironment
     lattice: Lattice
     typing: TypingInfo
+    _interpreter: Optional[Interpreter] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def run(
         self,
@@ -81,21 +89,29 @@ class CompiledProgram:
         is used as-is (and mutated).  ``recorder`` attaches runtime
         telemetry, a :class:`~repro.telemetry.profiling.Profiler` included
         (see :mod:`repro.telemetry`); omitted, nothing observes the run.
+        A ``layout`` applies to this run only: it is compiled for it.
         """
         if not isinstance(memory, Memory):
             memory = Memory(memory)
         if isinstance(hardware, str):
             hardware = make_hardware(hardware, self.lattice, params)
-        return execute(
-            self.program,
-            memory,
-            hardware,
-            layout=layout,
-            mitigation=mitigation,
-            mitigate_pc=self.typing.mitigate_pc,
-            max_steps=max_steps,
-            recorder=recorder,
-        )
+        interp = self._interpreter
+        if layout is None and interp is not None and interp.fits(memory):
+            interp.bind(memory, hardware, mitigation, max_steps, recorder)
+        else:
+            interp = Interpreter(
+                program=self.program,
+                memory=memory,
+                environment=hardware,
+                layout=layout,
+                mitigation=mitigation,
+                mitigate_pc=self.typing.mitigate_pc,
+                max_steps=max_steps,
+                recorder=recorder,
+            )
+            if layout is None:
+                self._interpreter = interp
+        return interp.run()
 
 
 def compile_program(

@@ -44,13 +44,13 @@ from ..lang.builder import B
 from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
-from ..hardware import MachineParams, make_hardware
-from ..semantics.full import ExecutionResult, execute
+from ..api import compile_program
+from ..hardware import MachineParams
+from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
 from ..typesystem.environment import SecurityEnvironment
-from ..typesystem.inference import infer_labels
-from ..typesystem.typing import TypingInfo, typecheck
+from ..typesystem.typing import TypingInfo
 from .hashing import encode, fnv1a
 
 USERNAME_LENGTH = 8
@@ -74,11 +74,11 @@ class LoginSystem:
     budget: int = 1
 
     def __post_init__(self) -> None:
-        self.program, self.gamma = self._build()
-        infer_labels(self.program, self.gamma)
-        self.typing: Optional[TypingInfo] = None
-        if self.mitigated:
-            self.typing = typecheck(self.program, self.gamma)
+        self.compiled = compile_program(*self._build(), lattice=self.lattice,
+                                        check=self.mitigated)
+        self.program, self.gamma = self.compiled.program, self.compiled.gamma
+        self.typing: Optional[TypingInfo] = (
+            self.compiled.typing if self.mitigated else None)
 
     # -- program construction ----------------------------------------------------
 
@@ -192,19 +192,9 @@ class LoginSystem:
         inflation.  A shared ``recorder`` likewise aggregates telemetry
         across a whole attempt stream.
         """
-        environment = make_hardware(hardware, self.lattice, params)
-        mitigate_pc = self.typing.mitigate_pc if self.typing else {}
-        return execute(
-            self.program,
-            self.memory(credentials, username, password),
-            environment,
-            mitigation=(
-                mitigation if mitigation is not None else MitigationState()
-            ),
-            mitigate_pc=mitigate_pc,
-            max_steps=max_steps,
-            recorder=recorder,
-        )
+        return self.compiled.run(
+            self.memory(credentials, username, password), hardware, params,
+            mitigation, max_steps=max_steps, recorder=recorder)
 
     def calibrate_budget(
         self,

@@ -34,20 +34,20 @@ The program::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..lang import ast
 from ..lang.builder import B
 from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
-from ..hardware import MachineParams, make_hardware
-from ..semantics.full import ExecutionResult, execute
+from ..api import compile_program
+from ..hardware import MachineParams
+from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
 from ..typesystem.environment import SecurityEnvironment
-from ..typesystem.inference import infer_labels
-from ..typesystem.typing import TypingInfo, typecheck
+from ..typesystem.typing import TypingInfo
 
 
 @dataclass
@@ -60,11 +60,11 @@ class PasswordChecker:
     budget: int = 1
 
     def __post_init__(self) -> None:
-        self.program, self.gamma = self._build()
-        infer_labels(self.program, self.gamma)
-        self.typing: Optional[TypingInfo] = None
-        if self.mitigated:
-            self.typing = typecheck(self.program, self.gamma)
+        self.compiled = compile_program(*self._build(), lattice=self.lattice,
+                                        check=self.mitigated)
+        self.program, self.gamma = self.compiled.program, self.compiled.gamma
+        self.typing: Optional[TypingInfo] = (
+            self.compiled.typing if self.mitigated else None)
 
     def _build(self) -> Tuple[ast.Command, SecurityEnvironment]:
         lat = self.lattice
@@ -136,18 +136,9 @@ class PasswordChecker:
         max_steps: int = 1_000_000,
         recorder: Optional[TraceRecorder] = None,
     ) -> ExecutionResult:
-        environment = make_hardware(hardware, self.lattice, params)
-        mitigate_pc = self.typing.mitigate_pc if self.typing else {}
-        return execute(
-            self.program,
-            self.memory(stored, guess),
-            environment,
-            mitigation=(mitigation if mitigation is not None
-                        else MitigationState()),
-            mitigate_pc=mitigate_pc,
-            max_steps=max_steps,
-            recorder=recorder,
-        )
+        return self.compiled.run(self.memory(stored, guess), hardware, params,
+                                 mitigation, max_steps=max_steps,
+                                 recorder=recorder)
 
     def matches(self, stored: Sequence[int], guess: Sequence[int]) -> bool:
         """Functional result, via the null machine."""

@@ -58,13 +58,13 @@ from ..lang.builder import B
 from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
-from ..hardware import MachineParams, make_hardware
-from ..semantics.full import ExecutionResult, execute
+from ..api import compile_program
+from ..hardware import MachineParams
+from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
 from ..typesystem.environment import SecurityEnvironment
-from ..typesystem.inference import infer_labels
-from ..typesystem.typing import TypingInfo, typecheck
+from ..typesystem.typing import TypingInfo
 from .rsa_math import RsaKey, decrypt, encrypt_blocks, generate_keypair
 
 MITIGATION_MODES = ("language", "system", "none", "balanced")
@@ -85,11 +85,12 @@ class RsaSystem:
             raise ValueError(
                 f"mitigation_mode must be one of {MITIGATION_MODES}"
             )
-        self.program, self.gamma = self._build()
-        infer_labels(self.program, self.gamma)
-        self.typing: Optional[TypingInfo] = None
-        if self.mitigation_mode == "language":
-            self.typing = typecheck(self.program, self.gamma)
+        checked = self.mitigation_mode == "language"
+        self.compiled = compile_program(*self._build(), lattice=self.lattice,
+                                        check=checked)
+        self.program, self.gamma = self.compiled.program, self.compiled.gamma
+        self.typing: Optional[TypingInfo] = (
+            self.compiled.typing if checked else None)
 
     # -- program construction ------------------------------------------------
 
@@ -205,19 +206,9 @@ class RsaSystem:
         recorder: Optional[TraceRecorder] = None,
     ) -> ExecutionResult:
         """Decrypt one message; ``result.time`` is the decryption time."""
-        environment = make_hardware(hardware, self.lattice, params)
-        mitigate_pc = self.typing.mitigate_pc if self.typing else {}
-        return execute(
-            self.program,
-            self.memory(key, ciphertext),
-            environment,
-            mitigation=(
-                mitigation if mitigation is not None else MitigationState()
-            ),
-            mitigate_pc=mitigate_pc,
-            max_steps=max_steps,
-            recorder=recorder,
-        )
+        return self.compiled.run(self.memory(key, ciphertext), hardware,
+                                 params, mitigation, max_steps=max_steps,
+                                 recorder=recorder)
 
     def decrypt_and_check(
         self,

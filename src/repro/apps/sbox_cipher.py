@@ -47,13 +47,13 @@ from ..lang.builder import B
 from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
-from ..hardware import MachineParams, make_hardware
-from ..semantics.full import ExecutionResult, execute
+from ..api import compile_program
+from ..hardware import MachineParams
+from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
 from ..typesystem.environment import SecurityEnvironment
-from ..typesystem.inference import infer_labels
-from ..typesystem.typing import TypingInfo, typecheck
+from ..typesystem.typing import TypingInfo
 
 SBOX_SIZE = 256
 KEY_LENGTH = 16
@@ -92,11 +92,11 @@ class SboxCipher:
     def __post_init__(self) -> None:
         if len(self.sbox) != SBOX_SIZE:
             raise ValueError(f"sbox must have {SBOX_SIZE} entries")
-        self.program, self.gamma = self._build()
-        infer_labels(self.program, self.gamma)
-        self.typing: Optional[TypingInfo] = None
-        if self.mitigated:
-            self.typing = typecheck(self.program, self.gamma)
+        self.compiled = compile_program(*self._build(), lattice=self.lattice,
+                                        check=self.mitigated)
+        self.program, self.gamma = self.compiled.program, self.compiled.gamma
+        self.typing: Optional[TypingInfo] = (
+            self.compiled.typing if self.mitigated else None)
 
     def _build(self) -> Tuple[ast.Command, SecurityEnvironment]:
         lat = self.lattice
@@ -169,18 +169,9 @@ class SboxCipher:
         max_steps: int = 10_000_000,
         recorder: Optional[TraceRecorder] = None,
     ) -> ExecutionResult:
-        environment = make_hardware(hardware, self.lattice, params)
-        mitigate_pc = self.typing.mitigate_pc if self.typing else {}
-        return execute(
-            self.program,
-            self.memory(key, plaintext),
-            environment,
-            mitigation=(mitigation if mitigation is not None
-                        else MitigationState()),
-            mitigate_pc=mitigate_pc,
-            max_steps=max_steps,
-            recorder=recorder,
-        )
+        return self.compiled.run(self.memory(key, plaintext), hardware,
+                                 params, mitigation, max_steps=max_steps,
+                                 recorder=recorder)
 
     def encrypt_and_check(
         self,

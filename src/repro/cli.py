@@ -324,7 +324,8 @@ def _initial_memory(compiled, args) -> Memory:
 
 
 def _workload(path: str, **overrides):
-    """The workload spec JSON at ``path``, with non-None ``overrides``."""
+    """The workload spec JSON at ``path``, with non-None ``overrides``;
+    its tenants' handler configs are checked by building the handlers."""
     from .service import WorkloadError, WorkloadSpec
 
     try:
@@ -333,6 +334,7 @@ def _workload(path: str, **overrides):
             if value is not None:
                 setattr(spec, name, value)
         spec.validate()
+        spec.build_handlers()
         return spec
     except (ValueError, TypeError, WorkloadError) as err:
         raise CliError(err) from err

@@ -33,21 +33,32 @@ Sequential composition adds no cost of its own (Property 3).
 How a program runs
 ------------------
 
-Each :meth:`Interpreter.run` compiles the program once, in one preorder
-walk, into one closure per labeled command.  Everything static is
-resolved then: labels, instruction and data addresses, operator
-functions, and the store cells expressions read.  A step whose
+An :class:`Interpreter` compiles its program once, at construction, in
+one preorder walk, into one closure per labeled command.  Everything
+static is resolved then: labels, instruction and data addresses,
+operator functions, and the store cells expressions read.  A step whose
 expressions read no array element gets its access trace built at compile
 time (``if``/``while`` get one per branch outcome); only array-touching
 steps assemble a trace as they run.  The run loop pops closures off an
 explicit continuation stack -- a branch pushes the chosen block, a loop
 pushes itself under its body, a ``mitigate`` pushes its exit under its
-body -- so it walks no AST.  Compilation is per run, never cached: label
-inference rewrites labels in place, so a program's labels can change
-between runs.  What cannot be resolved (a missing label, a name the
-layout does not place) compiles to a step that raises only when reached,
-after evaluating the command's expressions (whose own errors come
-first), so an unlabeled dead branch still runs.
+body -- so it walks no AST.  What cannot be resolved (a missing label, a
+name the layout does not place) compiles to a step that raises only when
+reached, after evaluating the command's expressions (whose own errors
+come first), so an unlabeled dead branch still runs.
+
+The compiled code is kept for every run on a memory of the same shape
+(scalar names, array names and array lengths): :meth:`Interpreter.bind`
+points it at the next run's memory, hardware, mitigation state and
+recorder, and each run resets the clock, the events and the mitigation
+records.  The steps read and write stores the interpreter owns; a run
+copies the caller's values in and the final values back out, so the
+caller's memory is still mutated in place.  Label inference rewrites
+labels in place, so reuse is only sound once the labels are fixed
+(:class:`repro.api.CompiledProgram` reuses its interpreter; :func:`execute`
+compiles for one run).  The steps capture the run's state, never the
+interpreter, and a loop refers to itself weakly, so compiled code forms
+no reference cycle: a dropped interpreter is freed at once.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ from functools import partial
 from itertools import repeat
 from time import perf_counter_ns
 from typing import Callable, List, Mapping, Optional, Tuple
+from weakref import ref
 
 from ..lang import ast
 from ..lattice import Label
@@ -102,9 +114,95 @@ class ExecutionResult:
         return self.time
 
 
+class _RunState:
+    """What the compiled steps read and write while a run is in progress:
+    the clock, the run's hardware, mitigation state and recorder, its
+    events and mitigation records, the continuation stack and ``reads``,
+    the one buffer array-touching steps collect their data addresses in.
+
+    The steps capture this state and its bound methods, never the
+    :class:`Interpreter` that owns them, so the compiled code is not
+    reachable from what it captures.
+    """
+
+    __slots__ = ("time", "environment", "mitigation", "recorder", "hw",
+                 "events", "records", "stack", "reads")
+
+    def __init__(self) -> None:
+        self.time = 0
+        self.environment: Optional[MachineEnvironment] = None
+        self.mitigation: Optional[MitigationState] = None
+        self.recorder: Optional[TraceRecorder] = None
+        self.hw = None
+        self.events: List[Event] = []
+        self.records: List[MitigationRecord] = []
+        self.stack: List[Step] = []
+        self.reads: List[int] = []
+
+    def charge(self, kind: StepKind, trace: AccessTrace,
+               read_label: Label, write_label: Label) -> None:
+        """Charge one hardware step and advance the clock: every labeled
+        step but ``sleep`` comes through here, so this is the one place a
+        step checks for a recorder.  Recorded, it hands the step's
+        hardware burst to ``on_step`` and clears it."""
+        recorder = self.recorder
+        if recorder is None:
+            self.time += self.environment.step(kind, trace, read_label,
+                                               write_label)
+            return
+        started = perf_counter_ns()
+        cost = self.environment.step(kind, trace, read_label, write_label)
+        wall_ns = perf_counter_ns() - started
+        self.time += cost
+        hw = self.hw
+        recorder.on_step(kind, cost, self.time, wall_ns, hw)
+        hw.clear()
+
+    def finish_mitigation(self, mit_id: str, level: Label, estimate: int,
+                          start_time: int,
+                          pc_label: Optional[Label]) -> None:
+        """The exit step of a mitigate block (Fig. 6's ``update`` and
+        padding ``sleep``, fused into one step)."""
+        elapsed = self.time - start_time
+        recorder = self.recorder
+        if recorder is None:
+            total = self.mitigation.settle(estimate, level, elapsed)
+        else:
+            started = perf_counter_ns()
+            total = self.mitigation.settle(estimate, level, elapsed)
+            wall_ns = perf_counter_ns() - started
+        # Pad the block to exactly its (possibly just-inflated) prediction.
+        self.time = start_time + total
+        self.records.append(
+            MitigationRecord(
+                mit_id=mit_id,
+                level=level,
+                start_time=start_time,
+                end_time=self.time,
+                pc_label=pc_label,
+            )
+        )
+        if recorder is not None:
+            recorder.on_mitigation(
+                mit_id=mit_id,
+                level=level,
+                estimate=estimate,
+                elapsed=elapsed,
+                padded=total,
+                misses=self.mitigation.misses(level),
+                pc_label=pc_label,
+                end_time=self.time,
+                wall_ns=wall_ns,
+            )
+
+
 @dataclass
 class Interpreter:
     """Executes one program under the full semantics.
+
+    Construction compiles the program for ``memory``'s shape and sets up
+    its first run; :meth:`run` runs it.  :meth:`bind` sets up another run
+    of the same compiled code.
 
     Parameters
     ----------
@@ -142,90 +240,67 @@ class Interpreter:
     def __post_init__(self) -> None:
         if self.layout is None:
             self.layout = Layout.build(self.program, self.memory)
+        self._store = self.memory.copy()
+        self._state = _RunState()
+        self._code = _Compiler(self._state, self._store, self.layout,
+                               self.mitigate_pc).block(self.program)
+        self._attach()
+
+    def fits(self, memory: Memory) -> bool:
+        """Was this interpreter compiled for ``memory``'s shape: the same
+        scalar names, array names and array lengths?"""
+        scalars, arrays = memory.stores()
+        own_scalars, own_arrays = self._store.stores()
+        return (scalars.keys() == own_scalars.keys()
+                and arrays.keys() == own_arrays.keys()
+                and all(len(arrays[name]) == len(cells)
+                        for name, cells in own_arrays.items()))
+
+    def bind(self, memory: Memory, environment: MachineEnvironment,
+             mitigation: Optional[MitigationState], max_steps: int,
+             recorder: Optional[TraceRecorder]) -> None:
+        """Set up the next :meth:`run` of the compiled code on ``memory``,
+        which must :meth:`fit <fits>`; the other arguments are as for the
+        constructor."""
+        self.memory, self.environment = memory, environment
+        self.mitigation, self.max_steps = mitigation, max_steps
+        self.recorder = recorder
+        self._attach()
+
+    def _attach(self) -> None:
         if self.mitigation is None:
             self.mitigation = MitigationState()
         # Thread the run's telemetry through every layer that advances or
         # explains the clock: hardware (one hit/miss burst per step) and the
         # mitigation runtime (Miss[l] transitions).  Always assigned, so an
         # unrecorded run detaches the previous run's.
-        self._hw = defaultdict(int) if self.recorder is not None else None
-        self.environment.attach_hw(self._hw)
+        state = self._state
+        state.hw = defaultdict(int) if self.recorder is not None else None
+        self.environment.attach_hw(state.hw)
         self.mitigation.recorder = self.recorder
-        self.time = 0
-        self.steps = 0
-        self.events: List[Event] = []
-        self.records: List[MitigationRecord] = []
-
-    def _charge(self, kind: StepKind, trace: AccessTrace,
-                read_label: Label, write_label: Label) -> None:
-        """Charge one hardware step and advance the clock: every labeled
-        step but ``sleep`` comes through here, so this is the one place a
-        step checks for a recorder.  Recorded, it hands the step's
-        hardware burst to ``on_step`` and clears it."""
-        recorder = self.recorder
-        if recorder is None:
-            self.time += self.environment.step(kind, trace, read_label,
-                                               write_label)
-            return
-        started = perf_counter_ns()
-        cost = self.environment.step(kind, trace, read_label, write_label)
-        wall_ns = perf_counter_ns() - started
-        self.time += cost
-        hw = self._hw
-        recorder.on_step(kind, cost, self.time, wall_ns, hw)
-        hw.clear()
-
-    def _finish_mitigation(self, mit_id: str, level: Label, estimate: int,
-                           start_time: int,
-                           pc_label: Optional[Label]) -> None:
-        """The exit step of a mitigate block (Fig. 6's ``update`` and
-        padding ``sleep``, fused into one step)."""
-        elapsed = self.time - start_time
-        recorder = self.recorder
-        if recorder is None:
-            total = self.mitigation.settle(estimate, level, elapsed)
-        else:
-            started = perf_counter_ns()
-            total = self.mitigation.settle(estimate, level, elapsed)
-            wall_ns = perf_counter_ns() - started
-        # Pad the block to exactly its (possibly just-inflated) prediction.
-        self.time = start_time + total
-        self.records.append(
-            MitigationRecord(
-                mit_id=mit_id,
-                level=level,
-                start_time=start_time,
-                end_time=self.time,
-                pc_label=pc_label,
-            )
-        )
-        if recorder is not None:
-            recorder.on_mitigation(
-                mit_id=mit_id,
-                level=level,
-                estimate=estimate,
-                elapsed=elapsed,
-                padded=total,
-                misses=self.mitigation.misses(level),
-                pc_label=pc_label,
-                end_time=self.time,
-                wall_ns=wall_ns,
-            )
+        state.environment, state.mitigation = self.environment, self.mitigation
+        state.recorder = self.recorder
 
     # -- driving --------------------------------------------------------------------
 
     def run(self) -> ExecutionResult:
         """Run to completion (or raise ``TimeoutError`` after ``max_steps``)."""
-        recorder = self.recorder
+        state = self._state
+        recorder = state.recorder
         if recorder is not None:
             # Span boundary: the run timeline opens at global clock 0.
             recorder.on_run_start({
                 "hardware": type(self.environment).__name__,
                 "mitigation": self.mitigation.describe(),
             })
-        stack = _Compiler(self).load(self.program)
+        state.time = 0
+        state.events.clear()
+        state.records.clear()
+        _copy_values(self.memory, self._store)
+        stack = state.stack
+        stack.extend(self._code)
         pop = stack.pop
-        steps, max_steps = self.steps, self.max_steps
+        steps, max_steps = 0, self.max_steps
         try:
             while stack:
                 if steps >= max_steps:
@@ -235,25 +310,39 @@ class Interpreter:
                 pop()()
                 steps += 1
         except BaseException as error:
+            # An aborted run leaves steps on the stack and addresses in
+            # the read buffer; drop them so the next run starts clean.
+            stack.clear()
+            state.reads.clear()
             if recorder is not None:
                 recorder.on_abort(error)
             raise
         finally:
-            self.steps = steps
+            _copy_values(self._store, self.memory)
         # Mitigate vectors are ordered by completion time; records are
         # appended at completion so they already are, but make it explicit.
-        self.records.sort(key=lambda r: r.end_time)
+        state.records.sort(key=lambda r: r.end_time)
         result = ExecutionResult(
             memory=self.memory,
             environment=self.environment,
-            time=self.time,
-            events=tuple(self.events),
-            mitigations=tuple(self.records),
-            steps=self.steps,
+            time=state.time,
+            events=tuple(state.events),
+            mitigations=tuple(state.records),
+            steps=steps,
         )
         if recorder is not None:
             recorder.on_finish(result)
         return result
+
+
+def _copy_values(source: Memory, target: Memory) -> None:
+    """Copy every value of ``source`` into ``target``, a memory of the same
+    shape, keeping ``target``'s array lists (compiled code holds them)."""
+    scalars, arrays = source.stores()
+    target_scalars, target_arrays = target.stores()
+    target_scalars.update(scalars)
+    for name, cells in target_arrays.items():
+        cells[:] = arrays[name]
 
 
 def _accessed(expr: ast.Expr):
@@ -270,25 +359,16 @@ def _accessed(expr: ast.Expr):
 
 
 class _Compiler:
-    """Compiles one program for one run of one :class:`Interpreter`.
+    """Compiles one program against one memory's stores and layout into
+    steps that drive ``state``, a :class:`_RunState`."""
 
-    Holds the run's continuation stack, which the compiled steps push
-    onto, and ``reads``, the one buffer array-touching steps collect
-    their data addresses in.
-    """
-
-    def __init__(self, interp: Interpreter):
-        self.interp = interp
-        self.memory = interp.memory
-        self.scalars, self.arrays = interp.memory.stores()
-        self.layout = interp.layout
-        self.stack: List[Step] = []
-        self.reads: List[int] = []
-
-    def load(self, program: ast.Command) -> List[Step]:
-        """The run's stack, holding ``program``'s first step on top."""
-        self.stack.extend(self.block(program))
-        return self.stack
+    def __init__(self, state: _RunState, memory: Memory, layout: Layout,
+                 mitigate_pc: Mapping[str, Label]):
+        self.state = state
+        self.memory = memory
+        self.scalars, self.arrays = memory.stores()
+        self.layout = layout
+        self.mitigate_pc = mitigate_pc
 
     def block(self, cmd: ast.Command) -> Tuple[Step, ...]:
         """A sequence's steps, last first (ready to push)."""
@@ -332,7 +412,9 @@ class _Compiler:
                         reads = None
             placement = layout.placement(write) if write else None
         except (SemanticsError, KeyError) as err:
-            return err, None, None, None
+            # Without its traceback the error holds no compile frame, so
+            # the step that raises it forms no reference cycle.
+            return err.with_traceback(None), None, None, None
         return (None, instruction,
                 None if reads is None else tuple(reads), placement)
 
@@ -356,7 +438,7 @@ class _Compiler:
 
     def expr(self, e: ast.Expr, traced: bool) -> Code:
         """Compile ``e``.  ``traced`` code appends each data address it
-        reads to ``self.reads``, in evaluation order."""
+        reads to the run state's ``reads``, in evaluation order."""
         if isinstance(e, ast.IntLit):
             value = e.value
             return lambda: value
@@ -368,7 +450,7 @@ class _Compiler:
             if not traced:
                 return lambda: scalars[name]
             address = self.layout.placement(name)[0]
-            append = self.reads.append
+            append = self.state.reads.append
 
             def var() -> int:
                 append(address)
@@ -411,7 +493,7 @@ class _Compiler:
                 raise _read_out_of_bounds(name, i, n)
             return element
         base, stride = self.layout.placement(name)
-        append = self.reads.append
+        append = self.state.reads.append
 
         def traced_element() -> int:
             i = index()
@@ -438,7 +520,7 @@ class _Compiler:
         getter), or a drain of what traced code appended this step."""
         if reads is not None:
             return repeat(reads).__next__
-        buffer = self.reads
+        buffer = self.state.reads
 
         def drain() -> Tuple[int, ...]:
             drained = tuple(buffer)
@@ -459,7 +541,7 @@ class _Compiler:
         error, instruction, _, _ = self.resolve(cmd, ())
         if error is not None:
             return self.deferred((), error)
-        charge, lr, lw = self.interp._charge, cmd.read_label, cmd.write_label
+        charge, lr, lw = self.state.charge, cmd.read_label, cmd.write_label
         trace = AccessTrace(instruction)
         return lambda: charge(SKIP, trace, lr, lw)
 
@@ -469,14 +551,14 @@ class _Compiler:
         if cmd.read_label is None or cmd.write_label is None:
             error, _, _, _ = self.resolve(cmd, ())
             return self.deferred((cmd.duration,), error)
-        interp = self.interp
+        state = self.state
         duration = self.expr(cmd.duration, traced=False)
 
         def sleep() -> None:
             cycles = max(duration(), 0)
-            interp.time += cycles
-            if interp.recorder is not None:
-                interp.recorder.on_sleep(cycles, interp.time)
+            state.time += cycles
+            if state.recorder is not None:
+                state.recorder.on_sleep(cycles, state.time)
         return sleep
 
     def assign(self, cmd: ast.Assign) -> Step:
@@ -485,19 +567,19 @@ class _Compiler:
             cmd, exprs, target)
         if error is not None:
             return self.deferred(exprs, error)
-        interp, charge = self.interp, self.interp._charge
+        state, charge = self.state, self.state.charge
         lr, lw = cmd.read_label, cmd.write_label
         value_of = self.expr(cmd.expr, traced=reads is None)
         trace_of = self.trace_of(instruction, reads, (placement[0],))
         store = (self.scalars.__setitem__ if target in self.scalars
                  else self.memory.write)  # raises the store's own error
-        record = interp.events.append
+        record = state.events.append
 
         def assign() -> None:
             value = value_of()
             charge(ASSIGN, trace_of(), lr, lw)
             store(target, int(value))
-            record(Event(target, value, interp.time))
+            record(Event(target, value, state.time))
         return assign
 
     def array_assign(self, cmd: ast.ArrayAssign) -> Step:
@@ -507,14 +589,14 @@ class _Compiler:
         cells = self.arrays.get(array)
         if error is not None or cells is None:
             return self.deferred(exprs, error, store=array)
-        interp, charge = self.interp, self.interp._charge
+        state, charge = self.state, self.state.charge
         lr, lw = cmd.read_label, cmd.write_label
         index_of = self.expr(cmd.index, traced=reads is None)
         value_of = self.expr(cmd.expr, traced=reads is None)
         reads_of = self.reads_of(reads)
         base, stride = placement
         length = len(cells)
-        record = interp.events.append
+        record = state.events.append
 
         def array_assign() -> None:
             index = index_of()
@@ -524,7 +606,7 @@ class _Compiler:
             charge(ASSIGN, AccessTrace(instruction, reads_of(),
                                        (base + stride * index,)), lr, lw)
             cells[index] = int(value)
-            record(Event(array, value, interp.time, index=index))
+            record(Event(array, value, state.time, index=index))
         return array_assign
 
     def guarded(self, cmd):
@@ -541,10 +623,10 @@ class _Compiler:
         failed, guard, traces = self.guarded(cmd)
         if failed is not None:
             return failed
-        charge, lr, lw = self.interp._charge, cmd.read_label, cmd.write_label
+        charge, lr, lw = self.state.charge, cmd.read_label, cmd.write_label
         then_block = self.block(cmd.then_branch)
         else_block = self.block(cmd.else_branch)
-        extend = self.stack.extend
+        extend = self.state.stack.extend
 
         def branch() -> None:
             taken = guard() != 0
@@ -556,16 +638,18 @@ class _Compiler:
         failed, guard, traces = self.guarded(cmd)
         if failed is not None:
             return failed
-        charge, lr, lw = self.interp._charge, cmd.read_label, cmd.write_label
+        charge, lr, lw = self.state.charge, cmd.read_label, cmd.write_label
         body = self.block(cmd.body)
-        push, extend = self.stack.append, self.stack.extend
+        push, extend = self.state.stack.append, self.state.stack.extend
 
         def loop() -> None:
             taken = guard() != 0
             charge(BRANCH, traces[taken](), lr, lw)
             if taken:
-                push(loop)
+                push(again())
                 extend(body)
+        # Weak: a strong self-reference would make every loop a cycle.
+        again = ref(loop)
         return loop
 
     def mitigate(self, cmd: ast.Mitigate) -> Step:
@@ -573,27 +657,26 @@ class _Compiler:
         error, instruction, reads, _ = self.resolve(cmd, exprs)
         if error is not None:
             return self.deferred(exprs, error)
-        interp, charge = self.interp, self.interp._charge
+        state, charge = self.state, self.state.charge
         lr, lw = cmd.read_label, cmd.write_label
         budget = self.expr(cmd.budget, traced=reads is None)
         trace_of = self.trace_of(instruction, reads)
         mit_id, level = cmd.mit_id, cmd.level
-        pc_label = interp.mitigate_pc.get(mit_id)
+        pc_label = self.mitigate_pc.get(mit_id)
         body = self.block(cmd.body)
-        push, extend = self.stack.append, self.stack.extend
-        finish = interp._finish_mitigation
-        predict = interp.mitigation.predict
+        push, extend = state.stack.append, state.stack.extend
+        finish = state.finish_mitigation
 
         def mitigate() -> None:
             estimate = budget()
             charge(MITIGATE, trace_of(), lr, lw)
-            if interp.recorder is not None:
+            if state.recorder is not None:
                 # Span boundary: the epoch opens once the head is charged,
                 # carrying the runtime's current prediction for it.
-                interp.recorder.on_mitigate_enter(
-                    mit_id, level, estimate, predict(estimate, level),
-                    interp.time)
-            push(partial(finish, mit_id, level, estimate, interp.time,
+                state.recorder.on_mitigate_enter(
+                    mit_id, level, estimate,
+                    state.mitigation.predict(estimate, level), state.time)
+            push(partial(finish, mit_id, level, estimate, state.time,
                          pc_label))
             extend(body)
         return mitigate
@@ -619,7 +702,9 @@ def execute(
     max_steps: int = 10_000_000,
     recorder: Optional[TraceRecorder] = None,
 ) -> ExecutionResult:
-    """Run ``program`` from ``(memory, environment, G=0)`` to completion.
+    """Compile ``program`` and run it once from ``(memory, environment,
+    G=0)`` to completion (:class:`repro.api.CompiledProgram` keeps the
+    compiled code for later runs).
 
     ``memory`` and ``environment`` are mutated; pass copies to keep the
     originals.  ``recorder`` observes the run (see :mod:`repro.telemetry`;

@@ -121,6 +121,10 @@ class LoginHandler(Handler):
         super().__init__(lattice, config)
         table_size = self._int("table_size", 8)
         valid = self.config.get("valid", max(1, table_size // 2))
+        if not isinstance(valid, int) or isinstance(valid, bool) \
+                or not 0 <= valid <= table_size:
+            raise ValueError(f"handler config 'valid' must be an int from "
+                             f"0 to table_size ({table_size}), got {valid!r}")
         budget = self._int("budget", 1)
         self.system = LoginSystem(
             lattice=lattice, table_size=table_size, mitigated=True,

@@ -1,11 +1,20 @@
 """The one-stop pipeline: compile_program / CompiledProgram.run."""
 
+import gc
+import json
+import weakref
+
 import pytest
 
 from repro import Memory, api, chain
-from repro.hardware import PartitionedHardware, paper_machine, tiny_machine
+from repro.apps import CredentialTable, LoginSystem, PasswordChecker
+from repro.hardware import (
+    PartitionedHardware, make_hardware, paper_machine, tiny_machine,
+)
 from repro.lang import ParseError
-from repro.semantics import MitigationState
+from repro.machine import Layout
+from repro.semantics import MitigationState, execute
+from repro.telemetry.recorder import RecordingTraceRecorder
 from repro.typesystem import SecurityEnvironment, TypingError
 
 
@@ -107,3 +116,148 @@ class TestRun:
         )
         r = cp.run({"h": 3}, hardware="null")
         assert r.mitigations[0].pc_label == cp.lattice["L"]
+
+
+def _outcome(result):
+    """What a run produces, minus the hardware object."""
+    return (result.time, result.events, result.mitigations, result.steps,
+            result.memory.snapshot())
+
+
+def _fresh(app, memory):
+    """The same run through a one-shot ``execute`` on copies."""
+    pc = app.typing.mitigate_pc if app.typing else {}
+    return execute(app.program, memory.copy(),
+                   make_hardware("partitioned", app.lattice),
+                   mitigation=MitigationState(), mitigate_pc=pc)
+
+
+STORED, GUESS = [3, 1, 4, 1, 5, 9], [3, 1, 4, 0, 0, 0]
+
+
+class TestReuse:
+    """A compiled program runs many times; every run matches a fresh one."""
+
+    def test_repeated_runs_match_fresh_runs(self):
+        app = PasswordChecker(length=6)
+        for guess in (GUESS, STORED, GUESS):
+            memory = app.memory(STORED, guess)
+            expected = _outcome(_fresh(app, memory))
+            assert _outcome(app.run(STORED, guess)) == expected
+        assert app.compiled._interpreter is not None
+
+    def test_memory_is_mutated_in_place(self):
+        cp = api.compile_program("l := l + 1; a[0] := l",
+                                 gamma={"l": "L", "a": "L"})
+        for start in (1, 5):
+            mem = Memory({"l": start, "a": [0, 0]})
+            assert cp.run(mem, hardware="null").memory is mem
+            assert mem.read("l") == start + 1
+            assert mem.read_elem("a", 0) == start + 1
+
+    def test_after_a_timeout_mid_loop(self):
+        app = PasswordChecker(length=6)
+        with pytest.raises(TimeoutError):
+            app.run(STORED, STORED, max_steps=9)
+        expected = _outcome(_fresh(app, app.memory(STORED, GUESS)))
+        assert _outcome(app.run(STORED, GUESS)) == expected
+
+    def test_after_another_memory_shape(self):
+        # A table of another size is another memory shape: it compiles
+        # anew, and the first shape compiles again when it comes back.
+        system = LoginSystem(table_size=4)
+        tables = [CredentialTable.generate(size=size, valid=2, seed=size)
+                  for size in (4, 6, 4)]
+        compiled = []
+        for table in tables:
+            args = (table, table.usernames[0], table.passwords[0])
+            expected = _outcome(_fresh(system, system.memory(*args)))
+            assert _outcome(system.run(*args)) == expected
+            compiled.append(system.compiled._interpreter)
+        assert len(set(map(id, compiled))) == 3
+        args = (tables[2], tables[2].usernames[1], tables[2].passwords[1])
+        system.run(*args)
+        assert system.compiled._interpreter is compiled[2]
+
+    def test_after_calibration(self):
+        system = LoginSystem(table_size=4)
+        table = CredentialTable.generate(size=4, valid=2, seed=1)
+        args = (table, table.usernames[0], table.passwords[0])
+        before = system.compiled
+        system.run(*args)
+        system.calibrate_budget(attempts=2)
+        assert system.compiled is not before
+        expected = _outcome(_fresh(system, system.memory(*args)))
+        assert _outcome(system.run(*args)) == expected
+
+    def test_recorder_on_then_off(self):
+        # A reused program detaches the previous run's recorder, like a
+        # fresh one (tests/test_telemetry.py pins it for ``execute``).
+        app = PasswordChecker(length=6)
+        environment = make_hardware("partitioned", app.lattice)
+        state = MitigationState()
+        recorder = RecordingTraceRecorder()
+        memory = app.memory(STORED, GUESS)
+        app.compiled.run(memory.copy(), environment, mitigation=state,
+                         recorder=recorder)
+        snapshot = json.dumps(recorder.registry.as_dict())
+        app.compiled.run(memory.copy(), environment, mitigation=state)
+        assert json.dumps(recorder.registry.as_dict()) == snapshot
+        assert environment.hw is None and state.recorder is None
+        assert _outcome(app.run(STORED, GUESS)) == _outcome(
+            _fresh(app, memory))
+
+    def test_layout_applies_to_one_run(self):
+        cp = api.compile_program("l := 1", gamma={"l": "L"})
+        cp.run({"l": 0})
+        kept = cp._interpreter
+        layout = Layout.build(cp.program, Memory({"l": 0}))
+        cp.run({"l": 0}, layout=layout)
+        assert cp._interpreter is kept
+
+
+class TestNoCycles:
+    """Compiled code forms no reference cycle: runs leave no garbage for
+    the cycle collector, and a dropped program is freed at once."""
+
+    def test_runs_leave_no_cyclic_garbage(self):
+        app = PasswordChecker(length=6)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                app.run(STORED, GUESS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unresolved_step_leaves_no_cyclic_garbage(self):
+        # The error an unlabeled dead branch defers keeps no compile frame.
+        cp = api.compile_program("x := 0; if x then { y := 1 } "
+                                 "else { skip }", gamma={"x": "L", "y": "L"})
+        (dead,) = [c for c in cp.program.walk()
+                   if getattr(c, "target", None) == "y"]
+        dead.read_label = dead.write_label = None
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                api.compile_program(cp.program, gamma=cp.gamma, infer=False,
+                                    check=False).run({"x": 0, "y": 0})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_dropped_program_dies_without_a_collection(self):
+        app = PasswordChecker(length=6)
+        app.run(STORED, GUESS)
+        refs = [weakref.ref(app.compiled),
+                weakref.ref(app.compiled._interpreter)]
+        gc.collect()
+        gc.disable()
+        try:
+            del app
+            assert [ref() for ref in refs] == [None, None]
+            assert gc.collect() == 0  # not even a self-referencing loop
+        finally:
+            gc.enable()

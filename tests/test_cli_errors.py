@@ -2,6 +2,7 @@
 traceback: 2 for bad input (argparse ``usage:`` for a bad option value,
 ``repro <command>: <message>`` otherwise), 1 for a negative verdict."""
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,14 @@ PROGRAMS = {
     "explicit_flow.tl": "l := h\n",
     "array_read.tl": "x := a[5] + 1\n",
     "array_write.tl": "a[x] := 1\n",
+}
+
+#: Workload specs whose login tenant has a bad ``valid`` count.
+SPECS = {
+    f"valid_{name}.json": json.dumps({"requests": 4, "tenants": [{
+        "name": "acme", "app": "login",
+        "config": {"table_size": 8, "valid": value}}]})
+    for name, value in (("negative", -1), ("string", "x"))
 }
 
 GAMMA = ["--gamma", "h=H,ready=L"]
@@ -66,8 +75,20 @@ RUNTIME_ROWS = [
 ]
 
 
+#: A bad handler config is bad input: the handlers are built while the
+#: spec is read, so the message names the tenant and the value.
+SPEC_ROWS = [
+    (["serve", "--spec", "valid_negative.json"],
+     "repro serve: tenant 'acme': handler config 'valid' must be an int "
+     "from 0 to table_size (8), got -1"),
+    (["serve", "--spec", "valid_string.json"],
+     "repro serve: tenant 'acme': handler config 'valid' must be an int "
+     "from 0 to table_size (8), got 'x'"),
+]
+
+
 def _repro(tmp_path, argv):
-    for name, text in PROGRAMS.items():
+    for name, text in {**PROGRAMS, **SPECS}.items():
         (tmp_path / name).write_text(text)
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -78,8 +99,8 @@ def _repro(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, message", RUNTIME_ROWS,
-    ids=[" ".join(argv) for argv, _ in RUNTIME_ROWS],
+    "argv, message", RUNTIME_ROWS + SPEC_ROWS,
+    ids=[" ".join(argv) for argv, _ in RUNTIME_ROWS + SPEC_ROWS],
 )
 def test_runtime_error_exits_2_with_its_message(tmp_path, argv, message):
     proc = _repro(tmp_path, argv)
