@@ -19,6 +19,7 @@ check (TL001-TL008) -> AST lints (TL010+) -> static Theorem 2 audit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -239,8 +240,11 @@ def analyze_source(
                 f"budget directive must be a number of bits, got "
                 f"{raw_budget!r}"
             )
-        if bits_budget < 0:
-            raise DirectiveError("budget directive must be >= 0 bits")
+        if not (math.isfinite(bits_budget) and bits_budget >= 0):
+            raise DirectiveError(
+                f"budget directive must be >= 0 bits and finite, got "
+                f"{raw_budget!r}"
+            )
 
     try:
         program = parse(source, lattice)

@@ -108,6 +108,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -210,6 +211,19 @@ def _value_range(spec: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected lo..hi, got {spec!r}"
         ) from None
+
+
+def _horizon(spec: str) -> int:
+    """``--horizon T``: Theorem 2's time horizon, at least one cycle."""
+    try:
+        value = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {spec!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _csv(spec: str) -> Optional[List[str]]:
@@ -517,6 +531,8 @@ def cmd_lint(args) -> int:
     # '// infer: off' directive), --no-infer forces it off, and neither
     # follows the directives.
     infer = True if args.infer else (False if args.no_infer else None)
+    if args.bits_budget is not None:
+        _check_bits_budget(args.bits_budget)
     options = _options(
         args, infer=infer, explain=args.explain, select=args.select,
         ignore=args.ignore or frozenset(), bits_budget=args.bits_budget,
@@ -671,14 +687,20 @@ def _service_quantiles(spec) -> dict:
     }
 
 
+def _check_bits_budget(bits: float) -> None:
+    """A bits budget is a finite capacity: NaN compares false against
+    every capacity, so it would certify any policy."""
+    if not (math.isfinite(bits) and bits >= 0):
+        raise CliError(f"--bits-budget must be >= 0 and finite, got {bits:g}")
+
+
 def cmd_tune(args) -> int:
     """`tune`: branch-and-bound over mitigate placement x prediction scheme
     x per-site budgets, minimizing the static padded-cost objective subject
     to ``channel capacity <= --bits-budget`` on every requested model."""
     from .analysis.synthesize import synthesize
 
-    if args.bits_budget < 0:
-        raise CliError("--bits-budget must be >= 0")
+    _check_bits_budget(args.bits_budget)
     models = _cost_models(args.models)
     if args.objective == "service" and not args.spec:
         raise CliError("--objective service needs --spec FILE")
@@ -1105,7 +1127,7 @@ def _add_audit(p, horizon: bool = True):
     p.add_argument("--adversary",
                    help="adversary (observer) level (default: lattice bottom)")
     if horizon:
-        p.add_argument("--horizon", type=int, default=ANALYSIS_HORIZON,
+        p.add_argument("--horizon", type=_horizon, default=ANALYSIS_HORIZON,
                        help="time horizon T for the Theorem 2 "
                             "(1 + log2 T) term (default 2^20)")
 
