@@ -165,7 +165,7 @@ def compute_cost(
     return CostReport(
         hardware=contract.name,
         program=final.unpadded,
-        padded=final.interval,
+        padded=final.span,
         per_command=walker.per_command,
         mitigates={
             mit_id: MitigateCost(
