@@ -84,9 +84,13 @@ class CompiledProgram:
         """Execute under the full semantics.
 
         ``memory`` may be a mapping (scalars to ints, arrays to sequences);
-        ``hardware`` a model name (``null``, ``nopar``/``standard``,
-        ``nofill``, ``partitioned``) or a ready environment instance, which
-        is used as-is (and mutated).  ``recorder`` attaches runtime
+        ``hardware`` a registry model name (any of
+        ``repro.hardware.REGISTRY.choices()``: the secure ``null``,
+        ``nofill`` and ``partitioned``, the commodity ``standard``/``nopar``
+        and the adversarial ``bus``, ``writeback``, ``speculative``,
+        ``frequency`` and ``leakytlb``) or a ready environment instance,
+        which is used as-is (and mutated; call its ``reset()`` first for
+        a cold start).  ``recorder`` attaches runtime
         telemetry, a :class:`~repro.telemetry.profiling.Profiler` included
         (see :mod:`repro.telemetry`); omitted, nothing observes the run.
         A ``layout`` applies to this run only: it is compiled for it.

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..lang import ast
 from ..lang.builder import B
@@ -45,7 +45,7 @@ from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
 from ..api import compile_program
-from ..hardware import MachineParams
+from ..hardware import MachineEnvironment, MachineParams
 from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
@@ -178,7 +178,7 @@ class LoginSystem:
         credentials: "CredentialTable",
         username: str,
         password: str,
-        hardware: str = "partitioned",
+        hardware: Union[str, MachineEnvironment] = "partitioned",
         params: Optional[MachineParams] = None,
         mitigation: Optional[MitigationState] = None,
         max_steps: int = 10_000_000,

@@ -34,7 +34,7 @@ The program::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 from ..lang import ast
 from ..lang.builder import B
@@ -42,7 +42,7 @@ from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
 from ..api import compile_program
-from ..hardware import MachineParams
+from ..hardware import MachineEnvironment, MachineParams
 from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
@@ -130,7 +130,7 @@ class PasswordChecker:
         self,
         stored: Sequence[int],
         guess: Sequence[int],
-        hardware: str = "partitioned",
+        hardware: Union[str, MachineEnvironment] = "partitioned",
         params: Optional[MachineParams] = None,
         mitigation: Optional[MitigationState] = None,
         max_steps: int = 1_000_000,

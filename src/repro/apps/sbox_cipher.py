@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..lang import ast
 from ..lang.builder import B
@@ -48,7 +48,7 @@ from ..lang.parser import DEFAULT_LATTICE
 from ..lattice import Lattice
 from ..machine.memory import Memory
 from ..api import compile_program
-from ..hardware import MachineParams
+from ..hardware import MachineEnvironment, MachineParams
 from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
 from ..telemetry.recorder import TraceRecorder
@@ -163,7 +163,7 @@ class SboxCipher:
         self,
         key: List[int],
         plaintext: List[int],
-        hardware: str = "partitioned",
+        hardware: Union[str, MachineEnvironment] = "partitioned",
         params: Optional[MachineParams] = None,
         mitigation: Optional[MitigationState] = None,
         max_steps: int = 10_000_000,

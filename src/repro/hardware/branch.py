@@ -81,6 +81,10 @@ class BranchPredictor:
             self.update(address, taken)
         return penalty
 
+    def reset(self) -> None:
+        """Return every counter to ``reset_value``."""
+        self._counters = [self.params.reset_value] * self.params.entries
+
     def state(self) -> Tuple[int, ...]:
         """Hashable snapshot for projected equivalence."""
         return tuple(self._counters)

@@ -67,6 +67,10 @@ class SharedBusHardware(PartitionedHardware):
         )
         return cost
 
+    def reset(self) -> None:
+        super().reset()
+        self._bus_queue = 0
+
     def project(self, level: Label) -> Hashable:
         base = super().project(level)
         if level == self.lattice.top:

@@ -57,6 +57,10 @@ class FrequencyScalingHardware(PartitionedHardware):
         self._activity += 1 + len(trace.reads) + len(trace.writes)
         return base * self.SLOWDOWN if throttled else base
 
+    def reset(self) -> None:
+        super().reset()
+        self._activity = 0
+
     def project(self, level: Label) -> Hashable:
         base = super().project(level)
         if level == self.lattice.top:

@@ -11,11 +11,14 @@ Cost model for one access (data side; instruction side is symmetric)::
          + L2 latency                   (only on L1 miss)
          + memory latency               (only on L2 miss)
 
-``fill`` controls whether misses install new lines (the no-fill design runs
-high-context accesses with ``fill=False``); ``promote`` controls whether hits
-update LRU state (a *silent hit* with ``promote=False`` serves data without
-perturbing replacement state, which Property 5 requires when the write label
-does not flow to the partition's level).
+``fill`` controls whether an access changes state at all.  With it, each
+level is *touched*: one :meth:`~repro.hardware.cache.Cache.touch` both
+classifies the access and updates the level (LRU-promote on hit, install
+on miss).  Without it (the no-fill design's high-context accesses), each
+level is only looked up: misses are served from memory without
+installing, and hits are *silent*, serving data without perturbing
+replacement state, which Property 5 requires when the write label does
+not flow to the hierarchy's level.
 """
 
 from __future__ import annotations
@@ -63,44 +66,28 @@ class Hierarchy:
         l2: Cache,
         address: int,
         fill: bool,
-        promote: bool,
         keys: Tuple[Tuple[str, str], ...],
     ) -> int:
+        probe = Cache.touch if fill else Cache.lookup
         hw = self.hw
-        cost = 0
-        tlb_hit = tlb.lookup(address)
+        tlb_hit = probe(tlb, address)
         if hw is not None:
             hw[keys[0][tlb_hit]] += 1
-        if tlb_hit:
-            if promote:
-                tlb.touch(address)
-        else:
+        cost = l1.params.latency
+        if not tlb_hit:
             cost += tlb.params.miss_penalty
-            if fill:
-                tlb.touch(address)
-        cost += l1.params.latency
-        l1_hit = l1.lookup(address)
+        l1_hit = probe(l1, address)
         if hw is not None:
             hw[keys[1][l1_hit]] += 1
         if l1_hit:
-            if promote:
-                l1.touch(address)
             return cost
         cost += l2.params.latency
-        l2_hit = l2.lookup(address)
+        l2_hit = probe(l2, address)
         if hw is not None:
             hw[keys[2][l2_hit]] += 1
         if l2_hit:
-            if promote:
-                l2.touch(address)
-            if fill:
-                l1.touch(address)
             return cost
-        cost += self.params.memory_latency
-        if fill:
-            l2.touch(address)
-            l1.touch(address)
-        return cost
+        return cost + self.params.memory_latency
 
     def branch_cost(self, address: int, taken: bool,
                     train: bool = True) -> int:
@@ -113,19 +100,17 @@ class Hierarchy:
             self.hw[BRANCH_KEYS[self.branch.predict(address) == taken]] += 1
         return self.branch.resolve(address, taken, train=train)
 
-    def data_access(self, address: int, fill: bool = True,
-                    promote: bool = True) -> int:
+    def data_access(self, address: int, fill: bool = True) -> int:
         """One data read or write; returns its cost in cycles."""
         return self._access(
-            self.data_tlb, self.l1_data, self.l2_data, address, fill, promote,
+            self.data_tlb, self.l1_data, self.l2_data, address, fill,
             DATA_KEYS,
         )
 
-    def inst_fetch(self, address: int, fill: bool = True,
-                   promote: bool = True) -> int:
+    def inst_fetch(self, address: int, fill: bool = True) -> int:
         """One instruction fetch; returns its cost in cycles."""
         return self._access(
-            self.inst_tlb, self.l1_inst, self.l2_inst, address, fill, promote,
+            self.inst_tlb, self.l1_inst, self.l2_inst, address, fill,
             INST_KEYS,
         )
 
@@ -168,6 +153,15 @@ class Hierarchy:
         """Remove the block from both instruction-cache levels."""
         self.l1_inst.evict(address)
         self.l2_inst.evict(address)
+
+    def reset(self) -> None:
+        """Empty every cache and TLB and reset the predictor, in place
+        (partition routes keep pointing at these components)."""
+        for component in (self.l1_data, self.l2_data, self.l1_inst,
+                          self.l2_inst, self.data_tlb, self.inst_tlb):
+            component.flush()
+        if self.branch is not None:
+            self.branch.reset()
 
     # -- snapshots -------------------------------------------------------------------
 

@@ -98,6 +98,14 @@ class MachineEnvironment(ABC):
           pre-state at levels ``<= l`` and the trace.
         """
 
+    def reset(self) -> None:
+        """Return the model to its constructed state, keeping its objects
+        (and any attached ``hw``): the flush on a switch of security
+        domain.  The default resets every hierarchy; a model with state
+        of its own extends it."""
+        for hierarchy in self.hierarchies():
+            hierarchy.reset()
+
     @abstractmethod
     def project(self, level: Label) -> Hashable:
         """State at exactly ``level`` -- the paper's ``E``-projection."""

@@ -62,13 +62,17 @@ class LeakyTlbHardware(PartitionedHardware):
     def _tlb_access(self, address: int, route) -> int:
         """Label-oblivious translation through the one shared TLB."""
         tlb = self.shared_itlb if route.instruction else self.shared_dtlb
-        hit = tlb.lookup(address)
-        if self.hw is not None:
-            self.hw[route.keys[0][hit]] += 1
         # touch() promotes on hit and walk-installs on miss -- in both
         # cases on behalf of *any* label: the Property 5 violation.
-        tlb.touch(address)
+        hit = tlb.touch(address)
+        if self.hw is not None:
+            self.hw[route.keys[0][hit]] += 1
         return 0 if hit else tlb.params.miss_penalty
+
+    def reset(self) -> None:
+        super().reset()
+        self.shared_dtlb.flush()
+        self.shared_itlb.flush()
 
     def project(self, level: Label) -> Hashable:
         base = super().project(level)

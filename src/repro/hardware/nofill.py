@@ -54,9 +54,7 @@ class NoFillHardware(MachineEnvironment):
     ) -> int:
         fill = write_label == self.lattice.bottom
         cost = self.params.execute_cost
-        cost += self.hierarchy.inst_fetch(
-            trace.instruction, fill=fill, promote=fill
-        )
+        cost += self.hierarchy.inst_fetch(trace.instruction, fill=fill)
         if trace.taken is not None:
             # Branches in non-public contexts may read the (public)
             # predictor but must not train it -- the branch-predictor
@@ -65,9 +63,9 @@ class NoFillHardware(MachineEnvironment):
                 trace.instruction, trace.taken, train=fill
             )
         for address in trace.reads:
-            cost += self.hierarchy.data_access(address, fill=fill, promote=fill)
+            cost += self.hierarchy.data_access(address, fill=fill)
         for address in trace.writes:
-            cost += self.hierarchy.data_access(address, fill=fill, promote=fill)
+            cost += self.hierarchy.data_access(address, fill=fill)
         return cost
 
     def project(self, level: Label) -> Hashable:

@@ -27,6 +27,14 @@ label ``l``:
   ``q >= l`` is permitted by Property 5 because ``lw = l <= q``), always at
   full miss cost.
 
+Single-copy consistency is also what lets one access be one touch: a line
+never sits in partition ``l`` and in a partition strictly below it at the
+same cache level (installing at ``l`` requires a miss in every partition
+at or below ``l``, and installing below ``l`` evicts it from ``l``).  So
+an access looks up the strictly-lower partitions, and when none hits it
+touches its own partition once, which both classifies the access and
+promotes or installs -- exactly the search-then-update of the rules above.
+
 Like commodity caches (Sec. 5.1), the design needs ``lr = lw`` to use the
 cache: a read must be able to promote/install at its own level.  Steps
 arriving with ``lr != lw`` are served *bypassed* -- constant full-miss cost,
@@ -50,20 +58,20 @@ from .tlb import Tlb
 
 class _Route(NamedTuple):
     """Where one timing label's accesses go on one side (data or
-    instruction): per component, the own-level partition, the searched
-    partitions (every level at or below the label, in
-    ``lattice.levels()`` order: the first hit in that order wins) and the
-    partitions strictly above the label (single-copy evictions), plus
-    the side itself and its telemetry burst keys."""
+    instruction): per component, the own-level partition, the partitions
+    strictly below the label (searched without update, in
+    ``lattice.levels()`` order) and the partitions strictly above it
+    (single-copy evictions), plus the side itself and its telemetry burst
+    keys."""
 
     tlb: Tlb
-    tlbs: Tuple[Tlb, ...]
+    tlbs_below: Tuple[Tlb, ...]
     tlbs_above: Tuple[Tlb, ...]
     l1: Cache
-    l1s: Tuple[Cache, ...]
+    l1s_below: Tuple[Cache, ...]
     l1s_above: Tuple[Cache, ...]
     l2: Cache
-    l2s: Tuple[Cache, ...]
+    l2s_below: Tuple[Cache, ...]
     l2s_above: Tuple[Cache, ...]
     instruction: bool
     keys: Tuple[Tuple[str, str], ...]
@@ -88,7 +96,7 @@ class PartitionedHardware(MachineEnvironment):
         def route(label: Label, parts, instruction: bool) -> _Route:
             tlb, l1, l2 = parts(self.partitions[label])
             below = [parts(self.partitions[p])
-                     for p in levels if p.flows_to(label)]
+                     for p in levels if p != label and p.flows_to(label)]
             above = [parts(self.partitions[q])
                      for q in levels if q != label and label.flows_to(q)]
             return _Route(
@@ -125,22 +133,19 @@ class PartitionedHardware(MachineEnvironment):
         A hit in any partition at or below the label is free; a miss walks
         the page table and installs into the own-level partition.
         """
-        own = route.tlb
-        hit = None
-        for tlb in route.tlbs:
+        for tlb in route.tlbs_below:
             if tlb.lookup(address):
-                hit = tlb
+                hit = True
                 break
+        else:
+            hit = route.tlb.touch(address)
         if self.hw is not None:
-            self.hw[route.keys[0][hit is not None]] += 1
-        if hit is None:
-            own.touch(address)
-            for tlb in route.tlbs_above:
-                tlb.evict(address)
-            return own.params.miss_penalty
-        if hit is own:
-            own.touch(address)  # LRU promotion in the own partition
-        return 0
+            self.hw[route.keys[0][hit]] += 1
+        if hit:
+            return 0
+        for tlb in route.tlbs_above:
+            tlb.evict(address)
+        return route.tlb.params.miss_penalty
 
     def _cache_access(self, address: int, route: _Route) -> int:
         """The L1/L2 stage of one access along ``route``."""
@@ -149,42 +154,37 @@ class PartitionedHardware(MachineEnvironment):
 
         # L1 search across all partitions at or below the timing label.
         cost = own_l1.params.latency
-        hit = None
-        for l1 in route.l1s:
+        for l1 in route.l1s_below:
             if l1.lookup(address):
-                hit = l1
+                hit = True
                 break
+        else:
+            hit = own_l1.touch(address)
         if hw is not None:
-            hw[route.keys[1][hit is not None]] += 1
-        if hit is not None:
-            if hit is own_l1:
-                own_l1.touch(address)
+            hw[route.keys[1][hit]] += 1
+        if hit:
             return cost
 
-        # L1 miss: search L2 the same way.
+        # L1 miss: the touch above installed the line in the own L1, so
+        # evict it from the L1s above, then search L2 the same way.
+        for l1 in route.l1s_above:
+            l1.evict(address)
         own_l2 = route.l2
         cost += own_l2.params.latency
-        for l2 in route.l2s:
+        for l2 in route.l2s_below:
             if l2.lookup(address):
-                hit = l2
+                hit = True
                 break
+        else:
+            hit = own_l2.touch(address)
         if hw is not None:
-            hw[route.keys[2][hit is not None]] += 1
-        if hit is not None:
-            if hit is own_l2:
-                own_l2.touch(address)
-            own_l1.touch(address)
-            for l1 in route.l1s_above:
-                l1.evict(address)
+            hw[route.keys[2][hit]] += 1
+        if hit:
             return cost
 
         # Full miss: the controller either fetches from memory or moves the
         # line from a strictly-higher partition; both take the full miss
         # latency so that timing is independent of unsearched state.
-        own_l2.touch(address)
-        own_l1.touch(address)
-        for l1 in route.l1s_above:
-            l1.evict(address)
         for l2 in route.l2s_above:
             l2.evict(address)
         return cost + self.params.memory_latency

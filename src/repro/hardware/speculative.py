@@ -84,6 +84,10 @@ class SpeculativeHardware(PartitionedHardware):
                 own.evict_inst(trace.instruction + i * _INSTR_BYTES)
         return cost
 
+    def reset(self) -> None:
+        super().reset()
+        self._counters.clear()
+
     def project(self, level: Label) -> Hashable:
         base = super().project(level)
         if level == self.lattice.top:

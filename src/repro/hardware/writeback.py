@@ -96,6 +96,11 @@ class WriteBackHardware(PartitionedHardware):
             self._dirty[label].add(self._block(address))
         return cost + drained * self.WRITEBACK_PENALTY
 
+    def reset(self) -> None:
+        super().reset()
+        for dirty in self._dirty.values():
+            dirty.clear()
+
     def project(self, level: Label) -> Hashable:
         return (super().project(level), tuple(sorted(self._dirty[level])))
 

@@ -24,6 +24,9 @@ and the pieces that make it *timing-safe* rather than merely functional:
   :class:`~repro.telemetry.leakage.DynamicLeakageMeter`, fed one
   deadline sequence per request, so the Theorem 2 account is kept *per
   tenant* end to end;
+* each tenant owns one hardware environment, reset to its constructed
+  state before every request (the flush on a domain switch of time
+  protection), so every request starts on cold hardware;
 * the release discipline is the scheduler policy's
   (:mod:`repro.service.scheduler`): under the quantized policy both
   starts and releases snap to quantum boundaries, TIFC-style.
@@ -42,6 +45,7 @@ import random
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..hardware import MachineEnvironment, make_hardware
 from ..semantics.mitigation import MitigationState, make_scheme
 from ..telemetry.leakage import DynamicLeakageMeter
 from ..telemetry.metrics import MetricsRegistry
@@ -164,6 +168,7 @@ class Gateway:
         self.states: Dict[str, MitigationState] = {}
         self.meters: Dict[str, DynamicLeakageMeter] = {}
         self.tenant_registries: Dict[str, MetricsRegistry] = {}
+        self.environments: Dict[str, MachineEnvironment] = {}
         #: One recorder per tenant for its handler runs: it fills the
         #: tenant's registry and the global one, tee'd with the caller's
         #: ``recorder``.
@@ -177,6 +182,8 @@ class Gateway:
                 lattice, levels=handler.levels
             )
             self.tenant_registries[name] = MetricsRegistry()
+            self.environments[name] = make_hardware(spec.hardware,
+                                                    handler.lattice)
             self._tenant_recorders[name] = combine(
                 RecordingTraceRecorder(registry=self.tenant_registries[name],
                                        meter=self.meters[name],
@@ -290,9 +297,11 @@ class Gateway:
             # Two clock reads per request (the handler run dwarfs them),
             # so the hook below needs no second branch.
             started = perf_counter_ns()
+            environment = self.environments[tenant]
+            environment.reset()
             result = self.handlers[tenant].run(
                 request.payload, self.states[tenant],
-                self._tenant_recorders[tenant], self.spec.hardware,
+                self._tenant_recorders[tenant], environment,
             )
             wall_ns = perf_counter_ns() - started
             completion = now + result.time

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..apps.hashing import fnv1a
 from ..apps.login import CredentialTable, LoginSystem, _random_name
@@ -33,6 +33,7 @@ from ..apps.password import PasswordChecker
 from ..apps.rsa import RsaSystem
 from ..apps.rsa_math import encrypt, generate_keypair
 from ..apps.sbox_cipher import KEY_LENGTH, SBOX_SIZE, SboxCipher
+from ..hardware import MachineEnvironment
 from ..lattice import Label, Lattice
 from ..semantics.full import ExecutionResult
 from ..semantics.mitigation import MitigationState
@@ -101,9 +102,11 @@ class Handler(ABC):
         payload: Payload,
         mitigation: MitigationState,
         recorder: Optional[TraceRecorder],
-        hardware: str,
+        hardware: Union[str, MachineEnvironment],
     ) -> ExecutionResult:
-        """Execute one request; ``result.time`` is the service duration."""
+        """Execute one request; ``result.time`` is the service duration.
+        ``hardware`` is a registry model name or an environment instance,
+        used as-is (the gateway passes the tenant's, freshly reset)."""
 
     def describe(self) -> str:
         """Human-readable handler summary for reports."""

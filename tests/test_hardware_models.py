@@ -66,14 +66,14 @@ class TestHierarchyCosts:
 
     def test_no_fill_mode_installs_nothing(self):
         before = self.h.state()
-        cost = self.h.data_access(DATA, fill=False, promote=False)
+        cost = self.h.data_access(DATA, fill=False)
         assert cost == self.h.data_miss_cost()
         assert self.h.state() == before
 
     def test_silent_hit_promotes_nothing(self):
         self.h.data_access(DATA)
         before = self.h.state()
-        cost = self.h.data_access(DATA, fill=False, promote=False)
+        cost = self.h.data_access(DATA, fill=False)
         assert cost == self.p.l1_data.latency
         assert self.h.state() == before
 
