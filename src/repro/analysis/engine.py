@@ -28,7 +28,7 @@ from ..hardware.costmodel import CacheGeometry, contract_for
 from ..lang import ast
 from ..lang.lexer import LexError
 from ..lang.parser import DEFAULT_LATTICE, ParseError, parse
-from ..lattice import Label, Lattice, chain
+from ..lattice import Label, Lattice, LatticeError, chain
 from ..typesystem.environment import SecurityEnvironment
 from ..typesystem.inference import infer_labels
 from ..typesystem.typing import TypingInfo
@@ -208,7 +208,10 @@ def analyze_source(
         levels = tuple(
             name.strip() for name in directives["levels"].split(",")
         )
-    lattice = chain(levels) if levels else DEFAULT_LATTICE
+    try:
+        lattice = chain(levels) if levels else DEFAULT_LATTICE
+    except LatticeError as err:
+        raise DirectiveError(f"levels directive: {err}") from None
 
     bindings: Dict[str, Label] = {}
     if "gamma" in directives:

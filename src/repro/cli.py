@@ -127,7 +127,7 @@ from .hardware import (
 )
 from .lang.parser import DEFAULT_LATTICE
 from .lang.pretty import pretty
-from .lattice import Lattice, chain
+from .lattice import Lattice, LatticeError, chain
 from .machine.memory import Memory, MemoryError_
 from .quantitative import (
     leakage_bound,
@@ -213,8 +213,8 @@ def _value_range(spec: str) -> Tuple[int, int]:
         ) from None
 
 
-def _horizon(spec: str) -> int:
-    """``--horizon T``: Theorem 2's time horizon, at least one cycle."""
+def _positive(spec: str) -> int:
+    """A positive integer (``--horizon``, ``--trials``, ``--max-examples``)."""
     try:
         value = int(spec)
     except ValueError:
@@ -224,6 +224,14 @@ def _horizon(spec: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _levels(spec: str) -> Tuple[str, ...]:
+    """``--levels a,b,c``: chain lattice level names, low to high."""
+    try:
+        return tuple(level.name for level in chain(spec.split(",")))
+    except LatticeError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _csv(spec: str) -> Optional[List[str]]:
@@ -1118,7 +1126,7 @@ def _add_program(p, nargs: Optional[str] = None, program: bool = True):
         p.add_argument("--gamma", type=_gamma, default="",
                        help="data labels: name=LEVEL,name=LEVEL,... "
                             "(overrides a file's '// gamma:' directive)")
-    p.add_argument("--levels", type=lambda spec: tuple(spec.split(",")),
+    p.add_argument("--levels", type=_levels,
                    help="chain lattice levels, low to high (default L,H)")
 
 
@@ -1127,7 +1135,7 @@ def _add_audit(p, horizon: bool = True):
     p.add_argument("--adversary",
                    help="adversary (observer) level (default: lattice bottom)")
     if horizon:
-        p.add_argument("--horizon", type=_horizon, default=ANALYSIS_HORIZON,
+        p.add_argument("--horizon", type=_positive, default=ANALYSIS_HORIZON,
                        help="time horizon T for the Theorem 2 "
                             "(1 + log2 T) term (default 2^20)")
 
@@ -1338,7 +1346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("contract", cmd_contract, "verify a hardware model")
     p.add_argument("model", choices=HARDWARE_CHOICES)
     _add_program(p, program=False)
-    p.add_argument("--trials", type=int, default=15)
+    p.add_argument("--trials", type=_positive, default=15)
 
     p = command("verify-hw", cmd_verify_hw,
                 "property-based contract campaign over the whole hardware "
@@ -1348,7 +1356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattices", type=_csv,
                    help="comma-separated lattice points to include "
                         "(two_point,chain3,diamond)")
-    p.add_argument("--max-examples", type=int, default=300,
+    p.add_argument("--max-examples", type=_positive, default=300,
                    help="generated stimulus sequences per campaign point")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign derandomization seed")

@@ -18,12 +18,16 @@ The simulator exposes a deliberately small surface:
 Keeping *lookup* separate from *touch* is what lets the secure designs serve
 "silent hits" (reads that must not perturb replacement state, e.g. a
 high-context hit in a low partition, Property 5).
+
+A cache remembers the block of its last touch (``_mru``, forgotten by
+:meth:`evict` and :meth:`flush`): it is resident and its set's MRU line,
+so touching or looking it up again hits and changes nothing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .params import CacheParams
 
@@ -47,6 +51,8 @@ class Cache:
         # Set index -> OrderedDict from tag to None; order encodes LRU
         # (least-recently-used first).
         self._sets: Dict[int, OrderedDict] = {}
+        #: Block (``address >> _line_shift``) of the last touch, or None.
+        self._mru: Optional[int] = None
 
     @staticmethod
     def _line_bytes(params) -> int:
@@ -57,7 +63,10 @@ class Cache:
 
     def lookup(self, address: int) -> bool:
         """Is the block containing ``address`` present?  No state change."""
-        lines = self._sets.get((address >> self._line_shift) & self._set_mask)
+        block = address >> self._line_shift
+        if block == self._mru:
+            return True
+        lines = self._sets.get(block & self._set_mask)
         return lines is not None and address >> self._tag_shift in lines
 
     def touch(self, address: int) -> bool:
@@ -65,7 +74,11 @@ class Cache:
 
         Returns True on hit.
         """
-        set_index = (address >> self._line_shift) & self._set_mask
+        block = address >> self._line_shift
+        if block == self._mru:
+            return True
+        self._mru = block
+        set_index = block & self._set_mask
         tag = address >> self._tag_shift
         lines = self._sets.get(set_index)
         if lines is None:
@@ -81,6 +94,7 @@ class Cache:
 
     def evict(self, address: int) -> bool:
         """Remove the block containing ``address`` if present."""
+        self._mru = None
         lines = self._sets.get((address >> self._line_shift) & self._set_mask)
         tag = address >> self._tag_shift
         if lines is not None and tag in lines:
@@ -91,6 +105,7 @@ class Cache:
     def flush(self) -> None:
         """Empty the cache."""
         self._sets.clear()
+        self._mru = None
 
     def preload(self, addresses) -> None:
         """Touch a sequence of addresses (e.g. to warm the cache)."""
@@ -122,6 +137,7 @@ class Cache:
         twin = type(self)(self.params)
         twin._sets = {index: OrderedDict(lines)
                       for index, lines in self._sets.items()}
+        twin._mru = self._mru
         return twin
 
     def __repr__(self) -> str:

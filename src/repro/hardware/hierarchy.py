@@ -14,8 +14,9 @@ Cost model for one access (data side; instruction side is symmetric)::
 ``fill`` controls whether an access changes state at all.  With it, each
 level is *touched*: one :meth:`~repro.hardware.cache.Cache.touch` both
 classifies the access and updates the level (LRU-promote on hit, install
-on miss).  Without it (the no-fill design's high-context accesses), each
-level is only looked up: misses are served from memory without
+on miss), and a TLB or L1 whose last touch was this block is a hit with
+no call at all.  Without it (the no-fill design's high-context accesses),
+each level is only looked up: misses are served from memory without
 installing, and hits are *silent*, serving data without perturbing
 replacement state, which Property 5 requires when the write label does
 not flow to the hierarchy's level.
@@ -70,13 +71,14 @@ class Hierarchy:
     ) -> int:
         probe = Cache.touch if fill else Cache.lookup
         hw = self.hw
-        tlb_hit = probe(tlb, address)
+        # The TLB's and the L1's last-touched block hits, changing nothing.
+        tlb_hit = address >> tlb._line_shift == tlb._mru or probe(tlb, address)
         if hw is not None:
             hw[keys[0][tlb_hit]] += 1
         cost = l1.params.latency
         if not tlb_hit:
             cost += tlb.params.miss_penalty
-        l1_hit = probe(l1, address)
+        l1_hit = address >> l1._line_shift == l1._mru or probe(l1, address)
         if hw is not None:
             hw[keys[1][l1_hit]] += 1
         if l1_hit:
@@ -139,15 +141,6 @@ class Hierarchy:
     def holds_data(self, address: int) -> bool:
         """Is the block in either data-cache level?"""
         return self.l1_data.lookup(address) or self.l2_data.lookup(address)
-
-    def evict_data(self, address: int) -> None:
-        """Remove the block from both data-cache levels (single-copy move)."""
-        self.l1_data.evict(address)
-        self.l2_data.evict(address)
-
-    def holds_inst(self, address: int) -> bool:
-        """Is the block in either instruction-cache level?"""
-        return self.l1_inst.lookup(address) or self.l2_inst.lookup(address)
 
     def evict_inst(self, address: int) -> None:
         """Remove the block from both instruction-cache levels."""

@@ -30,7 +30,7 @@ from dataclasses import replace
 from typing import Hashable
 
 from ..lattice import Label, Lattice
-from .params import MachineParams
+from .params import MachineParams, paper_machine
 from .partitioned import PartitionedHardware
 from .tlb import Tlb
 
@@ -45,29 +45,27 @@ class LeakyTlbHardware(PartitionedHardware):
     MIN_WAYS = 8
 
     def __init__(self, lattice: Lattice, params: MachineParams = None):
-        super().__init__(lattice, params)
+        params = params if params is not None else paper_machine()
         self.shared_dtlb = Tlb(
-            replace(
-                self.params.data_tlb,
-                ways=max(self.MIN_WAYS, self.params.data_tlb.ways),
-            )
+            replace(params.data_tlb,
+                    ways=max(self.MIN_WAYS, params.data_tlb.ways))
         )
         self.shared_itlb = Tlb(
-            replace(
-                self.params.inst_tlb,
-                ways=max(self.MIN_WAYS, self.params.inst_tlb.ways),
-            )
+            replace(params.inst_tlb,
+                    ways=max(self.MIN_WAYS, params.inst_tlb.ways))
         )
+        super().__init__(lattice, params)
 
-    def _tlb_access(self, address: int, route) -> int:
-        """Label-oblivious translation through the one shared TLB."""
-        tlb = self.shared_itlb if route.instruction else self.shared_dtlb
-        # touch() promotes on hit and walk-installs on miss -- in both
-        # cases on behalf of *any* label: the Property 5 violation.
-        hit = tlb.touch(address)
-        if self.hw is not None:
-            self.hw[route.keys[0][hit]] += 1
-        return 0 if hit else tlb.params.miss_penalty
+    def _build_routes(self) -> None:
+        """Every label translates through its side's one shared TLB,
+        touched on behalf of *any* label: the Property 5 violation."""
+        super()._build_routes()
+        shared = (self.shared_dtlb, self.shared_itlb)
+        self._routes = {
+            label: tuple(route._replace(tlb=tlb, tlbs_below=(), tlbs_above=())
+                         for route, tlb in zip(routes, shared))
+            for label, routes in self._routes.items()
+        }
 
     def reset(self) -> None:
         super().reset()
@@ -85,4 +83,5 @@ class LeakyTlbHardware(PartitionedHardware):
         twin = super().clone()
         twin.shared_dtlb = self.shared_dtlb.clone()
         twin.shared_itlb = self.shared_itlb.clone()
+        twin._build_routes()
         return twin

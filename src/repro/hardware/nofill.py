@@ -52,7 +52,7 @@ class NoFillHardware(MachineEnvironment):
         read_label: Label,
         write_label: Label,
     ) -> int:
-        fill = write_label == self.lattice.bottom
+        fill = write_label is self.lattice.bottom
         cost = self.params.execute_cost
         cost += self.hierarchy.inst_fetch(trace.instruction, fill=fill)
         if trace.taken is not None:

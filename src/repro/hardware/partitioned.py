@@ -27,13 +27,12 @@ label ``l``:
   ``q >= l`` is permitted by Property 5 because ``lw = l <= q``), always at
   full miss cost.
 
-Single-copy consistency is also what lets one access be one touch: a line
-never sits in partition ``l`` and in a partition strictly below it at the
-same cache level (installing at ``l`` requires a miss in every partition
-at or below ``l``, and installing below ``l`` evicts it from ``l``).  So
-an access looks up the strictly-lower partitions, and when none hits it
-touches its own partition once, which both classifies the access and
-promotes or installs -- exactly the search-then-update of the rules above.
+Single-copy consistency (a line never sits in partition ``l`` and in one
+strictly below it at the same cache level) makes an access one touch: it
+looks up the partitions strictly below and, when none hits, touches its
+own once, which classifies the access and promotes or installs.  When the
+own TLB's or L1's last-touched block is this one, it is the own MRU line,
+so even the lookups are skipped: the touch would hit and change nothing.
 
 Like commodity caches (Sec. 5.1), the design needs ``lr = lw`` to use the
 cache: a read must be able to promote/install at its own level.  Steps
@@ -61,8 +60,7 @@ class _Route(NamedTuple):
     instruction): per component, the own-level partition, the partitions
     strictly below the label (searched without update, in
     ``lattice.levels()`` order) and the partitions strictly above it
-    (single-copy evictions), plus the side itself and its telemetry burst
-    keys."""
+    (single-copy evictions), plus the side's telemetry burst keys."""
 
     tlb: Tlb
     tlbs_below: Tuple[Tlb, ...]
@@ -73,7 +71,6 @@ class _Route(NamedTuple):
     l2: Cache
     l2s_below: Tuple[Cache, ...]
     l2s_above: Tuple[Cache, ...]
-    instruction: bool
     keys: Tuple[Tuple[str, str], ...]
 
 
@@ -103,7 +100,7 @@ class PartitionedHardware(MachineEnvironment):
                 tlb, tuple(b[0] for b in below), tuple(a[0] for a in above),
                 l1, tuple(b[1] for b in below), tuple(a[1] for a in above),
                 l2, tuple(b[2] for b in below), tuple(a[2] for a in above),
-                instruction, INST_KEYS if instruction else DATA_KEYS,
+                INST_KEYS if instruction else DATA_KEYS,
             )
 
         def data(h: Hierarchy):
@@ -122,71 +119,64 @@ class PartitionedHardware(MachineEnvironment):
 
     # -- the partitioned access algorithm ------------------------------------
 
-    # One access along a timing label's route is a TLB stage plus a cache
-    # stage, each returning its cost.  They are separate methods so that
-    # variant designs (the zoo's leaky-TLB model) can replace one stage
-    # without re-implementing the other.
-
-    def _tlb_access(self, address: int, route: _Route) -> int:
-        """Address translation along ``route`` (one label, one side).
-
-        A hit in any partition at or below the label is free; a miss walks
-        the page table and installs into the own-level partition.
-        """
-        for tlb in route.tlbs_below:
-            if tlb.lookup(address):
-                hit = True
-                break
+    def _access(self, address: int, route: _Route) -> int:
+        """One access along ``route`` (one label, one side): translation,
+        then the L1/L2 search; returns its cost."""
+        hw, keys, tlb = self.hw, route.keys, route.tlb
+        if address >> tlb._line_shift == tlb._mru:
+            hit = True
         else:
-            hit = route.tlb.touch(address)
-        if self.hw is not None:
-            self.hw[route.keys[0][hit]] += 1
-        if hit:
-            return 0
-        for tlb in route.tlbs_above:
-            tlb.evict(address)
-        return route.tlb.params.miss_penalty
-
-    def _cache_access(self, address: int, route: _Route) -> int:
-        """The L1/L2 stage of one access along ``route``."""
-        hw = self.hw
-        own_l1 = route.l1
-
-        # L1 search across all partitions at or below the timing label.
-        cost = own_l1.params.latency
-        for l1 in route.l1s_below:
-            if l1.lookup(address):
-                hit = True
-                break
-        else:
-            hit = own_l1.touch(address)
+            for below in route.tlbs_below:
+                if below.lookup(address):
+                    hit = True
+                    break
+            else:
+                hit = tlb.touch(address)
         if hw is not None:
-            hw[route.keys[1][hit]] += 1
+            hw[keys[0][hit]] += 1
+        l1 = route.l1
+        cost = l1.params.latency
+        if not hit:
+            # A page walk, installed in the own TLB by the touch above.
+            cost += tlb.params.miss_penalty
+            for above in route.tlbs_above:
+                above.evict(address)
+        if address >> l1._line_shift == l1._mru:
+            hit = True
+        else:
+            for below in route.l1s_below:
+                if below.lookup(address):
+                    hit = True
+                    break
+            else:
+                hit = l1.touch(address)
+        if hw is not None:
+            hw[keys[1][hit]] += 1
         if hit:
             return cost
 
         # L1 miss: the touch above installed the line in the own L1, so
         # evict it from the L1s above, then search L2 the same way.
-        for l1 in route.l1s_above:
-            l1.evict(address)
-        own_l2 = route.l2
-        cost += own_l2.params.latency
-        for l2 in route.l2s_below:
-            if l2.lookup(address):
+        for above in route.l1s_above:
+            above.evict(address)
+        l2 = route.l2
+        cost += l2.params.latency
+        for below in route.l2s_below:
+            if below.lookup(address):
                 hit = True
                 break
         else:
-            hit = own_l2.touch(address)
+            hit = l2.touch(address)
         if hw is not None:
-            hw[route.keys[2][hit]] += 1
+            hw[keys[2][hit]] += 1
         if hit:
             return cost
 
         # Full miss: the controller either fetches from memory or moves the
         # line from a strictly-higher partition; both take the full miss
         # latency so that timing is independent of unsearched state.
-        for l2 in route.l2s_above:
-            l2.evict(address)
+        for above in route.l2s_above:
+            above.evict(address)
         return cost + self.params.memory_latency
 
     # -- the contract interface ------------------------------------------------
@@ -199,7 +189,7 @@ class PartitionedHardware(MachineEnvironment):
         write_label: Label,
     ) -> int:
         cost = self.params.execute_cost
-        if read_label != write_label:
+        if read_label is not write_label:
             # The cache can only be used when lr = lw (Sec. 5.1); other
             # steps bypass it entirely at worst-case cost.
             reference = self.partitions[self.lattice.bottom]
@@ -217,9 +207,9 @@ class PartitionedHardware(MachineEnvironment):
                 cost += self.params.branch.penalty  # flat worst case
             return cost
         data, inst = self._routes[read_label]
-        tlb, cache = self._tlb_access, self._cache_access
+        access = self._access
         instruction = trace.instruction
-        cost += tlb(instruction, inst) + cache(instruction, inst)
+        cost += access(instruction, inst)
         if trace.taken is not None:
             # Each level owns a private predictor: reads and training stay
             # at exactly the step's own level.
@@ -227,9 +217,9 @@ class PartitionedHardware(MachineEnvironment):
                 instruction, trace.taken
             )
         for address in trace.reads:
-            cost += tlb(address, data) + cache(address, data)
+            cost += access(address, data)
         for address in trace.writes:
-            cost += tlb(address, data) + cache(address, data)
+            cost += access(address, data)
         return cost
 
     def project(self, level: Label) -> Hashable:

@@ -78,7 +78,7 @@ class SpeculativeHardware(PartitionedHardware):
         # Mispredict: flush the pipeline and squash the window of
         # wrong-path fetches from the stepping level's own I-cache.
         cost += self.FLUSH_PENALTY
-        if read_label == write_label:
+        if read_label is write_label:
             own = self.partitions[read_label]
             for i in range(1, self.WINDOW + 1):
                 own.evict_inst(trace.instruction + i * _INSTR_BYTES)

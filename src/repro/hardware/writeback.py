@@ -45,18 +45,14 @@ class WriteBackHardware(PartitionedHardware):
 
     def __init__(self, lattice: Lattice, params: MachineParams = None):
         super().__init__(lattice, params)
+        levels = lattice.levels()
         #: Dirty data blocks per level (block numbers, L1-data granularity).
-        self._dirty: Dict[Label, Set[int]] = {
-            level: set() for level in lattice.levels()
+        self._dirty: Dict[Label, Set[int]] = {level: set() for level in levels}
+        #: Per timing label, the levels a step may drain (``label <= q``).
+        self._drains = {
+            label: tuple(q for q in levels if label.flows_to(q))
+            for label in levels
         }
-
-    # -- block/set arithmetic (L1-data geometry) -----------------------------
-
-    def _block(self, address: int) -> int:
-        return address // self.params.l1_data.block_bytes
-
-    def _set_of_block(self, block: int) -> int:
-        return block % self.params.l1_data.sets
 
     def step(
         self,
@@ -66,34 +62,33 @@ class WriteBackHardware(PartitionedHardware):
         write_label: Label,
     ) -> int:
         cost = super().step(kind, trace, read_label, write_label)
-        if read_label != write_label:
+        if read_label is not write_label:
             # Bypassed steps (lr != lw) never use the cache, so they never
             # reclaim lines and owe no write-backs.
             return cost
-        label = read_label
-        touched_sets = {
-            self._set_of_block(self._block(a))
-            for a in (*trace.reads, *trace.writes)
-        }
-        touched_blocks = {
-            self._block(a) for a in (*trace.reads, *trace.writes)
-        }
+        addresses = (*trace.reads, *trace.writes)
+        if not addresses:
+            return cost
+        block_bytes = self.params.l1_data.block_bytes
+        sets = self.params.l1_data.sets
+        blocks, touched_sets = set(), set()
+        for address in addresses:
+            block = address // block_bytes
+            blocks.add(block)
+            touched_sets.add(block % sets)
         drained = 0
-        if touched_sets:
-            for q in self.lattice.levels():
-                if not label.flows_to(q):
-                    continue
-                dirty = self._dirty[q]
+        for q in self._drains[read_label]:
+            dirty = self._dirty[q]
+            if dirty:
                 conflicts = [
                     block for block in dirty
-                    if self._set_of_block(block) in touched_sets
-                    and block not in touched_blocks
+                    if block % sets in touched_sets and block not in blocks
                 ]
-                for block in conflicts:
-                    dirty.discard(block)
+                dirty.difference_update(conflicts)
                 drained += len(conflicts)
+        own = self._dirty[read_label]
         for address in trace.writes:
-            self._dirty[label].add(self._block(address))
+            own.add(address // block_bytes)
         return cost + drained * self.WRITEBACK_PENALTY
 
     def reset(self) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence, Tuple
 
-from .core import Lattice
+from .core import Lattice, LatticeError
 
 
 def two_point() -> Lattice:
@@ -23,9 +23,13 @@ def two_point() -> Lattice:
 
 
 def chain(names: Sequence[str] = ("L", "M", "H")) -> Lattice:
-    """A totally ordered lattice with the given level names, low to high."""
+    """A totally ordered lattice with the given level names, low to high
+    (non-empty and distinct: a repeat would close a cycle or merge two)."""
     if not names:
-        raise ValueError("a chain needs at least one level")
+        raise LatticeError("a chain needs at least one level")
+    if not all(names) or len(set(names)) < len(names):
+        raise LatticeError("level names must be non-empty and distinct, "
+                           f"got {','.join(names)!r}")
     covers = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
     return Lattice(names, covers)
 

@@ -35,20 +35,18 @@ class LatticeError(ValueError):
 class Label:
     """A security level: an element of a specific :class:`Lattice`.
 
-    Labels are interned per lattice, so identity comparison is safe within
-    one lattice, and rich comparisons implement the information-flow order
-    (``a <= b`` means "information at ``a`` may flow to ``b``").  The hash
-    is computed once: labels key the hardware models' per-level tables,
-    which look them up on every access.
+    Labels are interned per lattice, so equality and hashing are identity
+    and run in C (labels key the hardware models' per-level tables, looked
+    up on every access).  Rich comparisons implement the information-flow
+    order (``a <= b`` means "information at ``a`` may flow to ``b``").
     """
 
-    __slots__ = ("name", "lattice", "_index", "_hash")
+    __slots__ = ("name", "lattice", "_index")
 
     def __init__(self, name: str, lattice: "Lattice", index: int):
         self.name = name
         self.lattice = lattice
         self._index = index
-        self._hash = hash((id(lattice), name))
 
     def flows_to(self, other: "Label") -> bool:
         """True when information at this level may flow to ``other``."""
@@ -87,14 +85,6 @@ class Label:
 
     def __str__(self) -> str:
         return self.name
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Label):
-            return NotImplemented
-        return self.lattice is other.lattice and self.name == other.name
 
 
 class Lattice:

@@ -1,9 +1,11 @@
 """Hypothesis checks of the hardware models' fast paths.
 
-``Cache``/``Tlb`` allocate a set on first use and split addresses with
-shift/mask; here they are driven by random operation sequences next to
-an eager reference kept in this file (a list of ``OrderedDict`` sets,
-``//`` and ``%`` arithmetic), comparing every hit result and snapshot.
+``Cache``/``Tlb`` allocate a set on first use, split addresses with
+shift/mask and remember the block of their last touch; here they are
+driven by random operation sequences (a third of them on the previous
+touch's address) next to an eager reference kept in this file (a list of
+``OrderedDict`` sets, ``//`` and ``%`` arithmetic), comparing every hit
+result and snapshot.
 
 ``PartitionedHardware`` precomputes, per timing label, which partitions
 an access searches and which it evicts from; here those routes are
@@ -11,10 +13,13 @@ compared with the lattice computation they replace, on a chain and on a
 diamond, including after ``clone()``.
 
 Every access touches each level it updates once (``touch`` returns the
-hit bit); here ``Hierarchy``, ``PartitionedHardware`` and
-``LeakyTlbHardware`` are run next to the lookup-then-touch algorithm
-they replace, kept in this file, on random mixed-label traces.  And
-``reset()`` must return every registry model to its constructed state.
+hit bit), and skips the own TLB's and L1's remembered block; here
+``Hierarchy``, ``PartitionedHardware`` and ``LeakyTlbHardware`` are run
+next to the lookup-then-touch algorithm they replace, and
+``WriteBackHardware`` next to the drain that scans every dirty block,
+all kept in this file on caches that remember nothing, on random
+mixed-label traces.  And ``reset()`` must return every registry model to
+its constructed state.
 """
 
 from collections import OrderedDict, defaultdict
@@ -26,8 +31,9 @@ from hypothesis import given, settings, strategies as st
 from repro.hardware import (
     REGISTRY, BranchPredictorParams, Cache, Hierarchy, LeakyTlbHardware,
     NoFillHardware, PartitionedHardware, StandardHardware, Tlb,
-    paper_machine, tiny_machine,
+    WriteBackHardware, paper_machine, tiny_machine,
 )
+from repro.hardware.hierarchy import INST_KEYS
 from repro.hardware.interface import StepKind
 from repro.hardware.registry import LATTICE_POINTS
 from repro.lattice import Lattice, chain, diamond, two_point
@@ -109,7 +115,10 @@ def scenarios(draw):
         st.integers(0, 3 * line),
     )
     anywhere = st.integers(0, DATA_BASE + (1 << 16))
-    address = st.one_of(colliding, anywhere)
+    # None: the address of the previous touch again, so the remembered
+    # last-touched block is hit, looked up and evicted, and touched again
+    # after an evict, a flush or a clone.
+    address = st.one_of(colliding, anywhere, st.none())
     ops = draw(st.lists(st.tuples(st.sampled_from(OPS), address),
                         min_size=1, max_size=80))
     return cls, params, line, ops
@@ -122,7 +131,12 @@ def test_lazy_sets_match_the_eager_reference(scenario):
     subject = cls(params)
     reference = Reference(params.sets, params.ways, line)
     retired = []
+    last_touched = 0
     for op, address in ops:
+        if address is None:
+            address = last_touched
+        if op == "touch":
+            last_touched = address
         if op == "clone":
             # Continue on the clones; the originals must stay frozen.
             retired.append((subject, reference.state()))
@@ -134,6 +148,10 @@ def test_lazy_sets_match_the_eager_reference(scenario):
             assert getattr(subject, op)(address) == \
                 getattr(reference, op)(address), (op, address)
         assert subject.state() == reference.state()
+        if subject._mru is not None:
+            # The remembered block is resident and its set's MRU line.
+            lines, tag = reference._locate(subject._mru * line)
+            assert list(lines)[-1:] == [tag], op
     assert subject.occupancy() == sum(len(s) for s in reference.lines)
     for original, frozen in retired:
         assert original.state() == frozen
@@ -205,6 +223,63 @@ def test_partitioned_routes_match_the_lattice(lattice, steps, cut):
 # -- one touch per access, against lookup-then-touch ---------------------
 
 
+class MemoFree:
+    """The ``lookup``/``touch`` of a cache that remembers no last-touched
+    block: every call searches its set."""
+
+    def lookup(self, address):
+        lines = self._sets.get((address >> self._line_shift) & self._set_mask)
+        return lines is not None and address >> self._tag_shift in lines
+
+    def touch(self, address):
+        set_index = (address >> self._line_shift) & self._set_mask
+        tag = address >> self._tag_shift
+        lines = self._sets.get(set_index)
+        if lines is None:
+            self._sets[set_index] = OrderedDict.fromkeys((tag,))
+            return False
+        if tag in lines:
+            lines.move_to_end(tag)
+            return True
+        if len(lines) >= self._ways:
+            lines.popitem(last=False)
+        lines[tag] = None
+        return False
+
+
+class MemoFreeCache(MemoFree, Cache):
+    pass
+
+
+class MemoFreeTlb(MemoFree, Tlb):
+    pass
+
+
+#: The caches and TLBs of a hierarchy.
+HIERARCHY_PARTS = ("l1_data", "l2_data", "l1_inst", "l2_inst", "data_tlb",
+                   "inst_tlb")
+
+
+def _memo_free(build):
+    """``build`` with every cache and TLB of the environments it makes
+    swapped for an empty memo-free one (they are fresh, so nothing is
+    lost), and its routes rebuilt over them."""
+    def memo_free(lattice, params):
+        env = build(lattice, params)
+        for hierarchy in env.hierarchies():
+            for name in HIERARCHY_PARTS:
+                part = getattr(hierarchy, name)
+                plain = MemoFreeTlb if isinstance(part, Tlb) else MemoFreeCache
+                setattr(hierarchy, name, plain(part.params))
+        if isinstance(env, LeakyTlbHardware):
+            env.shared_dtlb = MemoFreeTlb(env.shared_dtlb.params)
+            env.shared_itlb = MemoFreeTlb(env.shared_itlb.params)
+        if isinstance(env, PartitionedHardware):
+            env._build_routes()
+        return env
+    return memo_free
+
+
 class LookupThenTouchHierarchy(Hierarchy):
     """The hierarchy access that looks each level up, then touches it."""
 
@@ -246,9 +321,10 @@ class LookupThenTouchHierarchy(Hierarchy):
 
 
 class LookupThenTouchCaches:
-    """The partitioned L1/L2 stage that searches every partition at or
-    below the label, in ``lattice.levels()`` order, then touches the own
-    one; the searched partitions come from the lattice, not the routes."""
+    """The partitioned access as a TLB stage plus an L1/L2 stage; the
+    cache stage searches every partition at or below the label, in
+    ``lattice.levels()`` order, then touches the own one; the searched
+    partitions come from the lattice, not the routes."""
 
     def _build_routes(self):
         super()._build_routes()
@@ -265,7 +341,11 @@ class LookupThenTouchCaches:
                 tuple(getattr(h, name) for h in parts)
                 for name in ("inst_tlb", "l1_inst", "l2_inst"))
 
-    def _cache_access(self, address, route):
+    def _access(self, address, route):
+        return (self._tlb_stage(address, route)
+                + self._cache_stage(address, route))
+
+    def _cache_stage(self, address, route):
         hw = self.hw
         _, l1s, l2s = self.searched[id(route)]
         own_l1 = route.l1
@@ -306,7 +386,7 @@ class LookupThenTouchCaches:
 
 
 class LookupThenTouchPartitioned(LookupThenTouchCaches, PartitionedHardware):
-    def _tlb_access(self, address, route):
+    def _tlb_stage(self, address, route):
         tlbs, _, _ = self.searched[id(route)]
         own = route.tlb
         hit = None
@@ -327,13 +407,58 @@ class LookupThenTouchPartitioned(LookupThenTouchCaches, PartitionedHardware):
 
 
 class LookupThenTouchLeakyTlb(LookupThenTouchCaches, LeakyTlbHardware):
-    def _tlb_access(self, address, route):
-        tlb = self.shared_itlb if route.instruction else self.shared_dtlb
+    """Translation through the side's shared TLB, whatever the route."""
+
+    def _tlb_stage(self, address, route):
+        instruction = route.keys is INST_KEYS
+        tlb = self.shared_itlb if instruction else self.shared_dtlb
         hit = tlb.lookup(address)
         if self.hw is not None:
             self.hw[route.keys[0][hit]] += 1
         tlb.touch(address)
         return 0 if hit else tlb.params.miss_penalty
+
+
+class ScanEveryDirtyBlock(LookupThenTouchPartitioned, WriteBackHardware):
+    """The write-back step that scans every dirty block of every level at
+    or above the label, with a method call per address and per block."""
+
+    def _block(self, address):
+        return address // self.params.l1_data.block_bytes
+
+    def _set_of_block(self, block):
+        return block % self.params.l1_data.sets
+
+    def step(self, kind, trace, read_label, write_label):
+        cost = PartitionedHardware.step(self, kind, trace, read_label,
+                                        write_label)
+        if read_label != write_label:
+            return cost
+        label = read_label
+        touched_sets = {
+            self._set_of_block(self._block(a))
+            for a in (*trace.reads, *trace.writes)
+        }
+        touched_blocks = {
+            self._block(a) for a in (*trace.reads, *trace.writes)
+        }
+        drained = 0
+        if touched_sets:
+            for q in self.lattice.levels():
+                if not label.flows_to(q):
+                    continue
+                dirty = self._dirty[q]
+                conflicts = [
+                    block for block in dirty
+                    if self._set_of_block(block) in touched_sets
+                    and block not in touched_blocks
+                ]
+                for block in conflicts:
+                    dirty.discard(block)
+                drained += len(conflicts)
+        for address in trace.writes:
+            self._dirty[label].add(self._block(address))
+        return cost + drained * self.WRITEBACK_PENALTY
 
 
 #: The tiny machine with a 4-entry predictor, so every component of a
@@ -354,12 +479,16 @@ def _with_hierarchy(cls):
     return build
 
 
-#: (name, subject factory, lookup-then-touch factory).
+#: (name, subject factory, reference factory): every reference looks up,
+#: then touches, on memo-free caches and TLBs.
 DIFFERENTIAL = [
-    ("standard", StandardHardware, _with_hierarchy(StandardHardware)),
-    ("nofill", NoFillHardware, _with_hierarchy(NoFillHardware)),
-    ("partitioned", PartitionedHardware, LookupThenTouchPartitioned),
-    ("leakytlb", LeakyTlbHardware, LookupThenTouchLeakyTlb),
+    ("standard", StandardHardware,
+     _memo_free(_with_hierarchy(StandardHardware))),
+    ("nofill", NoFillHardware, _memo_free(_with_hierarchy(NoFillHardware))),
+    ("partitioned", PartitionedHardware,
+     _memo_free(LookupThenTouchPartitioned)),
+    ("leakytlb", LeakyTlbHardware, _memo_free(LookupThenTouchLeakyTlb)),
+    ("writeback", WriteBackHardware, _memo_free(ScanEveryDirtyBlock)),
 ]
 
 #: One step: (read label, write label, instruction slot, reads, writes,

@@ -20,6 +20,7 @@ PROGRAMS = {
     "explicit_flow.tl": "l := h\n",
     "array_read.tl": "x := a[5] + 1\n",
     "array_write.tl": "a[x] := 1\n",
+    "repeated_levels.tl": "// levels: L,H,L\nready := 1\n",
 }
 
 #: Workload specs whose login tenant has a bad ``valid`` count.
@@ -51,6 +52,28 @@ ROWS = [
     (["bench"], 2),
 ]
 
+#: A bad option value is an argparse error naming the option and why.
+OPTION_ROWS = [
+    (["contract", "partitioned", "--trials", "0"],
+     "argument --trials: must be >= 1, got 0"),
+    (["contract", "partitioned", "--trials", "-2"],
+     "argument --trials: must be >= 1, got -2"),
+    (["verify-hw", "--max-examples", "0"],
+     "argument --max-examples: must be >= 1, got 0"),
+    (["check", "mitigated.tl", "--gamma", "h=H", "--levels", "L,H,L"],
+     "argument --levels: level names must be non-empty and distinct, "
+     "got 'L,H,L'"),
+    (["run", "mitigated.tl", *GAMMA, "--levels", "L,L"],
+     "argument --levels: level names must be non-empty and distinct, "
+     "got 'L,L'"),
+    (["lint", "mitigated.tl", "--levels", "L,,H"],
+     "argument --levels: level names must be non-empty and distinct, "
+     "got 'L,,H'"),
+    (["contract", "partitioned", "--levels", "L,H,L"],
+     "argument --levels: level names must be non-empty and distinct, "
+     "got 'L,H,L'"),
+]
+
 
 ARRAYS = ["--gamma", "x=L,a=L"]
 
@@ -72,6 +95,13 @@ RUNTIME_ROWS = [
     (["attack", "--quick", "--samples", "0"],
      "repro attack: verify_repeats must be >= 1 sample per candidate, "
      "got 0"),
+]
+
+#: A malformed directive is bad input; ``lint`` reports it and carries on.
+DIRECTIVE_ROWS = [
+    (["lint", "repeated_levels.tl"],
+     "repro lint: repeated_levels.tl: levels directive: level names must "
+     "be non-empty and distinct, got 'L,H,L'"),
 ]
 
 
@@ -119,3 +149,26 @@ def test_bad_input_exits_with_a_message(tmp_path, argv, code):
     if code:
         assert (f"repro {argv[0]}:" in proc.stderr
                 or "usage:" in proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message", OPTION_ROWS,
+    ids=[" ".join(argv) for argv, _ in OPTION_ROWS],
+)
+def test_bad_option_value_exits_2_naming_it(tmp_path, argv, message):
+    proc = _repro(tmp_path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"repro {argv[0]}: error: {message}"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message", DIRECTIVE_ROWS,
+    ids=[" ".join(argv) for argv, _ in DIRECTIVE_ROWS],
+)
+def test_bad_directive_exits_2_with_its_message(tmp_path, argv, message):
+    proc = _repro(tmp_path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == message

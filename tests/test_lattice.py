@@ -58,6 +58,13 @@ class TestChain:
         with pytest.raises(ValueError):
             chain(())
 
+    @pytest.mark.parametrize("names", [("L", "H", "L"), ("L", "L"),
+                                       ("L", "", "H"), ("",)])
+    def test_repeated_or_empty_names_rejected(self, names):
+        # A repeat would close a cycle (L,H,L) or merge levels (L,L).
+        with pytest.raises(LatticeError, match="non-empty and distinct"):
+            chain(names)
+
 
 class TestDiamond:
     def test_incomparable_middles(self):
@@ -142,6 +149,13 @@ class TestCrossLattice:
         a, b = two_point(), two_point()
         assert a["L"] != b["L"]
         assert a["L"] == a["L"]
+
+    def test_labels_are_interned(self):
+        # Equality and hashing are identity: one label object per level.
+        lat = chain(("L", "M", "H"))
+        assert lat["M"] is lat["M"] is lat.levels()[1]
+        assert lat.join(lat["L"], lat["M"]) is lat["M"]
+        assert {lat["H"]: 1}[lat.top] == 1
 
 
 class TestDerivedOperators:
