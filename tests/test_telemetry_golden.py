@@ -21,6 +21,13 @@ Two more entries pin the whole metrics document of a recorded run that
 raises (``max_steps`` exhausted, an out-of-bounds read): counters recorded
 before the error must survive it.
 
+The cases above also write a trace and a journal, so a sink consumes
+every step.  The ``metrics_only`` section pins the runs no such sink
+observes: ``repro run --metrics-out`` alone on all 9 models, ``repro
+serve --metrics-out`` alone under each policy together with the
+gateway's per-tenant registries, and one lone metrics recorder whose run
+exhausts ``max_steps``.
+
 Regenerate (only for an intended change to a telemetry document)::
 
     PYTHONPATH=src python tests/test_telemetry_golden.py --write
@@ -110,23 +117,27 @@ def _in_root():
         os.chdir(cwd)
 
 
-def documents(argv, branch_machine: bool):
-    """Run one CLI invocation from the repo root; the sha256 of each
-    telemetry document it writes."""
+def documents(argv, branch_machine: bool,
+              kinds=("metrics", "trace", "journal")):
+    """Run one CLI invocation from the repo root, writing the telemetry
+    documents ``kinds``; the sha256 of each."""
     machine = (MachineParams(branch=BranchPredictorParams())
                if branch_machine else MachineParams())
     with tempfile.TemporaryDirectory() as tmp, _in_root():
-        out = {kind: str(Path(tmp) / kind)
-               for kind in ("metrics", "trace", "journal")}
+        out = {kind: str(Path(tmp) / kind) for kind in kinds}
         with _fresh_ids(), \
                 mock.patch.object(cli, "paper_machine", lambda: machine), \
                 contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            cli.main([*argv, "--metrics-out", out["metrics"],
-                      "--trace-out", out["trace"],
-                      "--journal-out", out["journal"]])
+            cli.main([*argv, *(arg for kind, path in out.items()
+                               for arg in (f"--{kind}-out", path))])
         return {kind: _sha256(Path(path).read_bytes())
                 for kind, path in out.items()}
+
+
+def _registries(registries) -> dict:
+    return {name: _sha256(json.dumps(registry.as_dict()).encode())
+            for name, registry in sorted(registries.items())}
 
 
 def tenant_documents(policy: str):
@@ -135,8 +146,7 @@ def tenant_documents(policy: str):
         {**json.loads((ROOT / SPEC).read_text()), "policy": policy})
     with _fresh_ids():
         result = Gateway(spec).serve()
-    return {name: _sha256(json.dumps(registry.as_dict()).encode())
-            for name, registry in sorted(result.tenant_registries.items())}
+    return _registries(result.tenant_registries)
 
 
 RAISING = """
@@ -174,6 +184,52 @@ RAISED = {
 }
 
 
+#: ``{name: argv}``: CLI runs writing ``--metrics-out`` alone.
+METRICS_CASES = {
+    **{f"run/mitigate_demo/{model}": ["run", *DEMO, "--hardware", model]
+       for model in REGISTRY.names()},
+    **{f"serve/{policy}": ["serve", "--spec", SPEC, "--policy", policy]
+       for policy in POLICIES},
+}
+
+
+def metrics_only(argv):
+    """The sha256 of the ``--metrics-out`` document alone and, for a
+    serve, of each per-tenant registry the same gateway filled."""
+    served = []
+    serve = Gateway.serve
+
+    def keep(gateway):
+        served.append(serve(gateway))
+        return served[-1]
+    with mock.patch.object(Gateway, "serve", keep):
+        digests = documents(argv, False, kinds=("metrics",))
+    if served:
+        digests["tenants"] = _registries(served[0].tenant_registries)
+    return digests
+
+
+def raised_alone(max_steps: int):
+    """The metrics document of a lone metrics recorder whose run
+    exhausts ``max_steps``."""
+    with _fresh_ids():
+        compiled = api.compile_program(RAISING,
+                                       {"a": "L", "s": "L", "i": "L"})
+    recorder = RecordingTraceRecorder()
+    with pytest.raises(TimeoutError):
+        compiled.run({"a": [1, 2, 3, 4, 5, 6], "s": 0, "i": 0},
+                     hardware="partitioned", max_steps=max_steps,
+                     recorder=recorder)
+    return recorder.registry.as_dict()
+
+
+def render_metrics_only():
+    return {
+        **{name: metrics_only(argv) for name, argv in METRICS_CASES.items()},
+        "raised/max_steps": raised_alone(9),
+    }
+
+
 def render():
     """The golden document."""
     return {
@@ -183,6 +239,7 @@ def render():
                     for policy in POLICIES},
         "raised": {name: raised_registries(*args)
                    for name, args in RAISED.items()},
+        "metrics_only": render_metrics_only(),
     }
 
 
@@ -195,6 +252,8 @@ def test_golden_covers_every_case():
     assert list(golden["documents"]) == list(CASES)
     assert list(golden["tenants"]) == list(POLICIES)
     assert list(golden["raised"]) == list(RAISED)
+    assert list(golden["metrics_only"]) == [*METRICS_CASES,
+                                            "raised/max_steps"]
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -214,6 +273,19 @@ def test_raised_run_keeps_its_counters(name):
     # The steps taken before the error are all counted.
     assert expected["metrics"]["counters"]["steps.total"] > 0
     assert expected["metrics"]["counters"]["hw.l1d.hits"] > 0
+
+
+@pytest.mark.parametrize("name", list(METRICS_CASES))
+def test_metrics_only_documents_match_golden(name):
+    assert (metrics_only(METRICS_CASES[name])
+            == _golden()["metrics_only"][name])
+
+
+def test_metrics_only_raised_run_keeps_its_counters():
+    expected = _golden()["metrics_only"]["raised/max_steps"]
+    assert raised_alone(9) == expected
+    assert expected["counters"]["steps.total"] > 0
+    assert expected["counters"]["hw.l1d.hits"] > 0
 
 
 if __name__ == "__main__":
