@@ -214,7 +214,8 @@ def _value_range(spec: str) -> Tuple[int, int]:
 
 
 def _positive(spec: str) -> int:
-    """A positive integer (``--horizon``, ``--trials``, ``--max-examples``)."""
+    """A positive integer (``--horizon``, ``--trials``, ``--max-examples``,
+    ``--max-steps``)."""
     try:
         value = int(spec)
     except ValueError:
@@ -1308,7 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("run", cmd_run, "execute on simulated hardware")
     _add_program(p)
     _add_execution(p)
-    p.add_argument("--max-steps", type=int, default=10_000_000)
+    p.add_argument("--max-steps", type=_positive, default=10_000_000)
     p.add_argument("--scheme", choices=SCHEME_CHOICES, default="doubling",
                    help="prediction scheme for mitigate commands "
                         "(default doubling)")

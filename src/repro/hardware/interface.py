@@ -29,11 +29,12 @@ the state at exactly one level, defining projected equivalence ``E1 =l= E2``
 (Sec. 3.4); ``l``-equivalence follows by conjunction over all levels below.
 
 Telemetry comes out of ``step`` too: while a run is recorded,
-:attr:`MachineEnvironment.hw` is a burst dict, shared with the model's
+:attr:`MachineEnvironment.hw` is a count dict, shared with the model's
 hierarchies, to which each classification adds one under a precomputed key
-(``"l1d.hits"``, ``"branch.mispredictions"``, ``"bypass.accesses"``, ...);
-the interpreter passes it to ``on_step`` and clears it.  Unrecorded it is
-``None``: one identity check per site.
+(``"l1d.hits"``, ``"branch.mispredictions"``, ``"bypass.accesses"``, ...).
+It is the run's totals, or, when a sink consumes ``on_step``, one step's
+burst that the interpreter passes to ``on_step``, adds into the totals and
+clears.  Unrecorded it is ``None``: one identity check per site.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class MachineEnvironment(ABC):
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
-        #: The step's telemetry burst, a ``defaultdict(int)``, or ``None``.
+        #: The run's or the step's telemetry counts, a
+        #: ``defaultdict(int)``, or ``None``.
         self.hw: Optional[Dict[str, int]] = None
 
     def hierarchies(self) -> Tuple:
@@ -70,7 +72,7 @@ class MachineEnvironment(ABC):
         return ()
 
     def attach_hw(self, hw: Optional[Dict[str, int]]) -> None:
-        """Share the burst ``hw`` (``None`` detaches) with the model and
+        """Share the counts ``hw`` (``None`` detaches) with the model and
         its hierarchies.  Counting is passive: it never changes timing."""
         self.hw = hw
         for hierarchy in self.hierarchies():

@@ -76,7 +76,7 @@ from ..lattice import Label
 from ..machine.layout import AccessTrace, Layout
 from ..machine.memory import Memory
 from ..hardware.interface import MachineEnvironment, StepKind
-from ..telemetry.recorder import TraceRecorder
+from ..telemetry.recorder import TraceRecorder, overrides
 from .core import (
     OPERATORS, _apply, _read_out_of_bounds, _write_out_of_bounds,
     eval_expr_traced,
@@ -120,20 +120,29 @@ class _RunState:
     events and mitigation records, the continuation stack and ``reads``,
     the one buffer array-touching steps collect their data addresses in.
 
+    A recorded run also keeps the totals its sinks receive through
+    ``on_totals``: ``steps`` by kind value, machine ``cycles`` and
+    ``totals``, the hardware counts.  ``on_step`` is the recorder's
+    ``on_step`` when a sink consumes it, else ``None``; then ``hw``, the
+    dict the hardware counts into, is ``totals`` itself.
+
     The steps capture this state and its bound methods, never the
     :class:`Interpreter` that owns them, so the compiled code is not
     reachable from what it captures.
     """
 
-    __slots__ = ("time", "environment", "mitigation", "recorder", "hw",
-                 "events", "records", "stack", "reads")
+    __slots__ = ("time", "environment", "mitigation", "recorder", "on_step",
+                 "hw", "totals", "steps", "cycles", "events", "records",
+                 "stack", "reads")
 
     def __init__(self) -> None:
         self.time = 0
         self.environment: Optional[MachineEnvironment] = None
         self.mitigation: Optional[MitigationState] = None
         self.recorder: Optional[TraceRecorder] = None
-        self.hw = None
+        self.on_step = None
+        self.hw = self.totals = self.steps = None
+        self.cycles = 0
         self.events: List[Event] = []
         self.records: List[MitigationRecord] = []
         self.stack: List[Step] = []
@@ -143,20 +152,41 @@ class _RunState:
                read_label: Label, write_label: Label) -> None:
         """Charge one hardware step and advance the clock: every labeled
         step but ``sleep`` comes through here, so this is the one place a
-        step checks for a recorder.  Recorded, it hands the step's
-        hardware burst to ``on_step`` and clears it."""
+        step checks for a recorder.  Recorded, it counts the step into the
+        run's totals; only when a sink consumes ``on_step`` does it also
+        time the hardware, hand that sink the step's burst and fold the
+        burst into the totals."""
         recorder = self.recorder
         if recorder is None:
             self.time += self.environment.step(kind, trace, read_label,
                                                write_label)
             return
+        on_step = self.on_step
+        if on_step is None:
+            cost = self.environment.step(kind, trace, read_label,
+                                         write_label)
+            self.time += cost
+            self.cycles += cost
+            self.steps[kind._value_] += 1
+            return
         started = perf_counter_ns()
         cost = self.environment.step(kind, trace, read_label, write_label)
         wall_ns = perf_counter_ns() - started
         self.time += cost
-        hw = self.hw
-        recorder.on_step(kind, cost, self.time, wall_ns, hw)
+        self.cycles += cost
+        self.steps[kind._value_] += 1
+        hw, totals = self.hw, self.totals
+        on_step(kind, cost, self.time, wall_ns, hw)
+        for key, count in hw.items():
+            totals[key] += count
         hw.clear()
+
+    def deliver(self) -> None:
+        """Hand the run's totals to the recorder and start them afresh."""
+        self.recorder.on_totals(self.steps, self.cycles, self.totals)
+        self.steps.clear()
+        self.cycles = 0
+        self.totals.clear()
 
     def finish_mitigation(self, mit_id: str, level: Label, estimate: int,
                           start_time: int,
@@ -271,15 +301,24 @@ class Interpreter:
         if self.mitigation is None:
             self.mitigation = MitigationState()
         # Thread the run's telemetry through every layer that advances or
-        # explains the clock: hardware (one hit/miss burst per step) and the
+        # explains the clock: hardware (its hit/miss counts) and the
         # mitigation runtime (Miss[l] transitions).  Always assigned, so an
-        # unrecorded run detaches the previous run's.
-        state = self._state
-        state.hw = defaultdict(int) if self.recorder is not None else None
+        # unrecorded run detaches the previous run's.  Recorded, the
+        # hardware counts straight into the run's totals unless a sink
+        # consumes each step's burst.
+        state, recorder = self._state, self.recorder
+        if recorder is None:
+            state.hw = state.on_step = None
+        else:
+            state.on_step = (recorder.on_step
+                             if overrides(recorder, "on_step") else None)
+            state.steps, state.totals = defaultdict(int), defaultdict(int)
+            state.hw = (state.totals if state.on_step is None
+                        else defaultdict(int))
         self.environment.attach_hw(state.hw)
-        self.mitigation.recorder = self.recorder
+        self.mitigation.recorder = recorder
         state.environment, state.mitigation = self.environment, self.mitigation
-        state.recorder = self.recorder
+        state.recorder = recorder
 
     # -- driving --------------------------------------------------------------------
 
@@ -315,6 +354,7 @@ class Interpreter:
             stack.clear()
             state.reads.clear()
             if recorder is not None:
+                state.deliver()
                 recorder.on_abort(error)
             raise
         finally:
@@ -331,6 +371,7 @@ class Interpreter:
             steps=steps,
         )
         if recorder is not None:
+            state.deliver()
             recorder.on_finish(result)
         return result
 

@@ -1,12 +1,12 @@
 """The trace-recorder seam: runtime telemetry without semantic interference.
 
-A :class:`TraceRecorder` observes one execution from the inside: every
-charged step together with the cache/TLB/branch hit-miss burst the hardware
-resolved for it, every ``sleep``, every per-level ``Miss`` transition of
-the mitigation runtime, every completed ``mitigate`` block with its
-padding, and every request the gateway serves.  Recorders are strictly
-passive.  ``None`` is the only "off" value: the interpreter, the mitigation
-runtime, the hardware models and the gateway check
+A :class:`TraceRecorder` observes one execution from the inside: the
+run's charged steps with the cache/TLB/branch hit-miss counts the
+hardware resolved for them, every ``sleep``, every per-level ``Miss``
+transition of the mitigation runtime, every completed ``mitigate`` block
+with its padding, and every request the gateway serves.  Recorders are
+strictly passive.  ``None`` is the only "off" value: the interpreter, the
+mitigation runtime, the hardware models and the gateway check
 ``recorder is not None`` (the hardware: ``hw is not None``) once per site
 before doing *any* recording work, so an unobserved run pays one identity
 check and recording can never perturb costs, state, or events (the
@@ -17,6 +17,8 @@ The hooks mirror the layers of the full semantics:
 * :meth:`on_run_start` / :meth:`on_step` / :meth:`on_sleep` -- the
   interpreter starts and its clock advances (``on_step`` carrying the
   hit/miss burst of the :mod:`repro.hardware.interface` seam);
+* :meth:`on_totals` -- the run's charged steps, machine cycles and
+  hit/miss counts, summed, once per run before it ends;
 * :meth:`on_mitigate_enter` / :meth:`on_miss_update` /
   :meth:`on_mitigation` -- the Fig. 6 runtime (epoch boundaries,
   ``Miss[l]`` increments, prediction settling, padding);
@@ -34,12 +36,18 @@ The sinks are :class:`RecordingTraceRecorder` (aggregates into a
 :class:`TeeRecorder` is the one fan-out: it subscribes each child only to
 the hooks that child overrides, and :func:`combine` picks ``None``, the
 single sink, or a tee.
+
+Only the per-step sinks (spans and the journal behind them, the
+profiler) receive ``on_step``; the metrics sink takes the run's totals
+from ``on_totals``.  The interpreter applies the same :func:`overrides`
+rule once per run: when no sink consumes ``on_step``, a recorded step
+reads no clock and calls no hook, and the hardware counts straight into
+the run's totals.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from ..lattice import Label
 
@@ -67,7 +75,20 @@ class TraceRecorder:
         the host time the hardware model took to resolve it.  ``hw`` is
         the step's hardware burst (``{"l1d.hits": 2, ...}``, see
         ``docs/TELEMETRY.md``) in classification order; the interpreter
-        clears it after the call, so copy it, never keep it."""
+        clears it after the call, so copy it, never keep it.
+
+        Only a sink that overrides this hook makes a run pay for it: with
+        none, the interpreter reads no clock and calls nothing per step,
+        and the steps reach the sinks only through :meth:`on_totals`."""
+
+    def on_totals(self, steps: Mapping[str, int], cycles: int,
+                  hw: Mapping[str, int]) -> None:
+        """The run's charged steps, summed, once per run right before
+        :meth:`on_finish` or :meth:`on_abort`: ``steps`` counts them by
+        kind value (``{"assign": 4, ...}``), ``cycles`` is the machine
+        cycles they cost and ``hw`` the run's hardware counts, each in
+        first-seen order.  The interpreter clears both dicts after the
+        call, so copy them, never keep them."""
 
     def on_sleep(self, duration: int, time: int) -> None:
         """A ``sleep`` advanced the clock by exactly ``duration`` cycles."""
@@ -130,9 +151,9 @@ class RecordingTraceRecorder(TraceRecorder):
     """A recorder that aggregates into a metrics registry and, optionally,
     a dynamic leakage meter.
 
-    Charged steps fold into run-local totals that reach the ``steps.*``,
-    ``cycles.machine`` and ``hw.*`` counters when the run finishes or
-    aborts; every other hook writes the registries directly.
+    It takes no ``on_step``: charged steps reach the ``steps.*``,
+    ``cycles.machine`` and ``hw.*`` counters once per run, through
+    :meth:`on_totals`; every other hook writes the registries directly.
 
     Parameters
     ----------
@@ -161,35 +182,19 @@ class RecordingTraceRecorder(TraceRecorder):
         self.registry = registry
         self.meter = meter
         self._registries = (registry, *mirrors)
-        self._new_run()
-
-    def _new_run(self) -> None:
-        #: Run-local totals: steps by kind value, machine cycles, burst keys.
-        self._steps: Dict[str, int] = defaultdict(int)
-        self._cycles = 0
-        self._hw: Dict[str, int] = defaultdict(int)
-
-    def _flush(self) -> None:
-        """Add the run-local totals to the registries and start afresh."""
-        counts = [(f"hw.{key}", n) for key, n in self._hw.items()]
-        if self._steps:
-            counts += [(f"steps.{kind}", n) for kind, n in self._steps.items()]
-            counts += [("steps.total", sum(self._steps.values())),
-                       ("cycles.machine", self._cycles)]
-        self._new_run()
-        for reg in self._registries:
-            for name, count in counts:
-                reg.inc(name, count)
 
     # -- interpreter-level hooks --------------------------------------------
 
-    def on_step(self, kind, cost: int, time: int, wall_ns: int,
-                hw: Mapping[str, int]) -> None:
-        self._steps[kind._value_] += 1
-        self._cycles += cost
-        totals = self._hw
-        for key, count in hw.items():
-            totals[key] += count
+    def on_totals(self, steps: Mapping[str, int], cycles: int,
+                  hw: Mapping[str, int]) -> None:
+        counts = [(f"hw.{key}", n) for key, n in hw.items()]
+        if steps:
+            counts += [(f"steps.{kind}", n) for kind, n in steps.items()]
+            counts += [("steps.total", sum(steps.values())),
+                       ("cycles.machine", cycles)]
+        for reg in self._registries:
+            for name, count in counts:
+                reg.inc(name, count)
 
     def on_sleep(self, duration: int, time: int) -> None:
         for reg in self._registries:
@@ -198,15 +203,11 @@ class RecordingTraceRecorder(TraceRecorder):
             reg.inc("cycles.sleep", duration)
 
     def on_finish(self, result) -> None:
-        self._flush()
         for reg in self._registries:
             reg.inc("runs")
             reg.inc("cycles.final", result.time)
         if self.meter is not None:
             self.meter.end_run(result.time)
-
-    def on_abort(self, error: BaseException) -> None:
-        self._flush()
 
     # -- mitigation-runtime hooks -------------------------------------------
 
@@ -264,14 +265,14 @@ class TeeRecorder(TraceRecorder):
         self.recorders = tuple(r for r in recorders if r is not None)
         for hook in HOOKS:
             sinks = [getattr(r, hook) for r in self.recorders
-                     if _overrides(r, hook)]
+                     if overrides(r, hook)]
             if len(sinks) == 1:
                 setattr(self, hook, sinks[0])
             elif sinks:
                 setattr(self, hook, _fan_out(sinks))
 
 
-def _overrides(recorder: TraceRecorder, hook: str) -> bool:
+def overrides(recorder: TraceRecorder, hook: str) -> bool:
     """Whether ``recorder`` does anything on ``hook`` (a nested tee's
     bound children count; the base no-op does not)."""
     method = getattr(recorder, hook)

@@ -60,6 +60,10 @@ OPTION_ROWS = [
      "argument --trials: must be >= 1, got -2"),
     (["verify-hw", "--max-examples", "0"],
      "argument --max-examples: must be >= 1, got 0"),
+    (["run", "mitigated.tl", *GAMMA, "--max-steps", "0"],
+     "argument --max-steps: must be >= 1, got 0"),
+    (["run", "mitigated.tl", *GAMMA, "--max-steps", "-3"],
+     "argument --max-steps: must be >= 1, got -3"),
     (["check", "mitigated.tl", "--gamma", "h=H", "--levels", "L,H,L"],
      "argument --levels: level names must be non-empty and distinct, "
      "got 'L,H,L'"),

@@ -317,7 +317,12 @@ class TestTeeRecorder:
         spans = SpanRecorder()
         tee = TeeRecorder(metrics, spans)
         # A hook both sinks consume fans out to both of them.
-        assert tee.on_step not in (metrics.on_step, spans.on_step)
+        for hook in ("on_finish", "on_mitigation"):
+            assert getattr(tee, hook) not in (getattr(metrics, hook),
+                                              getattr(spans, hook)), hook
+        # Only the span sink takes steps; only the metrics sink totals.
+        assert tee.on_step == spans.on_step
+        assert tee.on_totals == metrics.on_totals
         _, result = _run_recorded(recorder=tee)
         assert metrics.registry.counter("runs") == 1
         assert metrics.registry.final_cycles() == result.time

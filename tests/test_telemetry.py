@@ -20,6 +20,8 @@ import json
 import math
 import os
 import random
+import time
+from unittest import mock
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.apps.password import PasswordChecker
 from repro.cli import main
 from repro.hardware import PartitionedHardware, make_hardware, tiny_machine
 from repro.lang import DEFAULT_LATTICE
+from repro.semantics import full
 from repro.semantics.full import Interpreter, execute
 from repro.semantics.mitigation import MitigationState
 from repro.telemetry import (
@@ -41,6 +44,8 @@ from repro.telemetry import (
     SCHEMA,
     SpanRecorder,
     TeeRecorder,
+    TraceRecorder,
+    combine,
 )
 from repro.testing import GeneratorConfig, ProgramGenerator, standard_gamma
 from repro.typesystem import TypingError, infer_labels, typecheck
@@ -164,9 +169,10 @@ class TestNonInterference:
         assert checked >= 5, "corpus produced too few well-typed programs"
 
     def test_null_recorder_is_inactive(self):
-        # ``None`` is the null recorder: no burst is shared with the
+        # ``None`` is the null recorder: no count dict is shared with the
         # hardware and no recorder with the mitigation runtime, so every
-        # guard skips.  Recorded, one burst is shared by every partition.
+        # guard skips.  Recorded, one count dict is shared by every
+        # partition.
         program, _, info, gen = next(
             g for g in map(_generated, CORPUS_SEEDS) if g is not None)
         for recorder in (None, RecordingTraceRecorder()):
@@ -215,6 +221,40 @@ class TestNonInterference:
         assert 0 <= reg.padding_cycles() <= sum(
             r.duration for r in result.mitigations
         )
+
+    def test_metrics_only_run_takes_no_step(self):
+        # No sink consumes on_step, so a recorded step calls no hook and
+        # reads no clock: the clock is read only around each settle, and
+        # the metrics arrive once, as the run's totals.
+        compiled = compile_program(MITIGATED, {"h": "H", "ready": "L"})
+
+        def run(*sinks):
+            """The result, clock reads, base ``on_step`` calls and span
+            ``on_step`` calls of one run observed by ``sinks``."""
+            with mock.patch.object(full, "perf_counter_ns",
+                                   side_effect=time.perf_counter_ns) as clock, \
+                    mock.patch.object(TraceRecorder, "on_step",
+                                      autospec=True) as base, \
+                    mock.patch.object(SpanRecorder, "on_step",
+                                      autospec=True) as spans:
+                # A tee binds its hooks when built: build it patched.
+                result = compiled.run({"h": 9, "ready": 0},
+                                      recorder=combine(*sinks))
+            return (result, clock.call_count, base.call_count,
+                    spans.call_count)
+
+        metrics = RecordingTraceRecorder()
+        result, clock, base, _ = run(metrics)
+        reg = metrics.registry
+        charged = reg.counter("steps.total") - reg.counter("steps.sleep")
+        settles = len(result.mitigations)
+        assert charged > 0 and settles > 0
+        assert base == 0 and clock == 2 * settles
+        # Beside a span sink, every charged step is timed and handed over.
+        _, clock, base, spans = run(RecordingTraceRecorder(),
+                                    SpanRecorder())
+        assert base == 0 and spans == charged
+        assert clock == 2 * (charged + settles)
 
     def test_speculative_shared_predictor_is_counted(self):
         # The shared predictor is the speculative model's leak, so every
