@@ -312,38 +312,25 @@ def replay_program(
     """
     from .. import api
     from ..lang.lexer import LexError
-    from ..lang.parser import parse, ParseError
-    from ..lattice import chain
+    from ..lang.parser import ParseError
     from ..semantics.core import EvaluationError
     from ..semantics.full import SemanticsError
     from ..telemetry.profiling import Profiler
     from ..typesystem.errors import TypingError
-    from .engine import DirectiveError, parse_directives, _parse_gamma_spec
-    from ..lang.parser import DEFAULT_LATTICE
+    from .engine import DirectiveError, resolve_config
 
     def skip(reason: str) -> SoundnessCheck:
         return SoundnessCheck(
             path=path, hardware=hardware, status="skipped", reason=reason
         )
 
-    directives = parse_directives(source)
-    levels = directives.get("levels")
-    lattice = (
-        chain(tuple(n.strip() for n in levels.split(",")))
-        if levels else DEFAULT_LATTICE
-    )
     try:
-        gamma = (
-            _parse_gamma_spec(directives["gamma"], lattice)
-            if "gamma" in directives else {}
-        )
+        gamma = resolve_config(source).gamma
     except DirectiveError as err:
-        return skip(f"bad gamma directive: {err}")
+        return skip(f"bad directive: {err}")
 
     try:
-        compiled = api.compile_program(
-            source, gamma=gamma, lattice=lattice, infer=True, check=False
-        )
+        compiled = api.compile_program(source, gamma=gamma, check=False)
     except (LexError, ParseError, TypingError) as err:
         return skip(f"does not compile: {err}")
 

@@ -11,10 +11,14 @@ example programs declare their own analysis configuration in leading
     // budget: 1.5
     // require-cache-labels
 
-The pipeline per file: parse directives -> parse program (a syntax error
-becomes a TL000 diagnostic) -> report unbound variables (TL009) against a
-tolerant Gamma -> optional label inference -> the error-recovering type
-check (TL001-TL008) -> AST lints (TL010+) -> static Theorem 2 audit.
+:func:`resolve_config` is their one reader: every command that reads a
+program, and the soundness replay, gets its configuration from it.
+
+The pipeline per file: resolve the configuration -> parse program (a
+syntax error becomes a TL000 diagnostic) -> report unbound variables
+(TL009) against a tolerant Gamma -> optional label inference -> the
+error-recovering type check (TL001-TL008) -> AST lints (TL010+) ->
+static Theorem 2 audit.
 """
 
 from __future__ import annotations
@@ -105,6 +109,8 @@ class LintResult:
     quantify: Optional[Dict[str, "QuantifyReport"]] = None
     #: The bits budget the censuses were checked against, if any.
     bits_budget: Optional[float] = None
+    #: The configured adversary (observer) level, if any.
+    adversary: Optional[Label] = None
 
     @property
     def fatal(self) -> bool:
@@ -147,27 +153,85 @@ def parse_directives(source: str) -> Dict[str, str]:
     return found
 
 
-def _bind_levels(levels: Dict[str, str], lattice: Lattice) -> Dict[str, Label]:
-    """Resolve name -> level-name bindings against ``lattice``."""
-    for level in levels.values():
-        if level not in lattice:
-            raise DirectiveError(
-                f"unknown security level {level!r}; lattice levels are "
-                f"{[l.name for l in lattice]}"
-            )
-    return {name: lattice[level] for name, level in levels.items()}
+def _level(name: str, lattice: Lattice) -> Label:
+    """The level ``name`` of ``lattice``; one error form for every source."""
+    if name not in lattice:
+        raise DirectiveError(f"unknown security level {name!r}; lattice "
+                             f"levels are {[l.name for l in lattice]}")
+    return lattice[name]
 
 
-def _parse_gamma_spec(spec: str, lattice: Lattice) -> Dict[str, Label]:
+def parse_gamma(spec: str) -> Dict[str, str]:
+    """The one ``name=LEVEL,...`` parser (``--gamma``, ``// gamma:``):
+    name -> level-name strings, checked later against the lattice."""
     levels: Dict[str, str] = {}
     for item in filter(None, (part.strip() for part in spec.split(","))):
         if "=" not in item:
-            raise DirectiveError(
-                f"gamma entries look like name=LEVEL, got {item!r}"
-            )
+            raise DirectiveError(f"entries look like name=LEVEL, got {item!r}")
         name, level = (s.strip() for s in item.split("=", 1))
         levels[name] = level
-    return _bind_levels(levels, lattice)
+    return levels
+
+
+@dataclass(frozen=True)
+class ProgramConfig:
+    """What a program is judged under (:func:`resolve_config`)."""
+
+    gamma: SecurityEnvironment  # carries the lattice
+    infer: bool
+    require_cache_labels: bool
+    adversary: Optional[Label]
+    bits_budget: Optional[float]
+
+
+def resolve_config(
+    source: str, options: Optional[LintOptions] = None
+) -> ProgramConfig:
+    """A program's configuration: its directives, then the set
+    ``options`` laid over them (``gamma`` one name at a time).  Raises
+    :class:`DirectiveError` on a malformed directive or a level outside
+    the resolved lattice."""
+    options = options or LintOptions()
+    directives = parse_directives(source)
+
+    levels = options.levels
+    if levels is None and "levels" in directives:
+        levels = tuple(n.strip() for n in directives["levels"].split(","))
+    try:
+        lattice = chain(levels) if levels else DEFAULT_LATTICE
+    except LatticeError as err:
+        raise DirectiveError(f"levels directive: {err}") from None
+
+    try:
+        named = parse_gamma(directives.get("gamma", ""))
+    except DirectiveError as err:
+        raise DirectiveError(f"gamma directive: {err}") from None
+    named.update(options.gamma)
+    adversary = options.adversary or directives.get("adversary")
+
+    bits_budget = options.bits_budget
+    if bits_budget is None and "budget" in directives:
+        raw = directives["budget"]
+        try:
+            bits_budget = float(raw)
+        except ValueError:
+            raise DirectiveError("budget directive must be a number of "
+                                 f"bits, got {raw!r}") from None
+        if not (math.isfinite(bits_budget) and bits_budget >= 0):
+            raise DirectiveError("budget directive must be >= 0 bits and "
+                                 f"finite, got {raw!r}")
+
+    return ProgramConfig(
+        gamma=SecurityEnvironment(lattice, {
+            name: _level(level, lattice) for name, level in named.items()
+        }),
+        infer=(directives.get("infer", "on") != "off"
+               if options.infer is None else options.infer),
+        require_cache_labels=(options.require_cache_labels
+                              or "require-cache-labels" in directives),
+        adversary=_level(adversary, lattice) if adversary else None,
+        bits_budget=bits_budget,
+    )
 
 
 _POSITION = re.compile(r"line (\d+)(?:, column (\d+))?")
@@ -201,69 +265,17 @@ def analyze_source(
 ) -> LintResult:
     """Run the full multi-pass analysis over one program's source text."""
     options = options or LintOptions()
-    directives = parse_directives(source)
-
-    levels = options.levels
-    if levels is None and "levels" in directives:
-        levels = tuple(
-            name.strip() for name in directives["levels"].split(",")
-        )
+    config = resolve_config(source, options)
     try:
-        lattice = chain(levels) if levels else DEFAULT_LATTICE
-    except LatticeError as err:
-        raise DirectiveError(f"levels directive: {err}") from None
-
-    bindings: Dict[str, Label] = {}
-    if "gamma" in directives:
-        bindings.update(_parse_gamma_spec(directives["gamma"], lattice))
-    bindings.update(_bind_levels(options.gamma, lattice))
-
-    if options.infer is None:
-        infer = directives.get("infer", "on") != "off"
-    else:
-        infer = options.infer
-    require_cache = (
-        options.require_cache_labels
-        or "require-cache-labels" in directives
-    )
-    adversary_name = options.adversary or directives.get("adversary")
-    if adversary_name is not None and adversary_name not in lattice:
-        raise DirectiveError(
-            f"unknown adversary level {adversary_name!r}"
-        )
-    adversary = lattice[adversary_name] if adversary_name else None
-
-    bits_budget = options.bits_budget
-    if bits_budget is None and "budget" in directives:
-        raw_budget = directives["budget"]
-        try:
-            bits_budget = float(raw_budget)
-        except ValueError:
-            raise DirectiveError(
-                f"budget directive must be a number of bits, got "
-                f"{raw_budget!r}"
-            )
-        if not (math.isfinite(bits_budget) and bits_budget >= 0):
-            raise DirectiveError(
-                f"budget directive must be >= 0 bits and finite, got "
-                f"{raw_budget!r}"
-            )
-
-    try:
-        program = parse(source, lattice)
+        program = parse(source, config.gamma.lattice)
     except (LexError, ParseError) as err:
         return LintResult(
             path=path, source=source,
             diagnostics=[_syntax_diagnostic(err, path)],
-            lattice=lattice,
+            lattice=config.gamma.lattice,
         )
-
-    return _analyze(
-        program, SecurityEnvironment(lattice, bindings), lattice,
-        path=path, source=source, infer=infer,
-        require_cache_labels=require_cache, adversary=adversary,
-        options=options, bits_budget=bits_budget,
-    )
+    return _analyze(program, config, path=path, source=source,
+                    options=options)
 
 
 def analyze_program(
@@ -274,38 +286,34 @@ def analyze_program(
 ) -> LintResult:
     """Analyze an already-built (or already-parsed) AST."""
     options = options or LintOptions()
-    adversary = (
-        gamma.lattice[options.adversary] if options.adversary else None
-    )
-    return _analyze(
-        program, gamma, gamma.lattice, path=path, source="",
-        infer=options.infer if options.infer is not None else True,
+    config = ProgramConfig(
+        gamma=gamma,
+        infer=options.infer is not False,
         require_cache_labels=options.require_cache_labels,
-        adversary=adversary, options=options,
+        adversary=(gamma.lattice[options.adversary]
+                   if options.adversary else None),
         bits_budget=options.bits_budget,
     )
+    return _analyze(program, config, path=path, source="", options=options)
 
 
 def _analyze(
     program: ast.Command,
-    gamma: SecurityEnvironment,
-    lattice: Lattice,
+    config: ProgramConfig,
     path: str,
     source: str,
-    infer: bool,
-    require_cache_labels: bool,
-    adversary: Optional[Label],
     options: LintOptions,
-    bits_budget: Optional[float] = None,
 ) -> LintResult:
+    gamma, lattice = config.gamma, config.gamma.lattice
+    bits_budget = config.bits_budget
     tolerant = TolerantEnvironment(gamma)
     diagnostics = unbound_variable_diagnostics(program, gamma)
 
-    if infer:
+    if config.infer:
         infer_labels(program, tolerant)
 
     typing_diags, info = collect_typing_diagnostics(
-        program, tolerant, require_cache_labels=require_cache_labels
+        program, tolerant, require_cache_labels=config.require_cache_labels
     )
     diagnostics.extend(typing_diags)
 
@@ -384,7 +392,7 @@ def _analyze(
     if options.audit:
         audit = audit_leakage(
             program, lattice, info,
-            adversary=adversary, horizon=options.horizon,
+            adversary=config.adversary, horizon=options.horizon,
             reachable=reachable, cost=cost,
         )
 
@@ -393,4 +401,5 @@ def _analyze(
         audit=audit, program=program, gamma=tolerant,
         lattice=lattice, typing=info, cfg=cfg, tdg=tdg, cost=cost,
         quantify=censuses, bits_budget=bits_budget,
+        adversary=config.adversary,
     )

@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Union
 
 from .hardware import MachineEnvironment, MachineParams, make_hardware
 from .lang import ast
-from .lang.parser import parse
+from .lang.parser import DEFAULT_LATTICE, parse
 from .lattice import Label, Lattice, two_point
 from .machine.layout import Layout
 from .machine.memory import Memory, ValueSpec
@@ -129,15 +129,15 @@ def compile_program(
 ) -> CompiledProgram:
     """Parse (if needed), infer missing labels, and typecheck.
 
-    Raises :class:`~repro.lang.parser.ParseError` or
+    ``lattice`` defaults to a :class:`SecurityEnvironment` ``gamma``'s own,
+    else ``L <= H``.  Raises :class:`~repro.lang.parser.ParseError` or
     :class:`~repro.typesystem.errors.TypingError` on failure.  Pass
     ``check=False`` to skip the type check -- needed to *run* the paper's
     deliberately insecure baselines, which are ill-typed by design.
     """
     if lattice is None:
-        from .lang.parser import DEFAULT_LATTICE
-
-        lattice = DEFAULT_LATTICE
+        lattice = (gamma.lattice if isinstance(gamma, SecurityEnvironment)
+                   else DEFAULT_LATTICE)
     env = _resolve_gamma(gamma, lattice)
     program = parse(source, lattice) if isinstance(source, str) else source
     if infer:

@@ -4,7 +4,8 @@ Subcommands
 -----------
 
 check
-    Typecheck a program (after label inference)::
+    Typecheck a program (after label inference, unless its ``// infer:
+    off`` directive says otherwise)::
 
         python -m repro check prog.tl --gamma h=H,l=L
 
@@ -99,8 +100,12 @@ name, a bad workload spec or document -- prints ``repro <command>:
 report written through ``--output``, ``--metrics-out``, ``--prom-out`` or
 ``--emit-*`` named ``-`` goes to stdout.
 
-Programs use the concrete syntax of :mod:`repro.lang.parser`; the security
-lattice defaults to ``L <= H`` and ``--levels a,b,c`` builds a chain.
+Programs use the concrete syntax of :mod:`repro.lang.parser`.  Every
+command that reads one resolves its leading ``//`` directives, then the
+flags, in :func:`repro.analysis.engine.resolve_config`.  ``// gamma:``
+(``--gamma`` overrides it per name), ``// levels:`` (default ``L <= H``)
+and ``// adversary:`` apply to all; ``// infer:`` and
+``// require-cache-labels`` to `check` and the analyses (docs/ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -115,7 +120,8 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__
 from .analysis import render_json, render_sarif, render_text
 from .analysis.audit import DEFAULT_HORIZON as ANALYSIS_HORIZON
-from .analysis.engine import DirectiveError, LintOptions, analyze_source
+from .analysis.engine import (DirectiveError, LintOptions, analyze_source,
+                              parse_gamma, resolve_config)
 from .analysis.render import dump, model_rows
 from .api import compile_program
 from .hardware import (
@@ -127,9 +133,10 @@ from .hardware import (
 )
 from .lang.parser import DEFAULT_LATTICE
 from .lang.pretty import pretty
-from .lattice import Lattice, LatticeError, chain
+from .lattice import LatticeError, chain
 from .machine.memory import Memory, MemoryError_
 from .quantitative import (
+    VariantError,
     leakage_bound,
     measure_leakage,
     secret_variants,
@@ -164,29 +171,22 @@ class CliError(Exception):
 #: What :func:`main` reports as ``repro <command>: <message>`` (exit 2):
 #: bad input, including a program that fails at run time on the given
 #: memory (an out-of-bounds index, a name ``--set`` declared with the
-#: wrong shape, no termination within the step budget).
+#: wrong shape, no termination within the step budget) or a `leakage`
+#: secret the adversary already observes.
 INPUT_ERRORS = (CliError, OSError, HardwareRegistryError, UnboundVariable,
-                EvaluationError, MemoryError_, SemanticsError)
+                EvaluationError, MemoryError_, SemanticsError, VariantError)
 
 
 # -- option-value converters (argparse ``type=``) ------------------------------
 
 
 def _gamma(spec: str) -> Dict[str, str]:
-    """``--gamma name=LEVEL,...`` as name -> level-name strings.
-
-    Level names are checked later, against the lattice the command ends
-    up with (``--levels`` or a program's ``// levels:`` directive).
-    """
-    bindings: Dict[str, str] = {}
-    for item in filter(None, (part.strip() for part in spec.split(","))):
-        if "=" not in item:
-            raise argparse.ArgumentTypeError(
-                f"entries look like name=LEVEL, got {item!r}"
-            )
-        name, level = item.split("=", 1)
-        bindings[name.strip()] = level.strip()
-    return bindings
+    """``--gamma name=LEVEL,...`` (:func:`parse_gamma`); the levels are
+    checked later, against the program's lattice."""
+    try:
+        return parse_gamma(spec)
+    except DirectiveError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _assignment(item: str) -> Tuple[str, object]:
@@ -273,10 +273,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _lattice(args) -> Lattice:
-    return chain(args.levels) if args.levels else DEFAULT_LATTICE
-
-
 def _options(args, **overrides) -> LintOptions:
     """The analysis options the shared arguments select."""
     return LintOptions(
@@ -318,26 +314,28 @@ def _analyze_all(args, options: LintOptions, fatal_ok: bool = False):
     return results, bad_input
 
 
-def _compiled(args, check: bool = True):
-    """``compile_program`` over ``args.program`` with the Gamma that
-    ``--gamma``/``--levels`` (and ``--adversary``) define.
-
-    A level outside the lattice is an option error; an unparsable or,
-    when ``check``, ill-typed program raises :class:`CliError`.
+def _compiled(args, check: bool = True, typed: bool = False):
+    """``args.program`` compiled under its :func:`resolve_config`
+    configuration, and that configuration.  Labels are inferred and
+    ``check`` needs no cache labels, unless ``typed`` (`check`'s own
+    compile), which follows the configuration and lets a
+    :class:`TypingError` through; other bad input raises :class:`CliError`.
     """
-    lattice = _lattice(args)
-    named = (*args.gamma.values(), getattr(args, "adversary", None))
-    for level in named:
-        if level is not None and level not in lattice:
-            args.parser.error(
-                f"unknown security level {level!r}; lattice levels are "
-                f"{[l.name for l in lattice]}"
-            )
+    source = _read(args.program)
     try:
-        return compile_program(_read(args.program), gamma=args.gamma,
-                               lattice=lattice, check=check)
-    except (SyntaxError, TypingError) as err:
+        config = resolve_config(source, _options(args))
+    except DirectiveError as err:
         raise CliError(f"{args.program}: {err}") from err
+    try:
+        compiled = compile_program(
+            source, gamma=config.gamma, infer=config.infer or not typed,
+            check=check,
+            require_cache_labels=typed and config.require_cache_labels)
+    except (SyntaxError, TypingError) as err:
+        if typed and isinstance(err, TypingError):
+            raise
+        raise CliError(f"{args.program}: {err}") from err
+    return compiled, config
 
 
 def _initial_memory(compiled, args) -> Memory:
@@ -442,12 +440,17 @@ class _Telemetry:
             profile=self.profiler.as_dict() if self.profiling else None,
         )
 
-    def finish(self, doc: Optional[dict] = None, say=print) -> None:
-        """Print the requested summaries and write the requested files.
+    def write_metrics(self, doc: Optional[dict] = None, say=print) -> None:
+        """Write ``doc`` (key-sorted) or :meth:`document` to --metrics-out."""
+        if self.args.metrics_out:
+            text = (json.dumps(self.document(), indent=2) if doc is None
+                    else json.dumps(doc, indent=2, sort_keys=True))
+            _emit(text + "\n", self.args.metrics_out,
+                  f"metrics written to {self.args.metrics_out}", say)
 
-        ``doc`` (written key-sorted) replaces :meth:`document` as the
-        ``--metrics-out`` document.
-        """
+    def finish(self, doc: Optional[dict] = None, say=print) -> None:
+        """Print the requested summaries and write the requested files
+        (``doc`` as in :meth:`write_metrics`)."""
         args, profiler, meter = self.args, self.profiler, self.meter
         if self.profiling and args.profile:
             say("profile:")
@@ -466,11 +469,7 @@ class _Telemetry:
                 f"static bound {meter.static_bound_bits():.3f} bits: "
                 f"{'ok' if meter.holds() else 'VIOLATED'}"
             )
-        if args.metrics_out:
-            text = (json.dumps(self.document(), indent=2) if doc is None
-                    else json.dumps(doc, indent=2, sort_keys=True))
-            _emit(text + "\n", args.metrics_out,
-                  f"metrics written to {args.metrics_out}", say)
+        self.write_metrics(doc, say)
         if self.journal is not None:
             self.journal.close()
             say(f"journal written to {args.journal_out} "
@@ -504,14 +503,12 @@ def cmd_check(args) -> int:
                 print(line)
             return 1
         return _well_typed(result.typing)
-    compiled = _compiled(args, check=False)
     try:
-        info = typecheck(compiled.program, compiled.gamma,
-                         require_cache_labels=args.require_cache_labels)
+        compiled, _ = _compiled(args, typed=True)
     except TypingError as err:
         print(f"ILL-TYPED: {err}")
         return 1
-    return _well_typed(info)
+    return _well_typed(compiled.typing)
 
 
 def _list_rules() -> int:
@@ -716,11 +713,10 @@ def cmd_tune(args) -> int:
     result = _analyze(args.program, _options(args, lints=False, audit=False))
     spec = _workload(args.spec) if args.spec else None
 
-    observer = result.lattice[args.adversary] if args.adversary else None
     schemes = tuple(args.scheme or ("doubling", "polynomial"))
     tuned = synthesize(
         result.program, result.gamma, args.bits_budget,
-        models=models, schemes=schemes, observer=observer,
+        models=models, schemes=schemes, observer=result.adversary,
         horizon=args.horizon,
     )
     doc = tuned.as_dict()
@@ -811,13 +807,14 @@ def _print_tuned(args, models, tuned, winner, doc) -> None:
 
 def cmd_infer(args) -> int:
     """`infer`: print the program with inferred timing labels."""
-    print(pretty(_compiled(args, check=False).program))
+    compiled, _ = _compiled(args, check=False)
+    print(pretty(compiled.program))
     return 0
 
 
 def cmd_fix(args) -> int:
     """`fix`: auto-insert mitigate commands and print the repaired program."""
-    compiled = _compiled(args, check=False)
+    compiled, _ = _compiled(args, check=False)
     try:
         fixed, placements = auto_mitigate(compiled.program, compiled.gamma)
         typecheck(fixed, compiled.gamma)
@@ -833,19 +830,24 @@ def cmd_fix(args) -> int:
 def cmd_run(args) -> int:
     """`run`: execute on a hardware model; print time/events/mitigations,
     then the requested telemetry (docs/TELEMETRY.md)."""
-    compiled = _compiled(args, check=not args.unchecked)
-    sinks = _Telemetry(args, DynamicLeakageMeter(compiled.lattice))
+    compiled, config = _compiled(args, check=not args.unchecked)
+    sinks = _Telemetry(args, DynamicLeakageMeter(
+        compiled.lattice, adversary=config.adversary))
     mitigation = MitigationState(
         scheme=make_scheme(args.scheme), policy=args.penalty
     )
-    result = compiled.run(
-        _initial_memory(compiled, args),
-        hardware=args.hardware,
-        params=paper_machine(),
-        mitigation=mitigation,
-        max_steps=args.max_steps,
-        recorder=sinks.recorder,
-    )
+    try:
+        result = compiled.run(
+            _initial_memory(compiled, args),
+            hardware=args.hardware,
+            params=paper_machine(),
+            mitigation=mitigation,
+            max_steps=args.max_steps,
+            recorder=sinks.recorder,
+        )
+    except INPUT_ERRORS:
+        sinks.write_metrics()  # the counters of the steps taken
+        raise
     print(f"time: {result.time} cycles ({result.steps} steps)")
     if result.events:
         print("events:")
@@ -920,14 +922,15 @@ def cmd_leakage(args) -> int:
     the dynamic Theorem 2 account against the swept secret's level and a
     ``sweep`` section recording both sides of the theorem.
     """
-    compiled = _compiled(args, check=not args.unchecked)
+    compiled, config = _compiled(args, check=not args.unchecked)
     lattice = compiled.lattice
     if args.secret not in compiled.gamma:
-        raise CliError(f"--secret {args.secret!r} has no --gamma level")
+        raise CliError(f"--secret {args.secret!r} has no security level "
+                       f"(give it one with --gamma or // gamma:)")
     base = _initial_memory(compiled, args)
     lo, hi = args.values
     variants = secret_variants(base, ({args.secret: v} for v in range(lo, hi)))
-    adversary = lattice[args.adversary] if args.adversary else lattice.bottom
+    adversary = config.adversary or lattice.bottom
     levels = [compiled.gamma[args.secret]]
     env = make_hardware(args.hardware, lattice, paper_machine())
     sinks = _Telemetry(args, DynamicLeakageMeter(lattice, levels=levels,
@@ -981,7 +984,7 @@ def cmd_report(args) -> int:
 
 def cmd_contract(args) -> int:
     """`contract`: run the hardware property checkers; 0 iff all hold."""
-    lattice = _lattice(args)
+    lattice = chain(args.levels) if args.levels else DEFAULT_LATTICE
     spec = REGISTRY.get(args.model)
     report = run_contract_suite(
         lambda: spec.make(lattice, paper_machine().scaled_down(8)),
@@ -1121,12 +1124,14 @@ def _add_program(p, nargs: Optional[str] = None, program: bool = True):
     if program:
         p.add_argument("programs" if nargs else "program", nargs=nargs,
                        metavar="program" if nargs else None,
-                       help="program file(s) ('-' for stdin); '//' header "
-                            "directives such as '// gamma: h=H,l=L' "
-                            "configure the analyses")
+                       help="program file(s) ('-' for stdin); its '//' "
+                            "header directives ('// gamma: h=H,l=L', "
+                            "'// levels:', '// adversary:', ...) configure "
+                            "it, and a flag overrides a directive per name")
         p.add_argument("--gamma", type=_gamma, default="",
                        help="data labels: name=LEVEL,name=LEVEL,... "
-                            "(overrides a file's '// gamma:' directive)")
+                            "(each overrides the file's '// gamma:' label "
+                            "of that name)")
     p.add_argument("--levels", type=_levels,
                    help="chain lattice levels, low to high (default L,H)")
 

@@ -2,14 +2,17 @@
 
 import argparse
 import glob
+import itertools
 import json
 import os
 import re
+from unittest import mock
 
 import pytest
 
 from repro import __version__, cli
 from repro.cli import main
+from repro.lang import ast
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -57,9 +60,13 @@ class TestCheck:
         with pytest.raises(SystemExit):
             main(["check", leaky, "--gamma", "h:H"])
 
-    def test_unknown_level(self, leaky):
-        with pytest.raises(SystemExit):
-            main(["check", leaky, "--gamma", "h=TOPSECRET"])
+    def test_unknown_level(self, leaky, capsys):
+        # A flag's level is checked against the program's lattice, with
+        # the same message a directive's unknown level gets.
+        assert main(["check", leaky, "--gamma", "h=TOPSECRET"]) == 2
+        assert capsys.readouterr().err == (
+            f"repro check: {leaky}: unknown security level 'TOPSECRET'; "
+            f"lattice levels are ['L', 'H']\n")
 
 
 LINT_DIR = os.path.join(REPO_ROOT, "examples", "lint")
@@ -311,6 +318,96 @@ class TestInferAndFix:
         fixed = tmp_path / "fixed.tl"
         fixed.write_text(program)
         assert main(["check", str(fixed), "--gamma", "h=H,ready=L"]) == 0
+
+
+#: A program that declares its lattice and Gamma only in directives.
+DIRECTED = (
+    "// levels: L,M,H\n"
+    "// gamma: h=H, m=M, ready=L\n"
+    "mitigate(16, H) { while h > 0 do { h := h - 1 } };\n"
+    "while m > 0 do { m := m - 1 };\n"
+    "ready := 1\n"
+)
+
+#: Every subcommand that reads a program, as ``(command, options)``.
+PROGRAM_COMMANDS = [
+    ("check", []),
+    ("check", ["--all"]),
+    ("infer", []),
+    ("fix", []),
+    ("run", ["--unchecked", "--set", "h=3", "--set", "m=2",
+             "--metrics-out", "-"]),
+    ("leakage", ["--unchecked", "--secret", "h", "--values", "0..3"]),
+    ("lint", []),
+    ("flow", ["--dot", "tdg"]),
+    ("cost", []),
+    ("tune", ["--bits-budget", "2", "--models", "null"]),
+]
+
+
+class TestOneFrontEnd:
+    """Every command reads a program's directives through one resolver,
+    and a flag overrides a directive one name at a time."""
+
+    @staticmethod
+    def _output(argv, capsys):
+        # Mitigate ids number AST nodes: start each run from 1.
+        with mock.patch.object(ast, "_node_counter", itertools.count(1)):
+            code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "command, options", PROGRAM_COMMANDS,
+        ids=[" ".join([command, *options[:1]])
+             for command, options in PROGRAM_COMMANDS],
+    )
+    def test_directive_equals_flag(self, command, options, tmp_path,
+                                   capsys):
+        path = tmp_path / "directed.tl"
+        path.write_text(DIRECTED)
+        argv = [command, str(path), *options]
+        bare = self._output(argv, capsys)
+        assert bare[0] in (0, 1), bare
+        flagged = self._output([*argv, "--gamma", "h=H,m=M,ready=L"],
+                               capsys)
+        assert bare == flagged
+
+    def test_flag_overrides_its_directive_per_name(self, tmp_path, capsys):
+        path = tmp_path / "leaky.tl"
+        path.write_text("// gamma: h=H, ready=L\n" + LEAKY)
+        assert main(["check", str(path)]) == 1
+        assert "ILL-TYPED" in capsys.readouterr().out
+        # `ready` keeps its directive level; without it, it would be
+        # unbound (exit 2).
+        assert main(["check", str(path), "--gamma", "h=L"]) == 0
+        assert "well-typed" in capsys.readouterr().out
+
+    def test_adversary_directive_reaches_run_and_leakage(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "observed.tl"
+        path.write_text("// levels: L,M,H\n// adversary: M\n"
+                        "// gamma: h=H, ready=L\n" + MITIGATED)
+        sweep = ["leakage", str(path), "--secret", "h", "--values", "0..2"]
+        assert main(sweep) == 0
+        assert "adversary: M" in capsys.readouterr().out
+        assert main([*sweep, "--adversary", "L"]) == 0
+        assert "adversary: L" in capsys.readouterr().out
+        assert main(["run", str(path), "--metrics-out", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out.split("final ready = 1\n")[1])
+        assert doc["leakage"]["adversary"] == "M"
+
+    @pytest.mark.parametrize(
+        "name", ["tl007_missing_label.tl", "tl008_cache_label.tl"])
+    def test_check_agrees_with_check_all(self, name, capsys):
+        path = os.path.join(LINT_DIR, name)
+        assert main(["check", "--all", path]) == 1
+        (finding,) = [line for line in capsys.readouterr().out.splitlines()
+                      if " error[" in line]
+        message = finding.split("]: ", 1)[1]
+        assert main(["check", path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("ILL-TYPED: ") and message in out
 
 
 class TestRun:

@@ -21,6 +21,8 @@ PROGRAMS = {
     "array_read.tl": "x := a[5] + 1\n",
     "array_write.tl": "a[x] := 1\n",
     "repeated_levels.tl": "// levels: L,H,L\nready := 1\n",
+    "directive_level.tl": "// gamma: h=X\nready := 1\n",
+    "three_levels.tl": "// levels: L,M,H\nready := 1\n",
 }
 
 #: Workload specs whose login tenant has a bad ``valid`` count.
@@ -96,6 +98,11 @@ RUNTIME_ROWS = [
     (["leakage", "array_read.tl", *ARRAYS, "--set", "a=1:2",
       "--secret", "x", "--values", "0..1"],
      "repro leakage: array read a[5] out of bounds (length 2)"),
+    # A secret the adversary observes is not in the varied set L_{lA}.
+    (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
+      "--adversary", "H"],
+     "repro leakage: variant differs from the baseline at level H, which "
+     "is outside the varied set L_{lA}"),
     (["attack", "--quick", "--samples", "0"],
      "repro attack: verify_repeats must be >= 1 sample per candidate, "
      "got 0"),
@@ -106,6 +113,33 @@ DIRECTIVE_ROWS = [
     (["lint", "repeated_levels.tl"],
      "repro lint: repeated_levels.tl: levels directive: level names must "
      "be non-empty and distinct, got 'L,H,L'"),
+]
+
+
+TWO = "lattice levels are ['L', 'H']"
+
+#: A level outside the program's lattice is bad input with one message,
+#: whichever command reads the program and whether the level comes from
+#: a flag or a directive; a flag's level is checked against the lattice
+#: the file's `// levels:` line declares.
+LEVEL_ROWS = [
+    (["run", "mitigated.tl", "--gamma", "h=X,ready=L"],
+     f"repro run: mitigated.tl: unknown security level 'X'; {TWO}"),
+    (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
+      "--adversary", "X"],
+     f"repro leakage: mitigated.tl: unknown security level 'X'; {TWO}"),
+    (["lint", "mitigated.tl", "--gamma", "h=X"],
+     f"repro lint: mitigated.tl: unknown security level 'X'; {TWO}"),
+    (["lint", "mitigated.tl", "--adversary", "X"],
+     f"repro lint: mitigated.tl: unknown security level 'X'; {TWO}"),
+    (["check", "directive_level.tl"],
+     f"repro check: directive_level.tl: unknown security level 'X'; {TWO}"),
+    (["infer", "three_levels.tl", "--gamma", "ready=Q"],
+     "repro infer: three_levels.tl: unknown security level 'Q'; lattice "
+     "levels are ['L', 'M', 'H']"),
+    (["leakage", "mitigated.tl", *GAMMA, "--secret", "zz"],
+     "repro leakage: --secret 'zz' has no security level (give it one "
+     "with --gamma or // gamma:)"),
 ]
 
 
@@ -168,8 +202,8 @@ def test_bad_option_value_exits_2_naming_it(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, message", DIRECTIVE_ROWS,
-    ids=[" ".join(argv) for argv, _ in DIRECTIVE_ROWS],
+    "argv, message", DIRECTIVE_ROWS + LEVEL_ROWS,
+    ids=[" ".join(argv) for argv, _ in DIRECTIVE_ROWS + LEVEL_ROWS],
 )
 def test_bad_directive_exits_2_with_its_message(tmp_path, argv, message):
     proc = _repro(tmp_path, argv)

@@ -35,14 +35,11 @@ import pytest
 
 from repro import api
 from repro.analysis.cost import RegionRecorder, default_memory
-from repro.analysis.engine import (
-    DirectiveError, _parse_gamma_spec, parse_directives,
-)
+from repro.analysis.engine import DirectiveError, resolve_config
 from repro.hardware.registry import REGISTRY
 from repro.lang import ast
 from repro.lang.lexer import LexError
-from repro.lang.parser import DEFAULT_LATTICE, ParseError
-from repro.lattice import chain
+from repro.lang.parser import ParseError
 from repro.semantics.core import EvaluationError
 from repro.semantics.full import SemanticsError
 from repro.telemetry.profiling import Profiler
@@ -76,14 +73,8 @@ def _compile(path: str):
     """The corpus file compiled as ``check_corpus`` compiles it; raises
     the compile error of a file that does not compile."""
     source = (ROOT / path).read_text()
-    directives = parse_directives(source)
-    levels = directives.get("levels")
-    lattice = (chain(tuple(n.strip() for n in levels.split(",")))
-               if levels else DEFAULT_LATTICE)
-    gamma = (_parse_gamma_spec(directives["gamma"], lattice)
-             if "gamma" in directives else {})
-    return api.compile_program(source, gamma=gamma, lattice=lattice,
-                               infer=True, check=False)
+    return api.compile_program(source, gamma=resolve_config(source).gamma,
+                               check=False)
 
 
 UNCOMPILED = (DirectiveError, LexError, ParseError, TypingError)

@@ -191,6 +191,18 @@ class TestSoundness:
         assert {"<program>", "<padded>"} <= regions
         assert regions - {"<program>", "<padded>"}
 
+    def test_replay_skips_a_bad_directive(self):
+        # Every directive goes through the one resolver, so a bad
+        # `// levels:` line is a skip, not a LatticeError.
+        for header, why in (
+                ("// levels: L,H,L", "levels directive: level names must "
+                 "be non-empty and distinct, got 'L,H,L'"),
+                ("// gamma: h=TOPSECRET", "unknown security level "
+                 "'TOPSECRET'; lattice levels are ['L', 'H']")):
+            check = replay_program(header + "\nready := 1\n")
+            assert check.status == "skipped"
+            assert check.reason == f"bad directive: {why}"
+
     def test_corpus_sound_on_every_model(self):
         paths = sorted(
             glob.glob(os.path.join(LINT_DIR, "*.tl"))

@@ -53,6 +53,7 @@ from repro.hardware import BranchPredictorParams, MachineParams
 from repro.hardware.registry import REGISTRY
 from repro.lang import ast
 from repro.semantics.core import EvaluationError
+from repro.semantics.mitigation import MitigationState, make_scheme
 from repro.service import Gateway
 from repro.service.workload import WorkloadSpec
 from repro.telemetry import (
@@ -286,6 +287,36 @@ def test_metrics_only_raised_run_keeps_its_counters():
     assert raised_alone(9) == expected
     assert expected["counters"]["steps.total"] > 0
     assert expected["counters"]["hw.l1d.hits"] > 0
+
+
+def test_run_that_raises_still_writes_its_metrics(tmp_path):
+    """`run --metrics-out` writes the steps taken before the run raised:
+    the document a library-level run with the same ``max_steps`` fills,
+    built as the ``raised`` cases build theirs."""
+    out = tmp_path / "metrics.json"
+    stderr = io.StringIO()
+    with _in_root(), _fresh_ids(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main(["run", *DEMO, "--max-steps", "5",
+                         "--metrics-out", str(out)])
+    assert code == 2
+    assert stderr.getvalue() == (
+        "repro run: program did not terminate within 5 steps\n")
+
+    with _fresh_ids():
+        compiled = api.compile_program((ROOT / DEMO[0]).read_text(),
+                                       {"h": "H", "ready": "L"})
+    meter = DynamicLeakageMeter(compiled.lattice)
+    recorder = RecordingTraceRecorder(meter=meter)
+    with pytest.raises(TimeoutError):
+        compiled.run({"h": 9, "ready": 0}, hardware="partitioned",
+                     params=cli.paper_machine(),
+                     mitigation=MitigationState(make_scheme("doubling")),
+                     max_steps=5, recorder=recorder)
+    expected = recorder.registry.as_dict(leakage=meter.as_dict())
+    assert expected["counters"]["steps.total"] == 5
+    assert json.loads(out.read_text()) == json.loads(json.dumps(expected))
 
 
 if __name__ == "__main__":
