@@ -53,7 +53,7 @@ from .flows import (
     build_tdg,
 )
 from .lints import LintContext, run_lints
-from .quantify import QuantifyReport, quantify
+from .quantify import QuantifyReport, quantify_all
 from .rules import RULES
 
 
@@ -348,21 +348,13 @@ def _analyze(
     if options.lints and (
             _wanted("TL027") or _wanted("TL028")
             or (bits_budget is not None and _wanted("TL026"))):
-        censuses = {
-            "null": quantify(
-                program, tolerant, hardware="null",
-                horizon=options.horizon,
-            )
-        }
-        if bits_budget is not None and _wanted("TL026"):
-            from ..hardware.registry import REGISTRY
+        from ..hardware.registry import REGISTRY
 
-            for name in REGISTRY.names():
-                if name not in censuses:
-                    censuses[name] = quantify(
-                        program, tolerant, hardware=name,
-                        horizon=options.horizon,
-                    )
+        models = (REGISTRY.names()
+                  if bits_budget is not None and _wanted("TL026")
+                  else ("null",))
+        censuses = quantify_all(program, tolerant, models,
+                                horizon=options.horizon)
 
     if options.lints:
         ctx = LintContext(

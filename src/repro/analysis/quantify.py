@@ -54,6 +54,7 @@ walk.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -171,6 +172,17 @@ class QuantifyReport:
         censuses exceed every finite budget."""
         return self.saturated or self.capacity_bits > budget_bits + 1e-9
 
+    def renamed(self, hardware: str) -> "QuantifyReport":
+        """This census for another model that shares its walk: its own
+        name and its own site, fork and note records."""
+        return dataclasses.replace(
+            self, hardware=hardware,
+            sites={mit_id: dataclasses.replace(site)
+                   for mit_id, site in self.sites.items()},
+            forks=[dataclasses.replace(fork) for fork in self.forks],
+            notes=[dataclasses.replace(note) for note in self.notes],
+        )
+
     def as_dict(self) -> dict:
         return {
             "hardware": self.hardware,
@@ -261,6 +273,39 @@ def expr_accesses(expr: ast.Expr) -> int:
     if isinstance(expr, ast.UnOp):
         return expr_accesses(expr.operand)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+class StepFacts(NamedTuple):
+    """The one hardware step a labeled command charges, as
+    :meth:`CostContract.step_cost` reads it (all but the state)."""
+
+    kind: StepKind
+    reads: int
+    writes: int
+    is_branch: bool
+    read_label: Optional[Label]
+    write_label: Optional[Label]
+
+
+def step_facts(cmd: ast.Command) -> Optional[StepFacts]:
+    """The step ``cmd``'s own evaluation charges (a skip, an assignment,
+    a guard or a mitigate's budget).  ``None`` for a command that charges
+    none (a sequence, or a ``sleep``, which never touches the hardware)."""
+    if isinstance(cmd, ast.Skip):
+        kind, reads, writes = StepKind.SKIP, 0, 0
+    elif isinstance(cmd, ast.Assign):
+        kind, reads, writes = StepKind.ASSIGN, expr_accesses(cmd.expr), 1
+    elif isinstance(cmd, ast.ArrayAssign):
+        kind, writes = StepKind.ASSIGN, 1
+        reads = expr_accesses(cmd.index) + expr_accesses(cmd.expr)
+    elif isinstance(cmd, (ast.If, ast.While)):
+        kind, reads, writes = StepKind.BRANCH, expr_accesses(cmd.cond), 0
+    elif isinstance(cmd, ast.Mitigate):
+        kind, reads, writes = StepKind.MITIGATE, expr_accesses(cmd.budget), 0
+    else:
+        return None
+    return StepFacts(kind, reads, writes, kind is StepKind.BRANCH,
+                     cmd.read_label, cmd.write_label)
 
 
 def _assigned_names(cmd: ast.Command) -> frozenset:
@@ -485,6 +530,8 @@ class CensusWalker:
         self._bodies: Dict[Tuple, List[TimingClass]] = {}
         #: Does the command (by ``id``) contain a ``mitigate``?
         self._mitigating: Dict[int, bool] = {}
+        #: The step each charged command (by ``id``) takes.
+        self._facts: Dict[int, StepFacts] = {}
 
     def walk(self, program: ast.Command) -> List[TimingClass]:
         """Abstractly execute the whole program; its final classes, each
@@ -495,6 +542,7 @@ class CensusWalker:
         finally:
             self._bodies.clear()
             self._mitigating.clear()
+            self._facts.clear()
         return [
             cls.after(self.contract.region_overhead(cls.hw), cls.hw)
             for cls in final
@@ -527,9 +575,10 @@ class CensusWalker:
     def _record_step(self, cmd: ast.LabeledCommand,
                      interval: Interval) -> None:
         seen = self.per_command.get(cmd.node_id)
-        self.per_command[cmd.node_id] = (
-            interval if seen is None else seen.join(interval)
-        )
+        if seen != interval:
+            self.per_command[cmd.node_id] = (
+                interval if seen is None else seen.join(interval)
+            )
 
     def _record_branch(self, cmd: ast.If, then_iv: Interval,
                        else_iv: Interval) -> None:
@@ -579,19 +628,12 @@ class CensusWalker:
 
     # -- one hardware step ----------------------------------------------------
 
-    def _step(
-        self,
-        cls: TimingClass,
-        cmd: ast.LabeledCommand,
-        kind: StepKind,
-        reads: int,
-        writes: int,
-        is_branch: bool = False,
-    ) -> TimingClass:
-        interval, hw = self.contract.step_cost(
-            kind, reads, writes, is_branch,
-            cmd.read_label, cmd.write_label, cls.hw,
-        )
+    def _step(self, cls: TimingClass,
+              cmd: ast.LabeledCommand) -> TimingClass:
+        facts = self._facts.get(id(cmd))
+        if facts is None:
+            facts = self._facts[id(cmd)] = step_facts(cmd)
+        interval, hw = self.contract.step_cost(*facts, cls.hw)
         self._record_step(cmd, interval)
         return cls.after(interval, hw)
 
@@ -662,12 +704,10 @@ class CensusWalker:
     def _run_one(self, cmd: ast.Command,
                  cls: TimingClass) -> List[TimingClass]:
         if isinstance(cmd, ast.Skip):
-            return [self._step(cls, cmd, StepKind.SKIP, 0, 0)]
+            return [self._step(cls, cmd)]
 
         if isinstance(cmd, ast.Assign):
-            nxt = self._step(
-                cls, cmd, StepKind.ASSIGN, expr_accesses(cmd.expr), 1
-            )
+            nxt = self._step(cls, cmd)
             env = nxt.env_dict()
             value = eval_const(cmd.expr, env)
             if value is None:
@@ -679,8 +719,7 @@ class CensusWalker:
                                 nxt.unpadded)]
 
         if isinstance(cmd, ast.ArrayAssign):
-            reads = expr_accesses(cmd.index) + expr_accesses(cmd.expr)
-            return [self._step(cls, cmd, StepKind.ASSIGN, reads, 1)]
+            return [self._step(cls, cmd)]
 
         if isinstance(cmd, ast.Sleep):
             return self._sleep(cmd, cls)
@@ -732,10 +771,7 @@ class CensusWalker:
 
     def _branch(self, cmd: ast.If,
                 cls: TimingClass) -> List[TimingClass]:
-        head = self._step(
-            cls, cmd, StepKind.BRANCH, expr_accesses(cmd.cond), 0,
-            is_branch=True,
-        )
+        head = self._step(cls, cmd)
         guard = eval_const(cmd.cond, head.env_dict())
         if guard is not None:
             arm = cmd.then_branch if guard != 0 else cmd.else_branch
@@ -769,7 +805,6 @@ class CensusWalker:
 
     def _loop(self, cmd: ast.While,
               cls: TimingClass) -> List[TimingClass]:
-        guard_reads = expr_accesses(cmd.cond)
         # The unpadded duration restarts so each exit reads the loop's
         # own total (the padded one stays cumulative: classes merge on it).
         current = [TimingClass(cls.interval, cls.env, cls.hw, cls.pairs,
@@ -777,11 +812,7 @@ class CensusWalker:
         done: List[TimingClass] = []
         iterations = 0
         while current:
-            stepped = [
-                self._step(c, cmd, StepKind.BRANCH, guard_reads, 0,
-                           is_branch=True)
-                for c in current
-            ]
+            stepped = [self._step(c, cmd) for c in current]
             nxt: List[TimingClass] = []
             widen: List[TimingClass] = []
             for c in stepped:
@@ -874,9 +905,7 @@ class CensusWalker:
 
     def _mitigate(self, cmd: ast.Mitigate,
                   cls: TimingClass) -> List[TimingClass]:
-        head = self._step(
-            cls, cmd, StepKind.MITIGATE, expr_accesses(cmd.budget), 0
-        )
+        head = self._step(cls, cmd)
         budget = eval_const(cmd.budget, head.env_dict())
         level_name = cmd.level.name if cmd.level is not None else "?"
         entry_bits = head.secret_bits
@@ -1148,23 +1177,50 @@ def quantify(
     )
 
 
+def census_groups(
+    program: ast.Command,
+    models: Iterable[str],
+    params: Optional[MachineParams] = None,
+) -> List[List[Tuple[str, CostContract]]]:
+    """The requested models (aliases accepted), grouped by the walk they
+    share on ``program``: one group per distinct
+    :meth:`~repro.hardware.costmodel.CostContract.census_key`, in the
+    order of each group's first model.  Each member is the requested
+    name and its contract; walking the first contract walks them all."""
+    # Equal steps cost the same on every contract: each key needs only
+    # the distinct ones.
+    steps = list(dict.fromkeys(
+        facts for cmd in program.walk()
+        if (facts := step_facts(cmd)) is not None))
+    groups: Dict[Hashable, List[Tuple[str, CostContract]]] = {}
+    for name in models:
+        contract = contract_for(name, params)
+        groups.setdefault(contract.census_key(steps), []).append(
+            (name, contract))
+    return list(groups.values())
+
+
 def quantify_all(
     program: ast.Command,
     gamma: SecurityEnvironment,
-    models: Optional[List[str]] = None,
+    models: Optional[Iterable[str]] = None,
     observer: Optional[Label] = None,
     scheme: str = "doubling",
     horizon: int = DEFAULT_HORIZON,
     params: Optional[MachineParams] = None,
 ) -> Dict[str, QuantifyReport]:
-    """The census on every requested registry model (default: all)."""
+    """The census on every requested registry model (default: all),
+    walked once per :func:`census_groups` group; the other models of a
+    group get their own copy of its report."""
     from ..hardware.registry import REGISTRY
 
-    names = models if models is not None else list(REGISTRY.names())
-    return {
-        name: quantify(
-            program, gamma, hardware=name, observer=observer,
-            scheme=scheme, horizon=horizon, params=params,
+    names = list(models) if models is not None else list(REGISTRY.names())
+    reports: Dict[str, QuantifyReport] = {}
+    for (first, contract), *others in census_groups(program, names, params):
+        report = reports[first] = quantify(
+            program, gamma, observer=observer, scheme=scheme,
+            horizon=horizon, contract=contract,
         )
-        for name in names
-    }
+        for name, other in others:
+            reports[name] = report.renamed(other.name)
+    return {name: reports[name] for name in names}

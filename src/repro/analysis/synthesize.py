@@ -46,7 +46,7 @@ from ..typesystem.errors import TypingError
 from ..typesystem.inference import infer_labels
 from ..typesystem.suggest import UnmitigatableError, auto_mitigate
 from .audit import DEFAULT_HORIZON
-from .quantify import QuantifyReport, deadline_span, quantify
+from .quantify import QuantifyReport, deadline_span, quantify_all
 
 #: Placement skeleton names, in deterministic search order.
 PLACEMENTS = ("as-written", "auto", "whole-program")
@@ -333,16 +333,12 @@ def _evaluate(
     # Score on the skeleton in place: a candidate keeps its budgets and
     # its source text, never the tree the next candidate rewrites.
     _apply_budgets(skeleton, budgets)
-    reports: Dict[str, QuantifyReport] = {}
+    reports = quantify_all(skeleton, gamma, models, observer=observer,
+                           scheme=scheme, horizon=horizon)
     capacity: Dict[str, float] = {}
     objective: Optional[int] = 0
     worst_deadline = 1
-    for model in models:
-        report = quantify(
-            skeleton, gamma, hardware=model, observer=observer,
-            scheme=scheme, horizon=horizon,
-        )
-        reports[model] = report
+    for model, report in reports.items():
         capacity[model] = (
             math.inf if report.saturated else report.capacity_bits
         )

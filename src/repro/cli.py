@@ -111,6 +111,7 @@ and ``// adversary:`` apply to all; ``// infer:`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -206,11 +207,16 @@ def _value_range(spec: str) -> Tuple[int, int]:
     """``--values lo..hi``: the half-open secret range ``[lo, hi)``."""
     lo, _, hi = spec.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected lo..hi, got {spec!r}"
         ) from None
+    if hi <= lo:
+        raise argparse.ArgumentTypeError(
+            f"the range [{lo}, {hi}) holds no value"
+        )
+    return lo, hi
 
 
 def _positive(spec: str) -> int:
@@ -267,10 +273,13 @@ def _rule_codes(spec: str) -> frozenset:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: not UTF-8 text") from err
 
 
 def _options(args, **overrides) -> LintOptions:
@@ -440,17 +449,9 @@ class _Telemetry:
             profile=self.profiler.as_dict() if self.profiling else None,
         )
 
-    def write_metrics(self, doc: Optional[dict] = None, say=print) -> None:
-        """Write ``doc`` (key-sorted) or :meth:`document` to --metrics-out."""
-        if self.args.metrics_out:
-            text = (json.dumps(self.document(), indent=2) if doc is None
-                    else json.dumps(doc, indent=2, sort_keys=True))
-            _emit(text + "\n", self.args.metrics_out,
-                  f"metrics written to {self.args.metrics_out}", say)
-
     def finish(self, doc: Optional[dict] = None, say=print) -> None:
         """Print the requested summaries and write the requested files
-        (``doc`` as in :meth:`write_metrics`)."""
+        (``doc`` as in :meth:`write_files`)."""
         args, profiler, meter = self.args, self.profiler, self.meter
         if self.profiling and args.profile:
             say("profile:")
@@ -469,7 +470,17 @@ class _Telemetry:
                 f"static bound {meter.static_bound_bits():.3f} bits: "
                 f"{'ok' if meter.holds() else 'VIOLATED'}"
             )
-        self.write_metrics(doc, say)
+        self.write_files(doc, say)
+
+    def write_files(self, doc: Optional[dict] = None, say=print) -> None:
+        """Write --metrics-out (``doc``, key-sorted, or :meth:`document`),
+        --journal-out and --trace-out: also what a run that raised took."""
+        args = self.args
+        if args.metrics_out:
+            text = (json.dumps(self.document(), indent=2) if doc is None
+                    else json.dumps(doc, indent=2, sort_keys=True))
+            _emit(text + "\n", args.metrics_out,
+                  f"metrics written to {args.metrics_out}", say)
         if self.journal is not None:
             self.journal.close()
             say(f"journal written to {args.journal_out} "
@@ -584,6 +595,7 @@ def cmd_cost(args) -> int:
     site table of ``[lo, hi]`` x hardware model x the site's marginal
     Theorem 2 bits from the static audit."""
     from .analysis.cost import compute_cost
+    from .analysis.quantify import census_groups
     from .analysis.rules import COST_RULE_CODES
 
     models = _cost_models(args.hardware)
@@ -594,10 +606,12 @@ def cmd_cost(args) -> int:
     lines: List[str] = []
     programs = []
     for result in results:
-        reports = {
-            model: compute_cost(result.program, hardware=model)
-            for model in models
-        }
+        walked = {}
+        for members in census_groups(result.program, models):
+            report = compute_cost(result.program, contract=members[0][1])
+            walked.update((model, dataclasses.replace(report, hardware=model))
+                          for model, _ in members)
+        reports = {model: walked[model] for model in models}
         diags = [d for d in result.diagnostics if d.code != "TL000"]
         findings.extend(diags)
         bits = {
@@ -846,7 +860,7 @@ def cmd_run(args) -> int:
             recorder=sinks.recorder,
         )
     except INPUT_ERRORS:
-        sinks.write_metrics()  # the counters of the steps taken
+        sinks.write_files()  # what the steps taken recorded
         raise
     print(f"time: {result.time} cycles ({result.steps} steps)")
     if result.events:

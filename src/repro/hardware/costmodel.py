@@ -18,7 +18,8 @@ The contracts mirror the concrete ``step()`` implementations exactly:
     ``[L1D hit, DTLB miss + L1D + L2D + memory]``.
 ``partitioned`` / ``leakytlb``
     same envelope when ``lr = lw``; the bypass path (``lr != lw``) is a
-    *point* interval (``execute + inst_miss + data_miss * accesses``).
+    *point* interval (``execute + inst_miss + data_miss * accesses``),
+    the envelope's upper end.
 ``bus``
     adds an exact stall of ``2 * queue`` per step; the contract threads a
     queue-occupancy interval through the abstract state.
@@ -30,6 +31,12 @@ The contracts mirror the concrete ``step()`` implementations exactly:
 ``frequency``
     every step may run throttled: ``[lo, 2 * hi]``.
 
+A contract builds its intervals from the params once, when constructed,
+so a step costs one add-and-scale.  What the census walk reads of a
+contract is summed up by :meth:`CostContract.census_key`: contracts with
+equal keys walk a program identically, so
+:func:`repro.analysis.quantify.quantify_all` walks them once.
+
 Soundness -- every concretely observed step cost lies inside its static
 interval -- is validated by the profiler-replay harness in
 :mod:`repro.analysis.cost` and its Hypothesis property test.
@@ -37,8 +44,9 @@ interval -- is validated by the profiler-replay harness in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple, Optional, Tuple
+from typing import Hashable, Iterable, NamedTuple, Optional, Tuple
 
 from ..lattice import Label
 from .interface import StepKind
@@ -84,21 +92,21 @@ class Interval(NamedTuple):
         return self.hi is not None and self.hi < self.lo
 
     def __add__(self, other: "Interval") -> "Interval":
-        hi = (
-            None
-            if self.hi is None or other.hi is None
-            else self.hi + other.hi
+        lo, hi = self
+        other_lo, other_hi = other
+        return Interval(
+            lo + other_lo,
+            None if hi is None or other_hi is None else hi + other_hi,
         )
-        return Interval(self.lo + other.lo, hi)
 
     def join(self, other: "Interval") -> "Interval":
         """The smallest interval containing both (lattice join)."""
-        hi = (
-            None
-            if self.hi is None or other.hi is None
-            else max(self.hi, other.hi)
+        lo, hi = self
+        other_lo, other_hi = other
+        return Interval(
+            min(lo, other_lo),
+            None if hi is None or other_hi is None else max(hi, other_hi),
         )
-        return Interval(min(self.lo, other.lo), hi)
 
     def scaled(self, factor: int) -> "Interval":
         return Interval(
@@ -178,6 +186,12 @@ class CacheGeometry:
 # ---------------------------------------------------------------------------
 
 
+#: The :class:`CostContract` methods besides :meth:`~CostContract.
+#: step_cost` through which a census walk reads a contract.
+_WALK_HOOKS = ("initial_state", "join_state", "widen_state",
+               "region_overhead", "distinguishable")
+
+
 class CostContract:
     """Static per-step cost bounds for one hardware model.
 
@@ -239,6 +253,33 @@ class CostContract:
         """The L1-data geometry, or ``None`` for cache-less models."""
         return CacheGeometry.of(self.params.l1_data)
 
+    # -- what the census walk reads -------------------------------------------
+
+    def census_key(self, steps: Iterable[tuple]) -> Hashable:
+        """Everything the census walk of one program reads of this
+        contract: two contracts with equal keys walk it identically.
+
+        ``steps`` are the program's distinct charged steps in preorder,
+        each the ``(kind, reads, writes, is_branch, read_label,
+        write_label)`` arguments of :meth:`step_cost`.  With no abstract
+        state, a walk reads only the clock resolution and each step's
+        interval, so those are the key.  A contract class that overrides a
+        state hook (or :meth:`distinguishable`) must define its own key;
+        defining one without is a ``TypeError``.
+        """
+        return (self.RESOLUTION,) + tuple(
+            self.step_cost(*step, ())[0] for step in steps
+        )
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.census_key is not CostContract.census_key:
+            return
+        for hook in _WALK_HOOKS:
+            if getattr(cls, hook) is not getattr(CostContract, hook):
+                raise TypeError(f"{cls.__name__} overrides {hook}; it must "
+                                "define its own census_key")
+
 
 class NullCostContract(CostContract):
     """`null`: fixed per-kind costs -- every interval is a point."""
@@ -255,72 +296,56 @@ class NullCostContract(CostContract):
 
 
 class SharedHierarchyCostContract(CostContract):
-    """`standard`/`nofill`: one hierarchy, every access may hit or miss."""
+    """`standard`/`nofill`: one hierarchy, every access may hit or miss.
+
+    The envelope is fixed by the params, so it is built once: a step is
+    ``[lo, hi]`` for the execute cost plus an instruction fetch (plus a
+    possible misprediction on a branch), plus ``reads + writes`` data
+    accesses of ``[L1D hit, DTLB miss + L1D + L2D + memory]`` each."""
 
     name = "standard"
 
-    def _inst_fetch(self) -> Interval:
+    def __init__(self, params: Optional[MachineParams] = None):
+        super().__init__(params)
         p = self.params
-        return Interval(
-            p.l1_inst.latency,
-            p.inst_tlb.miss_penalty + p.l1_inst.latency
-            + p.l2_inst.latency + p.memory_latency,
-        )
-
-    def _data_access(self) -> Interval:
-        p = self.params
-        return Interval(
-            p.l1_data.latency,
-            p.data_tlb.miss_penalty + p.l1_data.latency
-            + p.l2_data.latency + p.memory_latency,
-        )
-
-    def _branch(self) -> Interval:
-        if self.params.branch is None:
-            return ZERO
-        return Interval(0, self.params.branch.penalty)
+        fetch_lo = p.execute_cost + p.l1_inst.latency
+        fetch_hi = (p.execute_cost + p.inst_tlb.miss_penalty
+                    + p.l1_inst.latency + p.l2_inst.latency
+                    + p.memory_latency)
+        penalty = 0 if p.branch is None else p.branch.penalty
+        #: ``(lo, hi)`` of a step with no data access, by ``is_branch``.
+        self._fetch = ((fetch_lo, fetch_hi),
+                       (fetch_lo, fetch_hi + penalty))
+        self._data_lo = p.l1_data.latency
+        self._data_hi = (p.data_tlb.miss_penalty + p.l1_data.latency
+                         + p.l2_data.latency + p.memory_latency)
 
     def step_cost(self, kind, reads, writes, is_branch,
                   read_label, write_label, state):
-        cost = Interval.exact(self.params.execute_cost) + self._inst_fetch()
-        if is_branch:
-            cost = cost + self._branch()
-        cost = cost + self._data_access().scaled(reads + writes)
-        return cost, state
+        lo, hi = self._fetch[is_branch]
+        accesses = reads + writes
+        return Interval(lo + self._data_lo * accesses,
+                        hi + self._data_hi * accesses), state
 
 
 class PartitionedCostContract(SharedHierarchyCostContract):
     """`partitioned`/`leakytlb`: the cached path shares the standard
-    envelope; the bypass path (``lr != lw``) is exact."""
+    envelope; the bypass path (``lr != lw``) is exact.
+
+    A bypassed step misses everywhere, so it costs exactly the envelope's
+    upper end; the join of the two paths (labels unknown) is therefore the
+    envelope itself."""
 
     name = "partitioned"
 
-    def _bypass(self, reads: int, writes: int, is_branch: bool) -> Interval:
-        p = self.params
-        inst_miss = (
-            p.inst_tlb.miss_penalty + p.l1_inst.latency
-            + p.l2_inst.latency + p.memory_latency
-        )
-        data_miss = (
-            p.data_tlb.miss_penalty + p.l1_data.latency
-            + p.l2_data.latency + p.memory_latency
-        )
-        cost = p.execute_cost + inst_miss + data_miss * (reads + writes)
-        if is_branch and p.branch is not None:
-            cost += p.branch.penalty
-        return Interval.exact(cost)
-
     def step_cost(self, kind, reads, writes, is_branch,
                   read_label, write_label, state):
-        bypass = self._bypass(reads, writes, is_branch)
         cached, state = super().step_cost(
             kind, reads, writes, is_branch, read_label, write_label, state
         )
-        if read_label is None or write_label is None:
-            # Labels unknown (inference failed): cover both paths.
-            return bypass.join(cached), state
-        if read_label != write_label:
-            return bypass, state
+        if (read_label is not None and write_label is not None
+                and read_label != write_label):
+            return Interval.exact(cached.hi), state
         return cached, state
 
 
@@ -335,6 +360,9 @@ class BusCostContract(PartitionedCostContract):
 
     def initial_state(self):
         return (0, 0)
+
+    def census_key(self, steps):
+        return (type(self), self.params)
 
     def join_state(self, a, b):
         return (min(a[0], b[0]), max(a[1], b[1]))
@@ -367,6 +395,9 @@ class WriteBackCostContract(PartitionedCostContract):
 
     def initial_state(self):
         return (0, 0)
+
+    def census_key(self, steps):
+        return (type(self), self.params)
 
     def join_state(self, a, b):
         hi = None if a[1] is None or b[1] is None else max(a[1], b[1])
@@ -441,10 +472,15 @@ _CONTRACTS = {
 }
 
 
+@functools.lru_cache(maxsize=64)
 def contract_for(
     hardware: str, params: Optional[MachineParams] = None
 ) -> CostContract:
-    """The static cost contract for a registered model (aliases accepted)."""
+    """The static cost contract for a registered model (aliases accepted).
+
+    A contract is never changed once built, so callers share one per
+    ``(hardware, params)``: a census builds its models' contracts for
+    every program it walks."""
     spec = REGISTRY.get(hardware)  # raises HardwareRegistryError if unknown
     contract_cls = _CONTRACTS[spec.name]
     contract = contract_cls(params)

@@ -189,9 +189,11 @@ class Command:
 
     def walk(self) -> Iterator["Command"]:
         """All commands in this subtree, preorder."""
-        yield self
-        for sub in self.subcommands():
-            yield from sub.walk()
+        stack = [self]
+        while stack:
+            cmd = stack.pop()
+            yield cmd
+            stack.extend(reversed(cmd.subcommands()))
 
 
 @dataclass(eq=False)

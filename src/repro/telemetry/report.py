@@ -306,8 +306,9 @@ def _journal_report(records: List[Dict[str, Any]]) -> Tuple[List[str], bool]:
             total = sum(s.duration or 0 for s in site_spans)
             pad = sum(s.attrs.get("padding", 0) for s in site_spans)
             durations = {s.duration for s in site_spans}
+            completed = [s for s in site_spans if "aborted" not in s.attrs]
             lines.append(
-                f"  {mit_id}: {len(site_spans)} completions, "
+                f"  {mit_id}: {len(completed)} completions, "
                 f"{total} cycles total, {pad} padding"
                 + (f" ({pad / total:.1%})" if total else "")
                 + f", {len(durations)} distinct duration(s)"

@@ -218,6 +218,8 @@ class SpanRecorder(TraceRecorder):
         self._next_id = 0
         self._track = -1
         self._run_attrs: Dict[str, Any] = {}
+        #: When the latest span closed (the run's clock, as far as seen).
+        self._last_end = 0
 
     # -- span plumbing -------------------------------------------------------
 
@@ -236,6 +238,7 @@ class SpanRecorder(TraceRecorder):
 
     def _close_span(self, span: Span, end: int) -> None:
         span.end = end
+        self._last_end = end
         if self.keep_spans:
             self.spans.append(span)
         if self.journal is not None:
@@ -256,6 +259,7 @@ class SpanRecorder(TraceRecorder):
                                    min(time, 0) if time < 0 else 0, None)
             root.attrs.update(self._run_attrs)
             self._stack.append(root)
+            self._last_end = root.start
             if self.journal is not None:
                 self.journal.emit({
                     "type": "run_start",
@@ -328,6 +332,25 @@ class SpanRecorder(TraceRecorder):
                 "track": self._track,
                 "time": result.time,
                 "steps": result.steps,
+            })
+        self._run_attrs = {}
+
+    def on_abort(self, error: BaseException) -> None:
+        # Close what the run left open where its last span closed, so the
+        # spans of the steps taken still nest under one run span; each
+        # span closed here says why it ended.
+        self._ensure_run()
+        end = self._last_end
+        while self._stack:
+            span = self._stack.pop()
+            span.attrs["aborted"] = str(error)
+            self._close_span(span, end)
+        if self.journal is not None:
+            self.journal.emit({
+                "type": "run_abort",
+                "track": self._track,
+                "time": end,
+                "error": str(error),
             })
         self._run_attrs = {}
 

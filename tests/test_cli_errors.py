@@ -25,6 +25,9 @@ PROGRAMS = {
     "three_levels.tl": "// levels: L,M,H\nready := 1\n",
 }
 
+#: A program file that is not UTF-8 text.
+NOT_UTF8 = {"latin1.tl": b"\xff\xfe x := 1"}
+
 #: Workload specs whose login tenant has a bad ``valid`` count.
 SPECS = {
     f"valid_{name}.json": json.dumps({"requests": 4, "tenants": [{
@@ -78,6 +81,13 @@ OPTION_ROWS = [
     (["contract", "partitioned", "--levels", "L,H,L"],
      "argument --levels: level names must be non-empty and distinct, "
      "got 'L,H,L'"),
+    # The secret range is half-open: an empty one would sweep nothing.
+    (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
+      "--values", "5..1"],
+     "argument --values: the range [5, 1) holds no value"),
+    (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
+      "--values", "3..3"],
+     "argument --values: the range [3, 3) holds no value"),
 ]
 
 
@@ -106,6 +116,12 @@ RUNTIME_ROWS = [
     (["attack", "--quick", "--samples", "0"],
      "repro attack: verify_repeats must be >= 1 sample per candidate, "
      "got 0"),
+]
+
+#: A program file that does not decode is bad input, never a traceback.
+ENCODING_ROWS = [
+    ([command, "latin1.tl"], f"repro {command}: latin1.tl: not UTF-8 text")
+    for command in ("check", "lint", "cost", "run")
 ]
 
 #: A malformed directive is bad input; ``lint`` reports it and carries on.
@@ -158,6 +174,8 @@ SPEC_ROWS = [
 def _repro(tmp_path, argv):
     for name, text in {**PROGRAMS, **SPECS}.items():
         (tmp_path / name).write_text(text)
+    for name, data in NOT_UTF8.items():
+        (tmp_path / name).write_bytes(data)
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
@@ -206,6 +224,17 @@ def test_bad_option_value_exits_2_naming_it(tmp_path, argv, message):
     ids=[" ".join(argv) for argv, _ in DIRECTIVE_ROWS + LEVEL_ROWS],
 )
 def test_bad_directive_exits_2_with_its_message(tmp_path, argv, message):
+    proc = _repro(tmp_path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv, message", ENCODING_ROWS,
+    ids=[" ".join(argv) for argv, _ in ENCODING_ROWS],
+)
+def test_non_utf8_program_exits_2_naming_the_file(tmp_path, argv, message):
     proc = _repro(tmp_path, argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

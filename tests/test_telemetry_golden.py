@@ -59,6 +59,7 @@ from repro.service.workload import WorkloadSpec
 from repro.telemetry import (
     DynamicLeakageMeter, RecordingTraceRecorder, combine,
 )
+from repro.telemetry.spans import load_journal, spans_from_journal
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "telemetry_digests.json"
@@ -317,6 +318,38 @@ def test_run_that_raises_still_writes_its_metrics(tmp_path):
     expected = recorder.registry.as_dict(leakage=meter.as_dict())
     assert expected["counters"]["steps.total"] == 5
     assert json.loads(out.read_text()) == json.loads(json.dumps(expected))
+
+
+def test_run_that_raises_still_writes_its_trace_and_journal(tmp_path):
+    """`run --trace-out --journal-out` writes the spans of the steps taken
+    before the run raised: the steps nest under the run span, and every
+    span the abort closed says why."""
+    trace, journal = tmp_path / "trace.json", tmp_path / "journal.jsonl"
+    with _in_root(), _fresh_ids(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["run", *DEMO, "--max-steps", "5",
+                         "--trace-out", str(trace),
+                         "--journal-out", str(journal)])
+    assert code == 2
+
+    message = "program did not terminate within 5 steps"
+    records = load_journal(str(journal))
+    assert records[-1] == {"type": "run_abort", "track": 0, "time": 288,
+                           "error": message}
+    spans = spans_from_journal(records)
+    assert [span.name for span in spans if span.category == "command"] == [
+        "mitigate", "branch", "assign", "branch", "assign"]
+    ids = {span.span_id for span in spans}
+    assert all(span.parent_id in ids for span in spans
+               if span.parent_id is not None)
+    assert [(span.name, span.end) for span in spans
+            if "aborted" in span.attrs] == [("run 0", 288), ("m3", 288)]
+    assert all(span.attrs["aborted"] == message for span in spans
+               if "aborted" in span.attrs)
+
+    events = json.loads(trace.read_text())["traceEvents"]
+    assert sum(event["ph"] == "B" for event in events) == len(spans)
 
 
 if __name__ == "__main__":
