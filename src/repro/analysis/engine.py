@@ -153,6 +153,21 @@ def parse_directives(source: str) -> Dict[str, str]:
     return found
 
 
+def _bits_budget(raw) -> float:
+    """A bits budget, from ``--bits-budget`` or ``// budget:``: a finite
+    number of bits, at least 0.  NaN compares false against every
+    capacity, so it would certify any policy."""
+    try:
+        bits = float(raw)
+    except ValueError:
+        bits = math.nan
+    if not (math.isfinite(bits) and bits >= 0):
+        shown = f"{raw:g}" if isinstance(raw, float) else raw
+        raise DirectiveError(f"bits budget must be >= 0 and finite, "
+                             f"got {shown}")
+    return bits
+
+
 def _level(name: str, lattice: Lattice) -> Label:
     """The level ``name`` of ``lattice``; one error form for every source."""
     if name not in lattice:
@@ -210,16 +225,10 @@ def resolve_config(
     adversary = options.adversary or directives.get("adversary")
 
     bits_budget = options.bits_budget
-    if bits_budget is None and "budget" in directives:
-        raw = directives["budget"]
-        try:
-            bits_budget = float(raw)
-        except ValueError:
-            raise DirectiveError("budget directive must be a number of "
-                                 f"bits, got {raw!r}") from None
-        if not (math.isfinite(bits_budget) and bits_budget >= 0):
-            raise DirectiveError("budget directive must be >= 0 bits and "
-                                 f"finite, got {raw!r}")
+    if bits_budget is None:
+        bits_budget = directives.get("budget")
+    if bits_budget is not None:
+        bits_budget = _bits_budget(bits_budget)
 
     return ProgramConfig(
         gamma=SecurityEnvironment(lattice, {

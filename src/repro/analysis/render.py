@@ -57,15 +57,26 @@ def _excerpt(diag: Diagnostic, source: str) -> List[str]:
     return [f"    {text}", f"    {caret}"]
 
 
+def unread_lines(unread: int) -> List[str]:
+    """The summary line of a report with ``unread`` inputs it could not
+    read (none when every input was read)."""
+    if not unread:
+        return []
+    return [f"{unread} input{'s' if unread != 1 else ''} not analyzed"]
+
+
 def render_text(
     diagnostics: Sequence[Diagnostic],
     sources: Optional[Dict[str, str]] = None,
     audits: Optional[Dict[str, LeakageAudit]] = None,
+    unread: int = 0,
 ) -> List[str]:
     """Compiler-style report lines.
 
     ``sources`` maps path -> source text for line excerpts; ``audits`` maps
-    path -> static leakage audit, appended per file after the findings.
+    path -> static leakage audit, appended per file after the findings;
+    ``unread`` counts the inputs that could not be read, so the report
+    does not call them clean.
     """
     sources = sources or {}
     out: List[str] = []
@@ -99,7 +110,8 @@ def render_text(
         out.append(f"{len(diagnostics)} finding"
                    f"{'s' if len(diagnostics) != 1 else ''} ({summary})")
     else:
-        out.append("clean: no findings")
+        out.append("no findings" if unread else "clean: no findings")
+    out.extend(unread_lines(unread))
     for path, audit in (audits or {}).items():
         out.append("")
         out.append(f"{path}:")

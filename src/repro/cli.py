@@ -114,7 +114,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -123,7 +122,7 @@ from .analysis import render_json, render_sarif, render_text
 from .analysis.audit import DEFAULT_HORIZON as ANALYSIS_HORIZON
 from .analysis.engine import (DirectiveError, LintOptions, analyze_source,
                               parse_gamma, resolve_config)
-from .analysis.render import dump, model_rows
+from .analysis.render import dump, model_rows, unread_lines
 from .api import compile_program
 from .hardware import (
     REGISTRY,
@@ -275,6 +274,9 @@ def _rule_codes(spec: str) -> frozenset:
 def _read(path: str) -> str:
     try:
         if path == "-":
+            # Decode stdin strictly, as a file is: the default text stream
+            # may escape bytes that are not UTF-8 into surrogates.
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
             return sys.stdin.read()
         with open(path, encoding="utf-8") as handle:
             return handle.read()
@@ -312,15 +314,16 @@ def _analyze(path: str, options: LintOptions, fatal_ok: bool = False):
 
 def _analyze_all(args, options: LintOptions, fatal_ok: bool = False):
     """:func:`_analyze` each of ``args.programs``, reporting bad inputs on
-    stderr and carrying on; returns the results and whether any was bad."""
-    results, bad_input = [], False
+    stderr and carrying on; returns the results and how many inputs were
+    bad."""
+    results, unread = [], 0
     for path in args.programs:
         try:
             results.append(_analyze(path, options, fatal_ok))
         except INPUT_ERRORS as err:
             print(f"repro {args.command}: {err}", file=sys.stderr)
-            bad_input = True
-    return results, bad_input
+            unread += 1
+    return results, unread
 
 
 def _compiled(args, check: bool = True, typed: bool = False):
@@ -548,13 +551,11 @@ def cmd_lint(args) -> int:
     # '// infer: off' directive), --no-infer forces it off, and neither
     # follows the directives.
     infer = True if args.infer else (False if args.no_infer else None)
-    if args.bits_budget is not None:
-        _check_bits_budget(args.bits_budget)
     options = _options(
         args, infer=infer, explain=args.explain, select=args.select,
         ignore=args.ignore or frozenset(), bits_budget=args.bits_budget,
     )
-    results, bad_input = _analyze_all(args, options, fatal_ok=True)
+    results, unread = _analyze_all(args, options, fatal_ok=True)
 
     diagnostics = [d for res in results for d in res.diagnostics]
     audits = {
@@ -563,8 +564,8 @@ def cmd_lint(args) -> int:
     } if args.audit else None
     sources = {res.path: res.source for res in results}
     return _emit_findings(
-        args, diagnostics, bad_input or any(res.fatal for res in results),
-        lambda: render_text(diagnostics, sources, audits),
+        args, diagnostics, unread > 0 or any(res.fatal for res in results),
+        lambda: render_text(diagnostics, sources, audits, unread),
         lambda: render_json(diagnostics, audits),
     )
 
@@ -600,7 +601,7 @@ def cmd_cost(args) -> int:
 
     models = _cost_models(args.hardware)
     options = _options(args, select=frozenset(COST_RULE_CODES) | {"TL000"})
-    results, bad_input = _analyze_all(args, options)
+    results, unread = _analyze_all(args, options)
 
     findings = []
     lines: List[str] = []
@@ -671,10 +672,11 @@ def cmd_cost(args) -> int:
     count = len(findings)
     lines = (lines or ["no programs analyzed"]) + [
         f"{count} cost-backed finding{'s' if count != 1 else ''}"
-        if count else "clean: no cost-backed findings"
-    ]
+        if count else "no cost-backed findings" if unread
+        else "clean: no cost-backed findings"
+    ] + unread_lines(unread)
     return _emit_findings(
-        args, findings, bad_input, lambda: lines,
+        args, findings, unread > 0, lambda: lines,
         lambda: {"schema": "repro.cost/1", "hardware": models,
                  "programs": programs},
     )
@@ -707,29 +709,26 @@ def _service_quantiles(spec) -> dict:
     }
 
 
-def _check_bits_budget(bits: float) -> None:
-    """A bits budget is a finite capacity: NaN compares false against
-    every capacity, so it would certify any policy."""
-    if not (math.isfinite(bits) and bits >= 0):
-        raise CliError(f"--bits-budget must be >= 0 and finite, got {bits:g}")
-
-
 def cmd_tune(args) -> int:
     """`tune`: branch-and-bound over mitigate placement x prediction scheme
     x per-site budgets, minimizing the static padded-cost objective subject
-    to ``channel capacity <= --bits-budget`` on every requested model."""
+    to ``channel capacity <= --bits-budget`` (else the file's ``//
+    budget:``) on every requested model."""
     from .analysis.synthesize import synthesize
 
-    _check_bits_budget(args.bits_budget)
     models = _cost_models(args.models)
     if args.objective == "service" and not args.spec:
         raise CliError("--objective service needs --spec FILE")
-    result = _analyze(args.program, _options(args, lints=False, audit=False))
+    result = _analyze(args.program, _options(
+        args, lints=False, audit=False, bits_budget=args.bits_budget))
+    if result.bits_budget is None:
+        raise CliError(f"{args.program}: no bits budget (give "
+                       f"--bits-budget or a '// budget:' directive)")
     spec = _workload(args.spec) if args.spec else None
 
     schemes = tuple(args.scheme or ("doubling", "polynomial"))
     tuned = synthesize(
-        result.program, result.gamma, args.bits_budget,
+        result.program, result.gamma, result.bits_budget,
         models=models, schemes=schemes, observer=result.adversary,
         horizon=args.horizon,
     )
@@ -755,7 +754,7 @@ def cmd_tune(args) -> int:
               file=sys.stderr)
     text = args.format == "text"
     if text:
-        _print_tuned(args, models, tuned, winner, doc)
+        _print_tuned(args, result.bits_budget, models, tuned, winner, doc)
     else:
         _emit(dump(doc))
     if args.emit_program and winner is not None:
@@ -769,7 +768,7 @@ def cmd_tune(args) -> int:
     return 0 if tuned.feasible else 1
 
 
-def _print_tuned(args, models, tuned, winner, doc) -> None:
+def _print_tuned(args, bits_budget, models, tuned, winner, doc) -> None:
     """`tune`'s text report."""
 
     def show(candidate, tag):
@@ -788,7 +787,7 @@ def _print_tuned(args, models, tuned, winner, doc) -> None:
             print(line)
 
     print(f"{args.program}: mitigation-policy synthesis "
-          f"(budget {args.bits_budget:g} bits, "
+          f"(budget {bits_budget:g} bits, "
           f"models {', '.join(models)})")
     show(tuned.baseline, "baseline")
     if winner is not None:
@@ -802,7 +801,7 @@ def _print_tuned(args, models, tuned, winner, doc) -> None:
         for line in winner.source.splitlines():
             print(f"    {line}")
     else:
-        print(f"  no feasible policy within {args.bits_budget:g} bits "
+        print(f"  no feasible policy within {bits_budget:g} bits "
               f"(explored {tuned.explored}, pruned {tuned.pruned})")
         for placement, why in sorted(tuned.skipped_placements.items()):
             print(f"  skipped {placement}: {why}")
@@ -1295,9 +1294,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "scheme x budgets) whose channel capacity fits a bits "
                 "budget on every hardware model")
     _add_program(p)
-    p.add_argument("--bits-budget", type=float, required=True, metavar="BITS",
+    p.add_argument("--bits-budget", type=float, metavar="BITS",
                    help="channel-capacity budget in bits the synthesized "
-                        "policy must satisfy on every requested model")
+                        "policy must satisfy on every requested model "
+                        "(overrides a file's '// budget:' directive; "
+                        "required when the file has none)")
     _add_models(p, "--models", "certify against")
     p.add_argument("--objective", choices=("static", "service"),
                    default="static",

@@ -67,6 +67,10 @@ class MachineEnvironment(ABC):
         #: ``defaultdict(int)``, or ``None``.
         self.hw: Optional[Dict[str, int]] = None
 
+    def describe(self) -> str:
+        """The model's name, as a run's telemetry reports it."""
+        return type(self).__name__
+
     def hierarchies(self) -> Tuple:
         """The cache hierarchies inside the model (none by default)."""
         return ()

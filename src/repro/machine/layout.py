@@ -16,7 +16,7 @@ channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..lang import ast
 from .memory import Memory
@@ -37,8 +37,7 @@ class DataAccess:
     index: int = 0
 
 
-@dataclass(frozen=True)
-class AccessTrace:
+class AccessTrace(NamedTuple):
     """The addresses one evaluation step touches.
 
     ``instruction`` is the fetch address of the executing command;
@@ -49,7 +48,8 @@ class AccessTrace:
     duration) that reaches the hardware model.  The branch outcome is a
     function of ``vars1`` values, so including it preserves Property 6's
     discipline: two runs whose ``vars1`` values agree produce identical
-    traces.
+    traces.  A named tuple, so that hashing and comparing one (the step
+    trie of :mod:`repro.hardware.replay` keys on it) runs in C.
     """
 
     instruction: int

@@ -329,7 +329,7 @@ class Interpreter:
         if recorder is not None:
             # Span boundary: the run timeline opens at global clock 0.
             recorder.on_run_start({
-                "hardware": type(self.environment).__name__,
+                "hardware": self.environment.describe(),
                 "mitigation": self.mitigation.describe(),
             })
         state.time = 0

@@ -26,7 +26,10 @@ and the pieces that make it *timing-safe* rather than merely functional:
   tenant* end to end;
 * each tenant owns one hardware environment, reset to its constructed
   state before every request (the flush on a domain switch of time
-  protection), so every request starts on cold hardware;
+  protection), so every request starts on cold hardware; a request's
+  costs are then a function of its steps, so the environment replays a
+  step sequence an earlier request took from a step trie
+  (:class:`~repro.hardware.replay.StepReplay`) instead of simulating it;
 * the release discipline is the scheduler policy's
   (:mod:`repro.service.scheduler`): under the quantized policy both
   starts and releases snap to quantum boundaries, TIFC-style.
@@ -46,6 +49,7 @@ from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..hardware import MachineEnvironment, make_hardware
+from ..hardware.replay import StepReplay
 from ..semantics.mitigation import MitigationState, make_scheme
 from ..telemetry.leakage import DynamicLeakageMeter
 from ..telemetry.metrics import MetricsRegistry
@@ -182,8 +186,8 @@ class Gateway:
                 lattice, levels=handler.levels
             )
             self.tenant_registries[name] = MetricsRegistry()
-            self.environments[name] = make_hardware(spec.hardware,
-                                                    handler.lattice)
+            self.environments[name] = StepReplay(
+                make_hardware(spec.hardware, handler.lattice))
             self._tenant_recorders[name] = combine(
                 RecordingTraceRecorder(registry=self.tenant_registries[name],
                                        meter=self.meters[name],

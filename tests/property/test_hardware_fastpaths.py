@@ -20,10 +20,17 @@ next to the lookup-then-touch algorithm they replace, and
 all kept in this file on caches that remember nothing, on random
 mixed-label traces.  And ``reset()`` must return every registry model to
 its constructed state.
+
+``StepReplay`` replays a reset model's steps from a trie; here it runs
+random requests (repeated and diverging prefixes, counts attached or not,
+requests cut short, a tiny node cap) next to the plain model reset before
+each request, comparing every cost, every step's counts in order, and the
+state after each request.
 """
 
 from collections import OrderedDict, defaultdict
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +42,9 @@ from repro.hardware import (
 )
 from repro.hardware.hierarchy import INST_KEYS
 from repro.hardware.interface import StepKind
+from repro.hardware import replay
 from repro.hardware.registry import LATTICE_POINTS
+from repro.hardware.replay import StepReplay
 from repro.lattice import Lattice, chain, diamond, two_point
 from repro.machine.layout import CODE_BASE, DATA_BASE, AccessTrace
 
@@ -493,15 +502,13 @@ DIFFERENTIAL = [
 
 #: One step: (read label, write label, instruction slot, reads, writes,
 #: branch outcome); labels index the lattice's levels modulo its size.
-steps = st.lists(
-    st.tuples(
-        st.integers(0, 3), st.integers(0, 3), st.integers(0, 15),
-        st.lists(st.integers(0, 95), max_size=2),
-        st.lists(st.integers(0, 95), max_size=1),
-        st.sampled_from([None, True, False]),
-    ),
-    min_size=1, max_size=40,
+step = st.tuples(
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 15),
+    st.lists(st.integers(0, 95), max_size=2),
+    st.lists(st.integers(0, 95), max_size=1),
+    st.sampled_from([None, True, False]),
 )
+steps = st.lists(step, min_size=1, max_size=40)
 
 
 def _step(env, lattice, step):
@@ -569,3 +576,84 @@ def test_reset_returns_the_constructed_state(name, point, before, after):
     for other in (fresh, twin):
         other.attach_hw(defaultdict(int))
     _run_together([env, fresh, twin], lattice, after)
+
+
+# -- replay from a step trie -----------------------------------------------
+
+#: A request: (base sequence, how much of it to keep, a diverging suffix,
+#: the counts (none, a burst cleared per step, run totals), the step the
+#: request stops before (``None``: it runs to the end), and the step
+#: before which the state is compared mid-request).
+requests = st.lists(
+    st.tuples(
+        st.integers(0, 2), st.integers(0, 12),
+        st.lists(step, max_size=3),
+        st.sampled_from([None, "burst", "totals"]),
+        st.one_of(st.none(), st.integers(0, 14)),
+        st.one_of(st.none(), st.integers(0, 14)),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _same_state(memo, reference):
+    assert memo.full_state() == reference.full_state()
+    for level in memo.lattice.levels():
+        assert memo.project(level) == reference.project(level)
+
+
+@pytest.mark.parametrize("point", sorted(LATTICE_POINTS))
+@pytest.mark.parametrize("name", REGISTRY.names())
+@settings(max_examples=12, deadline=None)
+@given(bases=st.lists(st.lists(step, min_size=1, max_size=12),
+                      min_size=3, max_size=3),
+       plan=requests, cap=st.sampled_from([1, 2, 5, replay.NODE_CAP]))
+def test_replay_matches_a_model_reset_per_request(name, point, bases, plan,
+                                                  cap):
+    lattice = LATTICE_POINTS[point]()
+    reference = REGISTRY.make(name, lattice, SMALL)
+    memo = StepReplay(REGISTRY.make(name, lattice, SMALL))
+    assert memo.describe() == type(reference).__name__
+    with mock.patch.object(replay, "NODE_CAP", cap):
+        for base, keep, suffix, counts, stop, peek in plan:
+            request = bases[base][:keep] + suffix
+            if stop is not None:
+                request = request[:stop]
+            memo.reset()
+            reference.reset()
+            hw = [None if counts is None else defaultdict(int)
+                  for _ in range(2)]
+            memo.attach_hw(hw[0])
+            reference.attach_hw(hw[1])
+            for index, one in enumerate(request):
+                if index == peek:
+                    _same_state(memo, reference)
+                assert _step(memo, lattice, one) == \
+                    _step(reference, lattice, one), (index, one)
+                if counts is not None:
+                    assert list(hw[0].items()) == list(hw[1].items())
+                if counts == "burst":
+                    for dict_ in hw:
+                        dict_.clear()
+            _same_state(memo, reference)
+            assert memo.clone().full_state() == \
+                reference.clone().full_state()
+        assert len(memo._into) <= cap
+
+
+def test_replay_steps_the_model_only_off_the_trie():
+    lattice = two_point()
+    model = REGISTRY.make("partitioned", lattice, SMALL)
+    memo = StepReplay(model)
+    first = [(0, 0, slot, [slot], [], None) for slot in range(6)]
+    diverged = first[:4] + [(1, 1, 9, [], [9], None)]
+    with mock.patch.object(type(model), "step", autospec=True,
+                           side_effect=type(model).step) as live:
+        for request, live_steps in ((first, 6), (first, 0),
+                                    (diverged, 4 + 1), (diverged, 0)):
+            live.reset_mock()
+            memo.reset()
+            for one in request:
+                _step(memo, lattice, one)
+            # A miss replays the path it diverged from, then steps live.
+            assert live.call_count == live_steps, request

@@ -23,6 +23,8 @@ PROGRAMS = {
     "repeated_levels.tl": "// levels: L,H,L\nready := 1\n",
     "directive_level.tl": "// gamma: h=X\nready := 1\n",
     "three_levels.tl": "// levels: L,M,H\nready := 1\n",
+    "budget_nan.tl": "// budget: nan\nready := 1\n",
+    "budget_words.tl": "// budget: lots\nready := 1\n",
 }
 
 #: A program file that is not UTF-8 text.
@@ -131,6 +133,25 @@ DIRECTIVE_ROWS = [
      "be non-empty and distinct, got 'L,H,L'"),
 ]
 
+BUDGET = "bits budget must be >= 0 and finite, got"
+
+#: A bad bits budget is bad input with one message, whether it comes from
+#: ``--bits-budget`` or a ``// budget:`` directive; ``tune`` takes the
+#: directive's and needs the flag only when the file has none.
+BUDGET_ROWS = [
+    (["lint", "mitigated.tl", "--bits-budget", "nan"],
+     f"repro lint: mitigated.tl: {BUDGET} nan"),
+    (["lint", "budget_nan.tl"], f"repro lint: budget_nan.tl: {BUDGET} nan"),
+    (["lint", "budget_words.tl"],
+     f"repro lint: budget_words.tl: {BUDGET} lots"),
+    (["tune", "mitigated.tl", "--bits-budget", "-1"],
+     f"repro tune: mitigated.tl: {BUDGET} -1"),
+    (["tune", "budget_nan.tl"], f"repro tune: budget_nan.tl: {BUDGET} nan"),
+    (["tune", "mitigated.tl"],
+     "repro tune: mitigated.tl: no bits budget (give --bits-budget or a "
+     "'// budget:' directive)"),
+]
+
 
 TWO = "lattice levels are ['L', 'H']"
 
@@ -220,8 +241,9 @@ def test_bad_option_value_exits_2_naming_it(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, message", DIRECTIVE_ROWS + LEVEL_ROWS,
-    ids=[" ".join(argv) for argv, _ in DIRECTIVE_ROWS + LEVEL_ROWS],
+    "argv, message", DIRECTIVE_ROWS + LEVEL_ROWS + BUDGET_ROWS,
+    ids=[" ".join(argv)
+         for argv, _ in DIRECTIVE_ROWS + LEVEL_ROWS + BUDGET_ROWS],
 )
 def test_bad_directive_exits_2_with_its_message(tmp_path, argv, message):
     proc = _repro(tmp_path, argv)
@@ -239,3 +261,38 @@ def test_non_utf8_program_exits_2_naming_the_file(tmp_path, argv, message):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip() == message
+
+
+#: A report over inputs that could not be read does not call them clean.
+UNREAD_ROWS = [
+    (["lint", "missing.tl"], ["no findings", "1 input not analyzed"]),
+    (["lint", "latin1.tl"], ["no findings", "1 input not analyzed"]),
+    (["cost", "missing.tl"], ["no programs analyzed",
+                              "no cost-backed findings",
+                              "1 input not analyzed"]),
+    (["cost", "latin1.tl", "missing.tl"], ["no programs analyzed",
+                                           "no cost-backed findings",
+                                           "2 inputs not analyzed"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, summary", UNREAD_ROWS,
+    ids=[" ".join(argv) for argv, _ in UNREAD_ROWS],
+)
+def test_unread_input_is_not_called_clean(tmp_path, argv, summary):
+    proc = _repro(tmp_path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == summary
+
+
+def test_non_utf8_stdin_exits_2_naming_it(tmp_path):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "-"],
+        input=NOT_UTF8["latin1.tl"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().strip() == "repro run: -: not UTF-8 text"

@@ -518,6 +518,16 @@ class TestTuneCLI:
         assert rc == 1
         assert "no feasible policy" in capsys.readouterr().out
 
+    def test_budget_directive_is_the_default_budget(self, tmp_path, capsys):
+        path = tmp_path / "budgeted.tl"
+        path.write_text("// budget: 2\n"
+                        + open(self.FIXTURE, encoding="utf-8").read())
+        assert main(["tune", str(path), "--models", "null"]) == 0
+        assert "(budget 2 bits," in capsys.readouterr().out
+        assert main(["tune", str(path), "--bits-budget", "0",
+                     "--models", "null"]) == 0
+        assert "(budget 0 bits," in capsys.readouterr().out
+
     def test_negative_budget_exit_2(self, capsys):
         rc = main(["tune", self.FIXTURE, "--bits-budget", "-1"])
         assert rc == 2
