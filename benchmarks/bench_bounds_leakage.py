@@ -61,10 +61,7 @@ def _run_case(name, src, gamma, lattice, secret, space, k):
         variants, mitigate_pc=cp.typing.mitigate_pc,
     )
     # T: the worst-case elapsed time over the family.
-    worst_t = 1
-    for key in result.leakage.observations:
-        if key:
-            worst_t = max(worst_t, key[-1][3])
+    worst_t = result.leakage.latest_event_time
     bound = leakage_bound(lattice, levels, adversary, worst_t, k)
     return result, bound, worst_t
 

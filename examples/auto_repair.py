@@ -65,8 +65,7 @@ def main():
         PartitionedHardware(lat, tiny_machine()), variants,
         mitigate_pc=info.mitigate_pc,
     )
-    worst_t = max((k[-1][3] for k in audit.leakage.observations if k),
-                  default=1)
+    worst_t = audit.leakage.latest_event_time
     bound = leakage_bound(lat, [lat["H"]], lat["L"], worst_t, 1)
     print(f"   measured leakage Q        = {audit.leakage.bits:.3f} bits")
     print(f"   timing variations log|V|  = {audit.variations.bits:.3f} bits")

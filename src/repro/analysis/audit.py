@@ -24,7 +24,7 @@ from typing import FrozenSet, List, Optional, Tuple
 from ..hardware.costmodel import Interval
 from ..lang import ast
 from ..lattice import Label, Lattice
-from ..quantitative.bounds import leakage_bound
+from ..quantitative.bounds import leakage_bound, relevant_level_count
 from ..typesystem.typing import TypingInfo
 
 #: Default time horizon for the bound's ``(1 + log2 T)`` term: 2^20 cycles.
@@ -146,19 +146,10 @@ class LeakageAudit:
 
 def _bound_for(lattice: Lattice, levels: List[Label], adversary: Label,
                horizon: int) -> float:
-    if not levels:
-        return 0.0
+    """The Sec. 7 bound with ``K = |levels|`` (0 bits for no levels)."""
     return leakage_bound(
         lattice, levels, adversary, horizon, relevant_mitigations=len(levels)
     )
-
-
-def _closure_size(lattice: Lattice, levels: List[Label],
-                  adversary: Label) -> int:
-    if not levels:
-        return 0
-    return len(lattice.upward_closure(
-        lattice.exclude_observable(levels, adversary)))
 
 
 def audit_leakage(
@@ -253,10 +244,10 @@ def audit_leakage(
         adversary=adversary,
         horizon=horizon,
         sites=tuple(sites),
-        closure_size=_closure_size(lattice, relevant_levels, adversary),
+        closure_size=relevant_level_count(lattice, relevant_levels, adversary),
         relevant_count=len(relevant_levels),
         bound_bits=total,
-        syntactic_closure_size=_closure_size(
+        syntactic_closure_size=relevant_level_count(
             lattice, syntactic_levels, adversary),
         syntactic_relevant_count=len(syntactic_levels),
         syntactic_bound_bits=syntactic_total,

@@ -120,8 +120,8 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__
 from .analysis import render_json, render_sarif, render_text
 from .analysis.audit import DEFAULT_HORIZON as ANALYSIS_HORIZON
-from .analysis.engine import (DirectiveError, LintOptions, analyze_source,
-                              parse_gamma, resolve_config)
+from .analysis.engine import (DirectiveError, LintOptions, _bits_budget,
+                              analyze_source, parse_gamma, resolve_config)
 from .analysis.render import dump, model_rows, unread_lines
 from .api import compile_program
 from .hardware import (
@@ -136,11 +136,14 @@ from .lang.pretty import pretty
 from .lattice import LatticeError, chain
 from .machine.memory import Memory, MemoryError_
 from .quantitative import (
+    Theorem2Result,
     VariantError,
+    fold_leakage,
+    fold_variations,
     leakage_bound,
-    measure_leakage,
     secret_variants,
-    timing_variations,
+    sweep,
+    validate_variants,
 )
 from .semantics.core import EvaluationError
 from .semantics.full import SemanticsError
@@ -230,6 +233,15 @@ def _positive(spec: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _bits(spec: str) -> float:
+    """``--bits-budget``: checked once, when the flag is parsed, by the
+    check a ``// budget:`` directive gets."""
+    try:
+        return _bits_budget(spec)
+    except DirectiveError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _levels(spec: str) -> Tuple[str, ...]:
@@ -931,8 +943,9 @@ def cmd_serve(args) -> int:
 def cmd_leakage(args) -> int:
     """`leakage`: exhaustive Q / log|V| / bound over one secret's range.
 
-    One telemetry document covers the *whole* sweep (both passes), with
-    the dynamic Theorem 2 account against the swept secret's level and a
+    The range runs once and both sides of Theorem 2 are folds over those
+    runs, so one telemetry document covers the whole sweep, with the
+    dynamic Theorem 2 account against the swept secret's level and a
     ``sweep`` section recording both sides of the theorem.
     """
     compiled, config = _compiled(args, check=not args.unchecked)
@@ -948,26 +961,24 @@ def cmd_leakage(args) -> int:
     env = make_hardware(args.hardware, lattice, paper_machine())
     sinks = _Telemetry(args, DynamicLeakageMeter(lattice, levels=levels,
                                                  adversary=adversary))
-    q = measure_leakage(
-        compiled.program, compiled.gamma, lattice, levels, adversary,
-        base, env, variants, mitigate_pc=compiled.typing.mitigate_pc,
-        recorder=sinks.recorder,
-    )
-    v = timing_variations(
-        compiled.program, lattice, levels, adversary, base, env, variants,
-        mitigate_pc=compiled.typing.mitigate_pc, recorder=sinks.recorder,
-    )
-    worst = max((key[-1][3] for key in q.observations if key), default=1)
+    validate_variants(base, variants, compiled.gamma, lattice, levels,
+                      adversary)
+    runs = list(sweep(compiled.program, base, env, variants,
+                      mitigate_pc=compiled.typing.mitigate_pc,
+                      recorder=sinks.recorder))
+    q = fold_leakage(runs, compiled.gamma, adversary)
+    v = fold_variations(runs, lattice, levels, adversary)
+    theorem2 = Theorem2Result(leakage=q, variations=v)
+    worst = q.latest_event_time
     bound = leakage_bound(lattice, levels, adversary, worst,
                           relevant_mitigations=len(
                               next(iter(v.id_vectors), ())))
-    holds = q.bits <= v.bits + 1e-9
     print(f"secrets: {args.secret} in [{lo}, {hi})  adversary: {adversary}")
     print(f"Q        = {q.bits:.3f} bits "
           f"({q.distinguishable} distinguishable observations)")
     print(f"log|V|   = {v.bits:.3f} bits ({v.count} timing variations)")
     print(f"bound    = {bound:.3f} bits  (T={worst})")
-    print(f"Theorem 2 {'holds' if holds else 'VIOLATED'}")
+    print(f"Theorem 2 {'holds' if theorem2.holds else 'VIOLATED'}")
     sinks.finish({**sinks.document(), "sweep": {
         "secret": args.secret,
         "values": [lo, hi],
@@ -977,7 +988,7 @@ def cmd_leakage(args) -> int:
         "variation_bits": v.bits,
         "variation_count": v.count,
         "bound_bits": bound,
-        "theorem2_holds": holds,
+        "theorem2_holds": theorem2.holds,
     }} if args.metrics_out else None)
     return 0 if sinks.ok else 1
 
@@ -1263,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "flow diagnostics (text steps; SARIF codeFlows)")
     p.add_argument("--require-cache-labels", action="store_true",
                    help="enforce lr = lw (commodity hardware, Sec. 8.1)")
-    p.add_argument("--bits-budget", type=float, metavar="BITS",
+    p.add_argument("--bits-budget", type=_bits, metavar="BITS",
                    help="channel-capacity budget in bits for TL026 "
                         "(overrides a file's '// budget:' directive)")
 
@@ -1294,7 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "scheme x budgets) whose channel capacity fits a bits "
                 "budget on every hardware model")
     _add_program(p)
-    p.add_argument("--bits-budget", type=float, metavar="BITS",
+    p.add_argument("--bits-budget", type=_bits, metavar="BITS",
                    help="channel-capacity budget in bits the synthesized "
                         "policy must satisfy on every requested model "
                         "(overrides a file's '// budget:' directive; "

@@ -21,7 +21,12 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
-def _normalize(prior: Sequence[float]) -> List[float]:
+def _normalize(
+    observations: Dict[Tuple, List[int]], prior: Optional[Sequence[float]]
+) -> List[float]:
+    """``prior`` scaled to mass 1; uniform over the runs when omitted."""
+    if prior is None:
+        prior = [1.0] * sum(map(len, observations.values()))
     total = float(sum(prior))
     if total <= 0:
         raise ValueError("prior must have positive mass")
@@ -47,10 +52,7 @@ def shannon_leakage(
     The channel is deterministic (Property 2), so
     ``I(S; O) = H(O) = -sum_o p(o) log2 p(o)``.
     """
-    n_runs = sum(len(v) for v in observations.values())
-    prior = _normalize(
-        prior if prior is not None else [1.0] * n_runs
-    )
+    prior = _normalize(observations, prior)
     entropy = 0.0
     for row in _joint(observations, prior):
         mass = sum(row)
@@ -67,10 +69,7 @@ def min_entropy_leakage(
 
     ``log2( sum_o max_s p(s, o) / max_s p(s) )``.
     """
-    n_runs = sum(len(v) for v in observations.values())
-    prior = _normalize(
-        prior if prior is not None else [1.0] * n_runs
-    )
+    prior = _normalize(observations, prior)
     prior_vulnerability = max(prior)
     posterior_vulnerability = sum(
         max(row) for row in _joint(observations, prior) if row

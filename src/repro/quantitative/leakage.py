@@ -1,4 +1,8 @@
-"""Quantitative leakage: Definition 1 of the paper.
+"""Quantitative leakage: Definition 1 of the paper, as a fold over one sweep.
+
+:func:`sweep` compiles a program once and runs it once per secret variant;
+Definition 1 here and Definition 2 and Lemma 1 in
+:mod:`repro.quantitative.variations` are folds over those runs.
 
 ``Q(L, lA, c, m, E)`` is the log (base 2) of the number of *distinguishable
 observations* an adversary at ``lA`` can make of runs of ``c`` started from
@@ -33,8 +37,11 @@ from ..machine.layout import Layout
 from ..machine.memory import Memory, projected_equivalent
 from ..hardware.interface import MachineEnvironment
 from ..semantics.events import observable_events, observation_key
-from ..semantics.full import execute
+from ..semantics.full import ExecutionResult, Interpreter
 from ..semantics.mitigation import MitigationState
+
+#: One run of a :func:`sweep`: its memory variant's index and its result.
+Run = Tuple[int, ExecutionResult]
 
 
 class VariantError(ValueError):
@@ -50,6 +57,13 @@ class LeakageResult:
     runs: int
     observations: Dict[Tuple, List[int]]
 
+    @property
+    def latest_event_time(self) -> int:
+        """``T`` for the Sec. 7 bound: the time of the latest observable
+        event in any run (1 when no run makes one)."""
+        return max((key[-1][3] for key in self.observations if key),
+                   default=1)
+
     def __str__(self) -> str:
         return (
             f"{self.bits:.3f} bits ({self.distinguishable} distinguishable "
@@ -57,21 +71,25 @@ class LeakageResult:
         )
 
 
-def _validate_variant(
+def validate_variants(
     base: Memory,
-    variant: Memory,
+    variants: Iterable[Memory],
     gamma: Mapping[str, Label],
     lattice: Lattice,
-    allowed: frozenset,
+    levels: Iterable[Label],
+    adversary: Label,
 ) -> None:
-    for level in lattice.levels():
-        if level in allowed:
-            continue
-        if not projected_equivalent(base, variant, gamma, level):
-            raise VariantError(
-                f"variant differs from the baseline at level {level}, "
-                "which is outside the varied set L_{lA}"
-            )
+    """Raise :class:`VariantError` unless every variant equals ``base`` at
+    every level outside ``L_{lA}``, Definition 1's side condition."""
+    allowed = lattice.exclude_observable(levels, adversary)
+    for variant in variants:
+        for level in lattice.levels():
+            if level not in allowed and not projected_equivalent(
+                    base, variant, gamma, level):
+                raise VariantError(
+                    f"variant differs from the baseline at level {level}, "
+                    "which is outside the varied set L_{lA}"
+                )
 
 
 def secret_variants(
@@ -103,6 +121,59 @@ def secret_variants(
     return out
 
 
+def sweep(
+    program: ast.Command,
+    base_memory: Memory,
+    base_environment: MachineEnvironment,
+    memory_variants: Sequence[Memory],
+    environment_variants: Optional[Sequence[MachineEnvironment]] = None,
+    mitigate_pc: Mapping[str, Label] = None,
+    max_steps: int = 10_000_000,
+    recorder=None,
+) -> Iterable[Run]:
+    """Run ``program``, compiled once for ``base_memory``, from a copy of
+    every (memory variant, environment variant) pair, variant-major, with a
+    fresh :class:`MitigationState` each, and yield each run's variant index
+    and result.  Environments default to ``base_environment``; ``recorder``
+    (see :mod:`repro.telemetry`) observes every run."""
+    layout = Layout.build(program, base_memory)
+    mitigate_pc = dict(mitigate_pc or {})
+    if environment_variants is None:
+        environment_variants = [base_environment]
+    interpreter: Optional[Interpreter] = None
+    for index, variant in enumerate(memory_variants):
+        for environment in environment_variants:
+            memory, clone = variant.copy(), environment.clone()
+            if interpreter is None or not interpreter.fits(memory):
+                interpreter = Interpreter(
+                    program, memory, clone, layout, MitigationState(),
+                    mitigate_pc, max_steps, recorder)
+            else:
+                interpreter.bind(memory, clone, MitigationState(), max_steps,
+                                 recorder)
+            yield index, interpreter.run()
+
+
+def fold_leakage(
+    runs: Iterable[Run], gamma: Mapping[str, Label], adversary: Label
+) -> LeakageResult:
+    """Definition 1 over a sweep: group its runs by what ``adversary``
+    observes of them."""
+    observations: Dict[Tuple, List[int]] = {}
+    for index, result in runs:
+        key = observation_key(
+            observable_events(result.events, gamma, adversary)
+        )
+        observations.setdefault(key, []).append(index)
+    distinguishable = len(observations)
+    return LeakageResult(
+        bits=math.log2(distinguishable) if distinguishable else 0.0,
+        distinguishable=distinguishable,
+        runs=sum(map(len, observations.values())),
+        observations=observations,
+    )
+
+
 def measure_leakage(
     program: ast.Command,
     gamma: Mapping[str, Label],
@@ -127,40 +198,9 @@ def measure_leakage(
     An optional ``recorder`` (see :mod:`repro.telemetry`) observes every
     run of the sweep, so one metrics document can cover it all.
     """
-    allowed = lattice.exclude_observable(levels, adversary)
     if validate:
-        for variant in memory_variants:
-            _validate_variant(base_memory, variant, gamma, lattice, allowed)
-
-    if environment_variants is None:
-        environment_variants = [base_environment]
-
-    layout = Layout.build(program, base_memory)
-    observations: Dict[Tuple, List[int]] = {}
-    runs = 0
-    for run_index, memory in enumerate(memory_variants):
-        for environment in environment_variants:
-            result = execute(
-                program,
-                memory.copy(),
-                environment.clone(),
-                layout=layout,
-                mitigation=MitigationState(),
-                mitigate_pc=mitigate_pc,
-                max_steps=max_steps,
-                recorder=recorder,
-            )
-            key = observation_key(
-                observable_events(result.events, gamma, adversary)
-            )
-            observations.setdefault(key, []).append(run_index)
-            runs += 1
-
-    distinguishable = len(observations)
-    bits = math.log2(distinguishable) if distinguishable else 0.0
-    return LeakageResult(
-        bits=bits,
-        distinguishable=distinguishable,
-        runs=runs,
-        observations=observations,
-    )
+        validate_variants(base_memory, memory_variants, gamma, lattice,
+                          levels, adversary)
+    runs = sweep(program, base_memory, base_environment, memory_variants,
+                 environment_variants, mitigate_pc, max_steps, recorder)
+    return fold_leakage(runs, gamma, adversary)

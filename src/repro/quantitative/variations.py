@@ -11,11 +11,12 @@ Lemma 1 (low-determinism) says the *identity* component of that projection
 -- which mitigate commands occur, in what order -- is the same across all
 such runs for well-typed programs; only durations vary.  Theorem 2 then
 bounds Definition 1's leakage by ``log2`` of the number of distinct duration
-vectors.  All three are executable here:
+vectors.  All three are folds over one :func:`~.leakage.sweep` of a variant
+family, each projecting the mitigate vectors with ``project_mitigations``:
 
 * :func:`timing_variations` -- Definition 2 over a variant family;
 * :func:`check_low_determinism` -- Lemma 1 as a checker;
-* :func:`verify_theorem2` -- runs Definitions 1 and 2 on the same family
+* :func:`verify_theorem2` -- folds Definitions 1 and 2 over the same runs
   and confirms ``Q <= log2 |V|``.
 """
 
@@ -23,38 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lang import ast
 from ..lattice import Label, Lattice
-from ..machine.layout import Layout
 from ..machine.memory import Memory
 from ..hardware.interface import MachineEnvironment
 from ..semantics.events import (
-    MitigationRecord,
     mitigation_ids,
     mitigation_times,
+    project_mitigations,
 )
-from ..semantics.full import execute
-from ..semantics.mitigation import MitigationState
-from .leakage import LeakageResult, measure_leakage
-
-
-def relevant_projection(
-    records: Tuple[MitigationRecord, ...], upward: FrozenSet[Label]
-) -> Tuple[MitigationRecord, ...]:
-    """Definition 2's projection: low-context, high-mitigation-level records.
-
-    Keeps records with ``pc(M) not in L^`` and ``lev(M) in L^``.
-    Records lacking a pc label (program run without typing info) are treated
-    as low-context -- the conservative direction.
-    """
-    out = []
-    for record in records:
-        in_low_context = record.pc_label is None or record.pc_label not in upward
-        if in_low_context and record.level in upward:
-            out.append(record)
-    return tuple(out)
+from .leakage import LeakageResult, Run, fold_leakage, sweep, validate_variants
 
 
 @dataclass
@@ -81,29 +62,31 @@ class VariationResult:
         )
 
 
-def _run_projected(
-    program: ast.Command,
-    memory: Memory,
-    environment: MachineEnvironment,
-    layout: Layout,
-    upward: FrozenSet[Label],
-    mitigate_pc: Mapping[str, Label],
-    max_steps: int,
-    recorder=None,
-) -> Tuple[MitigationRecord, ...]:
-    result = execute(
-        program,
-        memory.copy(),
-        environment.clone(),
-        layout=layout,
-        mitigation=MitigationState(),
-        mitigate_pc=mitigate_pc,
-        max_steps=max_steps,
-        recorder=recorder,
+def fold_variations(
+    runs: Iterable[Run],
+    lattice: Lattice,
+    levels: Iterable[Label],
+    adversary: Label,
+) -> VariationResult:
+    """Definition 2 over a sweep: the distinct duration and id vectors of
+    the mitigate commands with ``pc(M) not in L^`` (no pc label counts as
+    low, the conservative direction) and ``lev(M) in L^``."""
+    upward = lattice.upward_closure(
+        lattice.exclude_observable(levels, adversary)
     )
-    # Lemma 1's pc filter keeps only low-context records; Definition 2 then
-    # additionally requires the mitigation level to sit inside L^.
-    return relevant_projection(result.mitigations, upward)
+    variations: Set[Tuple[int, ...]] = set()
+    id_vectors: Set[Tuple[str, ...]] = set()
+    count = 0
+    for _, result in runs:
+        relevant = project_mitigations(
+            result.mitigations, pc_not_in=upward, level_in=upward
+        )
+        variations.add(mitigation_times(relevant))
+        id_vectors.add(mitigation_ids(relevant))
+        count += 1
+    return VariationResult(
+        variations=variations, id_vectors=id_vectors, runs=count
+    )
 
 
 def timing_variations(
@@ -125,29 +108,9 @@ def timing_variations(
     (upward closure), which the caller's family should reflect.  An optional
     ``recorder`` (see :mod:`repro.telemetry`) observes every run.
     """
-    upward = lattice.upward_closure(
-        lattice.exclude_observable(levels, adversary)
-    )
-    if environment_variants is None:
-        environment_variants = [base_environment]
-    layout = Layout.build(program, base_memory)
-    mitigate_pc = dict(mitigate_pc or {})
-
-    variations: Set[Tuple[int, ...]] = set()
-    id_vectors: Set[Tuple[str, ...]] = set()
-    runs = 0
-    for memory in memory_variants:
-        for environment in environment_variants:
-            projected = _run_projected(
-                program, memory, environment, layout, upward,
-                mitigate_pc, max_steps, recorder=recorder,
-            )
-            variations.add(mitigation_times(projected))
-            id_vectors.add(mitigation_ids(projected))
-            runs += 1
-    return VariationResult(
-        variations=variations, id_vectors=id_vectors, runs=runs
-    )
+    runs = sweep(program, base_memory, base_environment, memory_variants,
+                 environment_variants, mitigate_pc, max_steps, recorder)
+    return fold_variations(runs, lattice, levels, adversary)
 
 
 def check_low_determinism(
@@ -168,33 +131,17 @@ def check_low_determinism(
     upward = lattice.upward_closure(
         lattice.exclude_observable(levels, adversary)
     )
-    layout = Layout.build(program, base_memory)
-    mitigate_pc = dict(mitigate_pc or {})
-    seen: Optional[Tuple[str, ...]] = None
-    violations = []
-    for memory in memory_variants:
-        result = execute(
-            program,
-            memory.copy(),
-            base_environment.clone(),
-            layout=layout,
-            mitigation=MitigationState(),
-            mitigate_pc=mitigate_pc,
-            max_steps=max_steps,
-        )
-        low_context = tuple(
-            r.mit_id
-            for r in result.mitigations
-            if r.pc_label is None or r.pc_label not in upward
-        )
-        if seen is None:
-            seen = low_context
-        elif low_context != seen:
-            violations.append(
-                "Lemma1: low-context mitigate vector differs across "
-                f"variants: {seen} vs {low_context}"
-            )
-    return violations
+    low_context = [
+        mitigation_ids(project_mitigations(result.mitigations,
+                                           pc_not_in=upward))
+        for _, result in sweep(program, base_memory, base_environment,
+                               memory_variants, None, mitigate_pc, max_steps)
+    ]
+    return [
+        "Lemma1: low-context mitigate vector differs across variants: "
+        f"{low_context[0]} vs {ids}"
+        for ids in low_context[1:] if ids != low_context[0]
+    ]
 
 
 @dataclass
@@ -234,17 +181,14 @@ def verify_theorem2(
     For an exhaustive family this is a genuine check of the theorem's
     statement on that secret space (Definition 1 and Definition 2 computed
     exactly); for sampled families both sides are lower bounds measured on
-    identical runs, so the comparison remains meaningful.
+    the same runs, so the comparison remains meaningful.
     """
     levels = tuple(levels)
-    leakage = measure_leakage(
-        program, gamma, lattice, levels, adversary,
-        base_memory, base_environment, memory_variants,
-        mitigate_pc=mitigate_pc, max_steps=max_steps,
+    validate_variants(base_memory, memory_variants, gamma, lattice, levels,
+                      adversary)
+    runs = list(sweep(program, base_memory, base_environment,
+                      memory_variants, None, mitigate_pc, max_steps))
+    return Theorem2Result(
+        leakage=fold_leakage(runs, gamma, adversary),
+        variations=fold_variations(runs, lattice, levels, adversary),
     )
-    variations = timing_variations(
-        program, lattice, levels, adversary,
-        base_memory, base_environment, memory_variants,
-        mitigate_pc=mitigate_pc, max_steps=max_steps,
-    )
-    return Theorem2Result(leakage=leakage, variations=variations)

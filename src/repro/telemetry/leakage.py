@@ -13,8 +13,9 @@ meter makes the inequality executable (:meth:`DynamicLeakageMeter.holds`)
 and raises :class:`LeakageBoundViolation` on demand when it fails
 (:meth:`DynamicLeakageMeter.assert_within_bound`).
 
-Relevance follows Definition 2 exactly (same predicate as
-:func:`repro.quantitative.variations.relevant_projection`): a completed
+Relevance follows Definition 2 exactly (the projection
+:func:`repro.quantitative.variations.fold_variations` makes with
+:func:`repro.semantics.events.project_mitigations`): a completed
 mitigation matters when its static ``pc`` label lies *outside* the upward
 closure ``L^`` of the varied levels (low context) while its mitigation
 level lies *inside* (high level).

@@ -511,9 +511,9 @@ class TestCli:
         assert "telemetry:" in out
         doc = json.loads(out_path.read_text())
         assert doc["schema"] == SCHEMA
-        # One document for the whole sweep: 8 variants x (Definition 1 +
-        # Definition 2 passes) = 16 runs.
-        assert doc["runs"] == 16
+        # One document for the whole sweep: the 8 variants run once, and
+        # Definitions 1 and 2 are both folds over those 8 runs.
+        assert doc["runs"] == 8
         assert doc["sweep"]["secret"] == "h"
         assert doc["sweep"]["values"] == [0, 8]
         assert doc["sweep"]["theorem2_holds"] is True

@@ -529,9 +529,12 @@ class TestTuneCLI:
         assert "(budget 0 bits," in capsys.readouterr().out
 
     def test_negative_budget_exit_2(self, capsys):
-        rc = main(["tune", self.FIXTURE, "--bits-budget", "-1"])
-        assert rc == 2
-        assert "must be >= 0" in capsys.readouterr().err
+        # A bad flag value is an argparse error, made when it is parsed.
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", self.FIXTURE, "--bits-budget", "-1"])
+        assert exc.value.code == 2
+        assert "--bits-budget: bits budget must be >= 0" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("bits", ["nan", "inf"])
     def test_non_finite_budget_exit_2(self, bits, tmp_path, capsys):
@@ -542,16 +545,20 @@ class TestTuneCLI:
             "// gamma: h=H, x=H\n"
             "x := 0;\nwhile h > 0 do { x := x + 1;\nh := h - 1 }\n"
         )
-        rc = main(["tune", str(path), "--bits-budget", bits,
-                   "--models", "null"])
-        assert rc == 2
-        assert "must be >= 0 and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", str(path), "--bits-budget", bits,
+                  "--models", "null"])
+        assert exc.value.code == 2
+        assert "--bits-budget: bits budget must be >= 0 and finite" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("bits", ["nan", "-1"])
     def test_lint_rejects_bad_budget(self, bits, capsys):
-        rc = main(["lint", self.FIXTURE, "--bits-budget", bits])
-        assert rc == 2
-        assert "must be >= 0 and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", self.FIXTURE, "--bits-budget", bits])
+        assert exc.value.code == 2
+        assert "--bits-budget: bits budget must be >= 0 and finite" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", [
         ["lint"], ["cost"], ["tune", "--bits-budget", "0"],

@@ -127,11 +127,8 @@ class TestDevelopJourney:
             mitigate_pc=info.mitigate_pc,
         )
         assert audit.holds
-        worst_t = 1
-        for key in audit.leakage.observations:
-            if key:
-                worst_t = max(worst_t, key[-1][3])
-        bound = leakage_bound(LAT, [LAT["H"]], LAT["L"], worst_t, 1)
+        bound = leakage_bound(LAT, [LAT["H"]], LAT["L"],
+                              audit.leakage.latest_event_time, 1)
         assert audit.leakage.bits <= bound
 
 
