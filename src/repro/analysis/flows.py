@@ -112,10 +112,6 @@ class TimingDependenceGraph:
             for name in self.start_taint.get(node_id, ())
         )
 
-    def timing_injector(self, node_id: int, name: str) -> Optional[int]:
-        """The command that put ``name`` into ``node_id``'s timing taint."""
-        return self.start_taint.get(node_id, {}).get(name)
-
     def timing_tainted(
         self, node_id: int, observer: Optional[Label] = None
     ) -> bool:

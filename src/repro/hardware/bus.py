@@ -60,7 +60,8 @@ class SharedBusHardware(PartitionedHardware):
         # who queued it.  This is the Property 6 violation.
         stall = self._bus_queue * self.STALL_CYCLES
         cost = stall + super().step(kind, trace, read_label, write_label)
-        traffic = 1 + len(trace.reads) + len(trace.writes)
+        _, reads, writes, _ = trace
+        traffic = 1 + len(reads) + len(writes)
         self._bus_queue = min(
             self.QUEUE_CAP,
             max(0, self._bus_queue - self.DRAIN_PER_STEP) + traffic,

@@ -54,7 +54,8 @@ class FrequencyScalingHardware(PartitionedHardware):
     ) -> int:
         base = super().step(kind, trace, read_label, write_label)
         throttled = (self._activity // self.WINDOW) % 2 == 1
-        self._activity += 1 + len(trace.reads) + len(trace.writes)
+        _, reads, writes, _ = trace
+        self._activity += 1 + len(reads) + len(writes)
         return base * self.SLOWDOWN if throttled else base
 
     def reset(self) -> None:

@@ -52,20 +52,20 @@ class NoFillHardware(MachineEnvironment):
         read_label: Label,
         write_label: Label,
     ) -> int:
+        instruction, reads, writes, taken = trace
+        hierarchy = self.hierarchy
         fill = write_label is self.lattice.bottom
         cost = self.params.execute_cost
-        cost += self.hierarchy.inst_fetch(trace.instruction, fill=fill)
-        if trace.taken is not None:
+        cost += hierarchy.inst_fetch(instruction, fill=fill)
+        if taken is not None:
             # Branches in non-public contexts may read the (public)
             # predictor but must not train it -- the branch-predictor
             # analogue of no-fill mode.
-            cost += self.hierarchy.branch_cost(
-                trace.instruction, trace.taken, train=fill
-            )
-        for address in trace.reads:
-            cost += self.hierarchy.data_access(address, fill=fill)
-        for address in trace.writes:
-            cost += self.hierarchy.data_access(address, fill=fill)
+            cost += hierarchy.branch_cost(instruction, taken, train=fill)
+        for address in reads:
+            cost += hierarchy.data_access(address, fill=fill)
+        for address in writes:
+            cost += hierarchy.data_access(address, fill=fill)
         return cost
 
     def project(self, level: Label) -> Hashable:

@@ -49,7 +49,8 @@ class NullHardware(MachineEnvironment):
     ) -> int:
         # Charge per data access so that expression size is still reflected
         # in time (one cycle per operand touch), but never consult state.
-        return self.costs[kind] + len(trace.reads) + len(trace.writes)
+        _, reads, writes, _ = trace
+        return self.costs[kind] + len(reads) + len(writes)
 
     def project(self, level: Label) -> Hashable:
         return ()

@@ -60,7 +60,8 @@ class _Route(NamedTuple):
     instruction): per component, the own-level partition, the partitions
     strictly below the label (searched without update, in
     ``lattice.levels()`` order) and the partitions strictly above it
-    (single-copy evictions), plus the side's telemetry burst keys."""
+    (single-copy evictions), plus the side's telemetry burst keys.
+    ``_access`` unpacks it by position."""
 
     tlb: Tlb
     tlbs_below: Tuple[Tlb, ...]
@@ -122,11 +123,14 @@ class PartitionedHardware(MachineEnvironment):
     def _access(self, address: int, route: _Route) -> int:
         """One access along ``route`` (one label, one side): translation,
         then the L1/L2 search; returns its cost."""
-        hw, keys, tlb = self.hw, route.keys, route.tlb
+        # One unpack: a named tuple's fields read slower by attribute.
+        (tlb, tlbs_below, tlbs_above, l1, l1s_below, l1s_above,
+         l2, l2s_below, l2s_above, keys) = route
+        hw = self.hw
         if address >> tlb._line_shift == tlb._mru:
             hit = True
         else:
-            for below in route.tlbs_below:
+            for below in tlbs_below:
                 if below.lookup(address):
                     hit = True
                     break
@@ -134,17 +138,16 @@ class PartitionedHardware(MachineEnvironment):
                 hit = tlb.touch(address)
         if hw is not None:
             hw[keys[0][hit]] += 1
-        l1 = route.l1
         cost = l1.params.latency
         if not hit:
             # A page walk, installed in the own TLB by the touch above.
             cost += tlb.params.miss_penalty
-            for above in route.tlbs_above:
+            for above in tlbs_above:
                 above.evict(address)
         if address >> l1._line_shift == l1._mru:
             hit = True
         else:
-            for below in route.l1s_below:
+            for below in l1s_below:
                 if below.lookup(address):
                     hit = True
                     break
@@ -157,11 +160,10 @@ class PartitionedHardware(MachineEnvironment):
 
         # L1 miss: the touch above installed the line in the own L1, so
         # evict it from the L1s above, then search L2 the same way.
-        for above in route.l1s_above:
+        for above in l1s_above:
             above.evict(address)
-        l2 = route.l2
         cost += l2.params.latency
-        for below in route.l2s_below:
+        for below in l2s_below:
             if below.lookup(address):
                 hit = True
                 break
@@ -175,7 +177,7 @@ class PartitionedHardware(MachineEnvironment):
         # Full miss: the controller either fetches from memory or moves the
         # line from a strictly-higher partition; both take the full miss
         # latency so that timing is independent of unsearched state.
-        for above in route.l2s_above:
+        for above in l2s_above:
             above.evict(address)
         return cost + self.params.memory_latency
 
@@ -188,37 +190,32 @@ class PartitionedHardware(MachineEnvironment):
         read_label: Label,
         write_label: Label,
     ) -> int:
+        instruction, reads, writes, taken = trace
         cost = self.params.execute_cost
         if read_label is not write_label:
             # The cache can only be used when lr = lw (Sec. 5.1); other
             # steps bypass it entirely at worst-case cost.
             reference = self.partitions[self.lattice.bottom]
             cost += reference.inst_miss_cost()
-            cost += reference.data_miss_cost() * (
-                len(trace.reads) + len(trace.writes)
-            )
+            cost += reference.data_miss_cost() * (len(reads) + len(writes))
             hw = self.hw
             if hw is not None:
                 hw["bypass.steps"] += 1
-                hw["bypass.accesses"] += (
-                    1 + len(trace.reads) + len(trace.writes)
-                )
-            if trace.taken is not None and self.params.branch is not None:
+                hw["bypass.accesses"] += 1 + len(reads) + len(writes)
+            if taken is not None and self.params.branch is not None:
                 cost += self.params.branch.penalty  # flat worst case
             return cost
         data, inst = self._routes[read_label]
         access = self._access
-        instruction = trace.instruction
         cost += access(instruction, inst)
-        if trace.taken is not None:
+        if taken is not None:
             # Each level owns a private predictor: reads and training stay
             # at exactly the step's own level.
-            cost += self.partitions[read_label].branch_cost(
-                instruction, trace.taken
-            )
-        for address in trace.reads:
+            cost += self.partitions[read_label].branch_cost(instruction,
+                                                            taken)
+        for address in reads:
             cost += access(address, data)
-        for address in trace.writes:
+        for address in writes:
             cost += access(address, data)
         return cost
 

@@ -63,17 +63,18 @@ class SpeculativeHardware(PartitionedHardware):
         write_label: Label,
     ) -> int:
         cost = super().step(kind, trace, read_label, write_label)
-        if trace.taken is None:
+        instruction, _, _, taken = trace
+        if taken is None:
             return cost
-        counter = self._counters.get(trace.instruction, 1)
+        counter = self._counters.get(instruction, 1)
         predicted_taken = counter >= 2
         if self.hw is not None:
-            self.hw[BRANCH_KEYS[predicted_taken == trace.taken]] += 1
+            self.hw[BRANCH_KEYS[predicted_taken == taken]] += 1
         # Label-oblivious training: every level writes the shared table.
-        self._counters[trace.instruction] = (
-            min(3, counter + 1) if trace.taken else max(0, counter - 1)
+        self._counters[instruction] = (
+            min(3, counter + 1) if taken else max(0, counter - 1)
         )
-        if predicted_taken == trace.taken:
+        if predicted_taken == taken:
             return cost
         # Mispredict: flush the pipeline and squash the window of
         # wrong-path fetches from the stepping level's own I-cache.
@@ -81,7 +82,7 @@ class SpeculativeHardware(PartitionedHardware):
         if read_label is write_label:
             own = self.partitions[read_label]
             for i in range(1, self.WINDOW + 1):
-                own.evict_inst(trace.instruction + i * _INSTR_BYTES)
+                own.evict_inst(instruction + i * _INSTR_BYTES)
         return cost
 
     def reset(self) -> None:

@@ -43,14 +43,16 @@ class StandardHardware(MachineEnvironment):
         read_label: Label,
         write_label: Label,
     ) -> int:
+        instruction, reads, writes, taken = trace
+        hierarchy = self.hierarchy
         cost = self.params.execute_cost
-        cost += self.hierarchy.inst_fetch(trace.instruction)
-        if trace.taken is not None:
-            cost += self.hierarchy.branch_cost(trace.instruction, trace.taken)
-        for address in trace.reads:
-            cost += self.hierarchy.data_access(address)
-        for address in trace.writes:
-            cost += self.hierarchy.data_access(address)
+        cost += hierarchy.inst_fetch(instruction)
+        if taken is not None:
+            cost += hierarchy.branch_cost(instruction, taken)
+        for address in reads:
+            cost += hierarchy.data_access(address)
+        for address in writes:
+            cost += hierarchy.data_access(address)
         return cost
 
     def project(self, level: Label) -> Hashable:

@@ -66,7 +66,8 @@ class WriteBackHardware(PartitionedHardware):
             # Bypassed steps (lr != lw) never use the cache, so they never
             # reclaim lines and owe no write-backs.
             return cost
-        addresses = (*trace.reads, *trace.writes)
+        _, reads, writes, _ = trace
+        addresses = (*reads, *writes)
         if not addresses:
             return cost
         block_bytes = self.params.l1_data.block_bytes
@@ -87,7 +88,7 @@ class WriteBackHardware(PartitionedHardware):
                 dirty.difference_update(conflicts)
                 drained += len(conflicts)
         own = self._dirty[read_label]
-        for address in trace.writes:
+        for address in writes:
             own.add(address // block_bytes)
         return cost + drained * self.WRITEBACK_PENALTY
 

@@ -20,6 +20,13 @@ address plus the data addresses of exactly the ``vars1`` reads and the
 written location -- and hands it to the hardware together with the command's
 read/write labels.  The hardware returns the step's cost and updates itself.
 
+Each step tests the run's recorder itself.  Without one, it calls the
+hardware's ``step`` directly and adds the cost to the clock; with one, it
+goes through :meth:`_RunState.charge`, which also counts the step into the
+run's totals and feeds a sink that consumes ``on_step``.  Both paths make
+the same hardware call with the same arguments, so a recorder never
+changes a cycle.
+
 Two constructs bypass the hardware:
 
 * ``sleep e`` takes exactly ``max(e, 0)`` cycles (Property 4 demands
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from time import perf_counter_ns
 from typing import Callable, List, Mapping, Optional, Tuple
@@ -98,16 +105,31 @@ class SemanticsError(RuntimeError):
     (e.g. a command is missing its timing labels)."""
 
 
+#: An assignment event as a run records it: ``(name, value, time, index)``,
+#: the fields of an :class:`Event` in order.
+EventRecord = Tuple[str, int, int, Optional[int]]
+
+
 @dataclass
 class ExecutionResult:
-    """Everything one run produces."""
+    """Everything one run produces.
+
+    A run records its assignment events as plain ``event_records``;
+    :attr:`events` builds the :class:`Event` tuple from them on first read
+    and keeps it, so a run whose events nobody reads builds none.  Results
+    compare by the records, which is the same as comparing the events."""
 
     memory: Memory
     environment: MachineEnvironment
     time: int
-    events: Tuple[Event, ...]
+    event_records: Tuple[EventRecord, ...]
     mitigations: Tuple[MitigationRecord, ...]
     steps: int
+
+    @cached_property
+    def events(self) -> Tuple[Event, ...]:
+        """The observable assignment events ``(x, v, t)``, in order."""
+        return tuple(Event(*record) for record in self.event_records)
 
     def final_time(self) -> int:
         """The final global clock ``G`` (alias of ``time``)."""
@@ -116,9 +138,11 @@ class ExecutionResult:
 
 class _RunState:
     """What the compiled steps read and write while a run is in progress:
-    the clock, the run's hardware, mitigation state and recorder, its
-    events and mitigation records, the continuation stack and ``reads``,
-    the one buffer array-touching steps collect their data addresses in.
+    the clock, ``step`` (the run's hardware model's bound ``step``
+    method), the run's mitigation state and recorder, its events as
+    :data:`EventRecord` tuples and its mitigation records, the
+    continuation stack and ``reads``, the one buffer array-touching steps
+    collect their data addresses in.
 
     A recorded run also keeps the totals its sinks receive through
     ``on_totals``: ``steps`` by kind value, machine ``cycles`` and
@@ -128,49 +152,44 @@ class _RunState:
 
     The steps capture this state and its bound methods, never the
     :class:`Interpreter` that owns them, so the compiled code is not
-    reachable from what it captures.
+    reachable from what it captures.  The state holds no bound method of
+    its own (that would be a cycle through the state itself).
     """
 
-    __slots__ = ("time", "environment", "mitigation", "recorder", "on_step",
-                 "hw", "totals", "steps", "cycles", "events", "records",
-                 "stack", "reads")
+    __slots__ = ("time", "step", "mitigation", "recorder", "on_step", "hw",
+                 "totals", "steps", "cycles", "events", "records", "stack",
+                 "reads", "__weakref__")
 
     def __init__(self) -> None:
         self.time = 0
-        self.environment: Optional[MachineEnvironment] = None
+        self.step: Optional[Callable[..., int]] = None
         self.mitigation: Optional[MitigationState] = None
         self.recorder: Optional[TraceRecorder] = None
         self.on_step = None
         self.hw = self.totals = self.steps = None
         self.cycles = 0
-        self.events: List[Event] = []
+        self.events: List[EventRecord] = []
         self.records: List[MitigationRecord] = []
         self.stack: List[Step] = []
         self.reads: List[int] = []
 
     def charge(self, kind: StepKind, trace: AccessTrace,
                read_label: Label, write_label: Label) -> None:
-        """Charge one hardware step and advance the clock: every labeled
-        step but ``sleep`` comes through here, so this is the one place a
-        step checks for a recorder.  Recorded, it counts the step into the
-        run's totals; only when a sink consumes ``on_step`` does it also
+        """Charge one hardware step of a recorded run and advance the
+        clock.  An unrecorded step never comes here: it calls the
+        hardware's ``step`` itself.  This one also counts the step into
+        the run's totals; only when a sink consumes ``on_step`` does it
         time the hardware, hand that sink the step's burst and fold the
         burst into the totals."""
-        recorder = self.recorder
-        if recorder is None:
-            self.time += self.environment.step(kind, trace, read_label,
-                                               write_label)
-            return
         on_step = self.on_step
         if on_step is None:
-            cost = self.environment.step(kind, trace, read_label,
-                                         write_label)
+            cost = self.step(kind, trace, read_label, write_label)
             self.time += cost
             self.cycles += cost
             self.steps[kind._value_] += 1
             return
         started = perf_counter_ns()
-        cost = self.environment.step(kind, trace, read_label, write_label)
+        cost = self.step(kind, trace, read_label, write_label)
         wall_ns = perf_counter_ns() - started
         self.time += cost
         self.cycles += cost
@@ -317,7 +336,7 @@ class Interpreter:
                         else defaultdict(int))
         self.environment.attach_hw(state.hw)
         self.mitigation.recorder = recorder
-        state.environment, state.mitigation = self.environment, self.mitigation
+        state.step, state.mitigation = self.environment.step, self.mitigation
         state.recorder = recorder
 
     # -- driving --------------------------------------------------------------------
@@ -366,7 +385,7 @@ class Interpreter:
             memory=self.memory,
             environment=self.environment,
             time=state.time,
-            events=tuple(state.events),
+            event_records=tuple(state.events),
             mitigations=tuple(state.records),
             steps=steps,
         )
@@ -384,6 +403,22 @@ def _copy_values(source: Memory, target: Memory) -> None:
     target_scalars.update(scalars)
     for name, cells in target_arrays.items():
         cells[:] = arrays[name]
+
+
+#: A binary operator's closure by its operands' kinds (see
+#: :meth:`_Compiler.operand`): ``fn`` the operator, ``s`` the scalar
+#: store, ``a``/``b`` the left/right payloads.
+_BINARY = {
+    ("lit", "lit"): lambda fn, s, a, b: lambda: fn(a, b),
+    ("lit", "var"): lambda fn, s, a, b: lambda: fn(a, s[b]),
+    ("lit", "code"): lambda fn, s, a, b: lambda: fn(a, b()),
+    ("var", "lit"): lambda fn, s, a, b: lambda: fn(s[a], b),
+    ("var", "var"): lambda fn, s, a, b: lambda: fn(s[a], s[b]),
+    ("var", "code"): lambda fn, s, a, b: lambda: fn(s[a], b()),
+    ("code", "lit"): lambda fn, s, a, b: lambda: fn(a(), b),
+    ("code", "var"): lambda fn, s, a, b: lambda: fn(a(), s[b]),
+    ("code", "code"): lambda fn, s, a, b: lambda: fn(a(), b()),
+}
 
 
 def _accessed(expr: ast.Expr):
@@ -505,14 +540,27 @@ class _Compiler:
                 return lambda: -operand()
             return lambda: int(operand() == 0)
         if isinstance(e, ast.BinOp):
-            left = self.expr(e.left, traced)
-            right = self.expr(e.right, traced)
+            left_kind, left = self.operand(e.left, traced)
+            right_kind, right = self.operand(e.right, traced)
             fn = OPERATORS.get(e.op) or partial(_apply, e.op)
-            return lambda: fn(left(), right())
+            return _BINARY[left_kind, right_kind](fn, self.scalars, left,
+                                                  right)
 
         def not_an_expression() -> int:
             raise TypeError(f"not an expression: {e!r}")
         return not_an_expression
+
+    def operand(self, e: ast.Expr, traced: bool):
+        """A binary operand as ``(kind, payload)``: a literal as ``"lit"``
+        and its value, an untraced read of a stored scalar as ``"var"``
+        and its name (neither can fail, so folding them into the
+        operator's closure keeps evaluation order and errors), anything
+        else as ``"code"`` and its compiled code."""
+        if isinstance(e, ast.IntLit):
+            return "lit", e.value
+        if isinstance(e, ast.Var) and not traced and e.name in self.scalars:
+            return "var", e.name
+        return "code", self.expr(e, traced)
 
     def array_read(self, e: ast.ArrayRead, traced: bool) -> Code:
         index = self.expr(e.index, traced)
@@ -582,9 +630,16 @@ class _Compiler:
         error, instruction, _, _ = self.resolve(cmd, ())
         if error is not None:
             return self.deferred((), error)
-        charge, lr, lw = self.state.charge, cmd.read_label, cmd.write_label
+        state, charge = self.state, self.state.charge
+        lr, lw = cmd.read_label, cmd.write_label
         trace = AccessTrace(instruction)
-        return lambda: charge(SKIP, trace, lr, lw)
+
+        def skip() -> None:
+            if state.recorder is None:
+                state.time += state.step(SKIP, trace, lr, lw)
+            else:
+                charge(SKIP, trace, lr, lw)
+        return skip
 
     def sleep(self, cmd: ast.Sleep) -> Step:
         # Property 4: exactly max(n, 0) cycles, nothing else -- no fetch,
@@ -618,9 +673,12 @@ class _Compiler:
 
         def assign() -> None:
             value = value_of()
-            charge(ASSIGN, trace_of(), lr, lw)
+            if state.recorder is None:
+                state.time += state.step(ASSIGN, trace_of(), lr, lw)
+            else:
+                charge(ASSIGN, trace_of(), lr, lw)
             store(target, int(value))
-            record(Event(target, value, state.time))
+            record((target, value, state.time, None))
         return assign
 
     def array_assign(self, cmd: ast.ArrayAssign) -> Step:
@@ -644,10 +702,14 @@ class _Compiler:
             value = value_of()
             if not 0 <= index < length:
                 raise _write_out_of_bounds(array, index, length)
-            charge(ASSIGN, AccessTrace(instruction, reads_of(),
-                                       (base + stride * index,)), lr, lw)
+            trace = AccessTrace(instruction, reads_of(),
+                                (base + stride * index,))
+            if state.recorder is None:
+                state.time += state.step(ASSIGN, trace, lr, lw)
+            else:
+                charge(ASSIGN, trace, lr, lw)
             cells[index] = int(value)
-            record(Event(array, value, state.time, index=index))
+            record((array, value, state.time, index))
         return array_assign
 
     def guarded(self, cmd):
@@ -664,14 +726,18 @@ class _Compiler:
         failed, guard, traces = self.guarded(cmd)
         if failed is not None:
             return failed
-        charge, lr, lw = self.state.charge, cmd.read_label, cmd.write_label
+        state, charge = self.state, self.state.charge
+        lr, lw = cmd.read_label, cmd.write_label
         then_block = self.block(cmd.then_branch)
         else_block = self.block(cmd.else_branch)
-        extend = self.state.stack.extend
+        extend = state.stack.extend
 
         def branch() -> None:
             taken = guard() != 0
-            charge(BRANCH, traces[taken](), lr, lw)
+            if state.recorder is None:
+                state.time += state.step(BRANCH, traces[taken](), lr, lw)
+            else:
+                charge(BRANCH, traces[taken](), lr, lw)
             extend(then_block if taken else else_block)
         return branch
 
@@ -679,13 +745,17 @@ class _Compiler:
         failed, guard, traces = self.guarded(cmd)
         if failed is not None:
             return failed
-        charge, lr, lw = self.state.charge, cmd.read_label, cmd.write_label
+        state, charge = self.state, self.state.charge
+        lr, lw = cmd.read_label, cmd.write_label
         body = self.block(cmd.body)
-        push, extend = self.state.stack.append, self.state.stack.extend
+        push, extend = state.stack.append, state.stack.extend
 
         def loop() -> None:
             taken = guard() != 0
-            charge(BRANCH, traces[taken](), lr, lw)
+            if state.recorder is None:
+                state.time += state.step(BRANCH, traces[taken](), lr, lw)
+            else:
+                charge(BRANCH, traces[taken](), lr, lw)
             if taken:
                 push(again())
                 extend(body)
@@ -710,8 +780,10 @@ class _Compiler:
 
         def mitigate() -> None:
             estimate = budget()
-            charge(MITIGATE, trace_of(), lr, lw)
-            if state.recorder is not None:
+            if state.recorder is None:
+                state.time += state.step(MITIGATE, trace_of(), lr, lw)
+            else:
+                charge(MITIGATE, trace_of(), lr, lw)
                 # Span boundary: the epoch opens once the head is charged,
                 # carrying the runtime's current prediction for it.
                 state.recorder.on_mitigate_enter(

@@ -14,6 +14,7 @@ from repro.hardware import (
 from repro.lang import ParseError
 from repro.machine import Layout
 from repro.semantics import MitigationState, execute
+from repro.telemetry import Profiler
 from repro.telemetry.recorder import RecordingTraceRecorder
 from repro.typesystem import SecurityEnvironment, TypingError
 
@@ -221,12 +222,27 @@ class TestNoCycles:
     the cycle collector, and a dropped program is freed at once."""
 
     def test_runs_leave_no_cyclic_garbage(self):
+        self.check_runs_leave_no_cyclic_garbage(lambda: None)
+
+    # A recorded step goes through the run state's charge, an unrecorded
+    # one calls the hardware directly; neither may tie the state to itself.
+    @pytest.mark.parametrize("recorder", [RecordingTraceRecorder, Profiler])
+    def test_recorded_runs_leave_no_cyclic_garbage(self, recorder):
+        self.check_runs_leave_no_cyclic_garbage(recorder)
+
+    @staticmethod
+    def check_runs_leave_no_cyclic_garbage(recorder):
         app = PasswordChecker(length=6)
+        pc = app.typing.mitigate_pc
         gc.collect()
         gc.disable()
         try:
             for _ in range(3):
-                app.run(STORED, GUESS)
+                # The program's own interpreter, then a fresh one.
+                app.run(STORED, GUESS, recorder=recorder())
+                execute(app.program, app.memory(STORED, GUESS),
+                        make_hardware("partitioned", app.lattice),
+                        mitigate_pc=pc, recorder=recorder())
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -249,15 +265,25 @@ class TestNoCycles:
             gc.enable()
 
     def test_dropped_program_dies_without_a_collection(self):
+        self.check_dropped_program_dies(lambda: None)
+
+    @pytest.mark.parametrize("recorder", [RecordingTraceRecorder, Profiler])
+    def test_dropped_recorded_program_dies_without_a_collection(
+            self, recorder):
+        self.check_dropped_program_dies(recorder)
+
+    @staticmethod
+    def check_dropped_program_dies(recorder):
         app = PasswordChecker(length=6)
-        app.run(STORED, GUESS)
-        refs = [weakref.ref(app.compiled),
-                weakref.ref(app.compiled._interpreter)]
+        app.run(STORED, GUESS, recorder=recorder())
+        interpreter = app.compiled._interpreter
+        refs = [weakref.ref(app.compiled), weakref.ref(interpreter),
+                weakref.ref(interpreter._state)]
         gc.collect()
         gc.disable()
         try:
-            del app
-            assert [ref() for ref in refs] == [None, None]
+            del app, interpreter
+            assert [ref() for ref in refs] == [None, None, None]
             assert gc.collect() == 0  # not even a self-referencing loop
         finally:
             gc.enable()

@@ -12,6 +12,7 @@ from repro.semantics import (
     MitigationState,
     SemanticsError,
     execute,
+    run_core,
 )
 
 LAT = DEFAULT_LATTICE
@@ -123,6 +124,33 @@ class TestErrors:
         with pytest.raises(KeyError):
             execute(prog, Memory({"x": 0}), NullHardware(LAT),
                     layout=layout)
+
+
+class TestOperandFolding:
+    # A binary operator folds a literal or an untraced scalar operand into
+    # its own closure; every pair of operand kinds must keep the value and
+    # the operand order, in untraced steps and in steps that read an
+    # array element (whose scalar reads are traced).
+    @pytest.mark.parametrize("expr, value", [
+        ("7 - 3", 4),
+        ("7 - y", -3),
+        ("7 - (z * 2)", -1),
+        ("y - 3", 7),
+        ("y - z", 6),
+        ("y - (z * 2)", 2),
+        ("(y * 2) - 3", 17),
+        ("(y * 2) - z", 16),
+        ("(y * 2) - (z * 3)", 8),
+        ("7 - a[1]", 1),
+        ("a[1] - y", -4),
+        ("y - a[0]", 5),
+        ("(a[0] * 2) - (z - 1)", 7),
+    ])
+    def test_every_operand_pair_keeps_value_and_order(self, expr, value):
+        mem = {"x": 0, "y": 10, "z": 4, "a": [5, 6]}
+        r = run(f"x := {expr} [L,L]", mem)
+        assert r.memory.read("x") == value
+        assert r.memory == run_core(parse(f"x := {expr}"), Memory(mem))
 
 
 class TestMitigationInterplay:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.api import compile_program
-from repro.lang import DEFAULT_LATTICE
+from repro.lang import DEFAULT_LATTICE, ast
 from repro.lattice import chain
 from repro.machine import Memory
 from repro.hardware import NullHardware, PartitionedHardware, tiny_machine
@@ -215,6 +215,22 @@ class TestDefinition2AndTheorem2:
             mitigate_pc=cp.typing.mitigate_pc,
         )
         assert violations == []
+
+    def test_low_determinism_keeps_low_level_mitigations(self):
+        # Lemma 1 filters the vector on the pc label only: a mitigate in a
+        # (claimed) low context counts whatever its level, so a loop on h
+        # running an L-level mitigate h times breaks low-determinism.
+        cp = compiled("while h > 0 do { mitigate(1, L) { h := h - 1 } };"
+                      " l := 1", {"h": "H", "l": "L"}, check=False)
+        (site,) = [c.mit_id for c in cp.program.walk()
+                   if isinstance(c, ast.Mitigate)]
+        base = Memory({"h": 0, "l": 0})
+        variants = secret_variants(base, ({"h": v} for v in range(3)))
+        violations = check_low_determinism(
+            cp.program, LAT, [H], L, base, NullHardware(LAT), variants,
+            mitigate_pc={site: L},
+        )
+        assert len(violations) == 2
 
 
 class TestEntropyMeasures:

@@ -30,6 +30,7 @@ from repro.api import compile_program
 from repro.apps.password import PasswordChecker
 from repro.cli import main
 from repro.hardware import PartitionedHardware, make_hardware, tiny_machine
+from repro.hardware.registry import REGISTRY as MODELS
 from repro.lang import DEFAULT_LATTICE
 from repro.semantics import full
 from repro.semantics.full import Interpreter, execute
@@ -82,11 +83,11 @@ def _generated(seed):
     return program, gamma, info, gen
 
 
-def _run(program, info, memory, recorder):
+def _run(program, info, memory, recorder, model="partitioned"):
     return execute(
         program,
         memory.copy(),
-        PartitionedHardware(LAT, tiny_machine()),
+        make_hardware(model, LAT, tiny_machine()),
         mitigation=MitigationState(),
         mitigate_pc=info.mitigate_pc,
         recorder=recorder,
@@ -99,7 +100,11 @@ MITIGATED = (
 
 
 class TestNonInterference:
-    def test_recorders_never_change_results(self):
+    @pytest.mark.parametrize("model", MODELS.names())
+    def test_recorders_never_change_results(self, model):
+        # An unrecorded step calls the hardware directly, a recorded one
+        # through the run state's charge: on every model, both paths must
+        # leave the same result and the same final hardware state.
         checked = 0
         for seed in CORPUS_SEEDS:
             generated = _generated(seed)
@@ -107,22 +112,24 @@ class TestNonInterference:
                 continue
             program, gamma, info, gen = generated
             memory = gen.memory()
-            bare = _run(program, info, memory, None)
+            bare = _run(program, info, memory, None, model)
             recorded = _run(
-                program, info, memory, RecordingTraceRecorder()
+                program, info, memory, RecordingTraceRecorder(), model
             )
-            spanned = _run(program, info, memory, SpanRecorder())
-            profiled = _run(program, info, memory, Profiler())
+            spanned = _run(program, info, memory, SpanRecorder(), model)
+            profiled = _run(program, info, memory, Profiler(), model)
             teed = _run(
                 program, info, memory,
                 TeeRecorder(RecordingTraceRecorder(),
                             SpanRecorder(journal=EventJournal())),
+                model,
             )
             teed_profiled = _run(
                 program, info, memory,
                 TeeRecorder(RecordingTraceRecorder(),
                             SpanRecorder(journal=EventJournal()),
                             Profiler()),
+                model,
             )
             for other in (recorded, spanned, profiled, teed, teed_profiled):
                 assert other.time == bare.time
@@ -130,6 +137,8 @@ class TestNonInterference:
                 assert other.events == bare.events
                 assert other.mitigations == bare.mitigations
                 assert other.memory == bare.memory
+                assert (other.environment.full_state()
+                        == bare.environment.full_state())
             checked += 1
         assert checked >= 5, "corpus produced too few well-typed programs"
 
