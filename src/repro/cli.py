@@ -1007,7 +1007,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    """`contract`: run the hardware property checkers; 0 iff all hold."""
+    """`contract`: run the seeded hardware contract suite; 0 iff all hold."""
     lattice = chain(args.levels) if args.levels else DEFAULT_LATTICE
     spec = REGISTRY.get(args.model)
     report = run_contract_suite(

@@ -38,12 +38,10 @@ from .branch import BranchPredictor, BranchPredictorParams
 from .bus import SharedBusHardware
 from .cache import Cache
 from .contract import (
+    ContractCase,
     ContractReport,
     Violation,
-    check_determinism,
-    check_read_label,
-    check_single_step_ni,
-    check_write_label,
+    check_case,
     run_contract_suite,
 )
 from .frequency import FrequencyScalingHardware
@@ -90,6 +88,7 @@ __all__ = [
     "BranchPredictorParams",
     "Cache",
     "CacheParams",
+    "ContractCase",
     "ContractReport",
     "FrequencyScalingHardware",
     "HardwareRegistry",
@@ -113,10 +112,7 @@ __all__ = [
     "TlbParams",
     "Violation",
     "WriteBackHardware",
-    "check_determinism",
-    "check_read_label",
-    "check_single_step_ni",
-    "check_write_label",
+    "check_case",
     "make_hardware",
     "paper_machine",
     "run_contract_suite",

@@ -11,12 +11,14 @@ as a falsifiable claim and attacks it with Hypothesis:
   properties the spec declares it breaks -- an undetected insecure model
   means the checkers are vacuous, which is just as much a failure.
 
-One generated example is a :class:`ContractCase`: a shared warm-up stimulus
-sequence, a divergence phase whose write labels cannot reach the observation
-level (so the two environments stay ``~level``-equivalent by Property 5),
-and a probe step.  :func:`check_case` evaluates all four properties on that
-single case, which gives Hypothesis one scalar predicate to falsify and --
-crucially -- lets it *shrink* a failure to a minimal stimulus sequence.
+One generated example is a :class:`~repro.hardware.contract.ContractCase`:
+a shared warm-up stimulus sequence, a divergence phase whose write labels
+cannot reach the observation level (so the two environments stay
+``~level``-equivalent by Property 5), and a probe step.  The contract's one
+checker, :func:`~repro.hardware.contract.check_case`, evaluates all four
+properties on that single case; its first violation is the predicate
+Hypothesis falsifies and -- crucially -- *shrinks* to a minimal stimulus
+sequence.
 
 Counterexamples serialize to JSON (schema ``repro.verify-hw/1``) together
 with the lattice, the derandomization seed, and the violated property, and
@@ -39,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 from zlib import crc32
 
 from hypothesis import HealthCheck, Phase, given
@@ -50,7 +52,15 @@ from hypothesis.database import DirectoryBasedExampleDatabase
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace, Layout
-from .contract import Stimulus, Violation, _apply, _diverging_labels
+from .contract import (
+    ContractCase,
+    EnvFactory,
+    Stimulus,
+    Violation,
+    _STEP_KINDS,
+    _diverging_labels,
+    check_case,
+)
 from .interface import MachineEnvironment, StepKind
 from .registry import (
     LATTICE_POINTS,
@@ -61,8 +71,6 @@ from .registry import (
     HardwareSpec,
 )
 
-EnvFactory = Callable[[], MachineEnvironment]
-
 #: JSON schema tag for serialized counterexamples.
 COUNTEREXAMPLE_SCHEMA = "repro.verify-hw/1"
 
@@ -72,116 +80,6 @@ COUNTEREXAMPLE_SCHEMA = "repro.verify-hw/1"
 #: does the same for the instruction side.
 DATA_POOL: Tuple[int, ...] = tuple(0x1000_0000 + i * 24 for i in range(8))
 CODE_POOL: Tuple[int, ...] = tuple(0x0040_0000 + i * 24 for i in range(8))
-
-_STEP_KINDS = (
-    StepKind.SKIP,
-    StepKind.ASSIGN,
-    StepKind.BRANCH,
-    StepKind.MITIGATE,
-)
-
-
-# ---------------------------------------------------------------------------
-# Contract cases: one generated example
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractCase:
-    """One generated scenario for the property checkers.
-
-    ``shared`` steps run on both environments of the equivalence pair;
-    ``divergent`` steps run on the second only, and are restricted to write
-    labels that cannot reach any level at or below ``level`` -- by Property
-    5 they must leave the pair ``~level``-equivalent.  ``probe`` is the
-    observation whose cost (Property 6, when its read label flows to
-    ``level``) and state effect (Property 7) are compared.
-    """
-
-    level: Label
-    shared: Tuple[Stimulus, ...]
-    divergent: Tuple[Stimulus, ...]
-    probe: Stimulus
-
-
-def check_case(
-    factory: EnvFactory, lattice: Lattice, case: ContractCase
-) -> Optional[Violation]:
-    """Evaluate Properties 2 and 5-7 on one case; None means all hold."""
-    sequence = (*case.shared, *case.divergent, case.probe)
-
-    # Property 2: the same stimuli drive two fresh environments identically.
-    env_a, env_b = factory(), factory()
-    for i, stim in enumerate(sequence):
-        cost_a, cost_b = _apply(env_a, stim), _apply(env_b, stim)
-        if cost_a != cost_b:
-            return Violation(
-                "P2-determinism",
-                f"step {i}: identical stimuli cost {cost_a} != {cost_b}",
-            )
-    if env_a.full_state() != env_b.full_state():
-        return Violation(
-            "P2-determinism", "identical stimulus sequences diverged in state"
-        )
-
-    # Property 5: each step leaves unreachable levels untouched.
-    env = factory()
-    for i, stim in enumerate(sequence):
-        before = {
-            level: env.project(level)
-            for level in lattice.levels()
-            if not stim.write_label.flows_to(level)
-        }
-        _apply(env, stim)
-        for level, snapshot in before.items():
-            if env.project(level) != snapshot:
-                return Violation(
-                    "P5-write-label",
-                    f"step {i} (lw={stim.write_label}) modified level "
-                    f"{level} state",
-                )
-
-    # Build the ~level-equivalent pair: env2 additionally runs the
-    # divergence phase, whose write labels cannot reach <= level.
-    env1, env2 = factory(), factory()
-    for stim in case.shared:
-        _apply(env1, stim)
-        _apply(env2, stim)
-    for stim in case.divergent:
-        _apply(env2, stim)
-    if not env1.equivalent_to(env2, case.level):
-        # The per-step check above should have caught this; keep a guard so
-        # an unexpected equivalence break is still attributed to P5.
-        return Violation(
-            "P5-write-label",
-            f"divergence phase with lw !<= {case.level} broke "
-            f"~{case.level} equivalence",
-        )
-
-    # Property 6: with the probe's read label at or below the observation
-    # level, both pair members must charge the same cost.
-    if case.probe.read_label.flows_to(case.level):
-        cost1 = _apply(env1.clone(), case.probe)
-        cost2 = _apply(env2.clone(), case.probe)
-        if cost1 != cost2:
-            return Violation(
-                "P6-read-label",
-                f"~{case.level}-equivalent environments charged "
-                f"{cost1} != {cost2} for a probe with "
-                f"lr={case.probe.read_label}",
-            )
-
-    # Property 7: the same probe trace preserves ~level equivalence.
-    _apply(env1, case.probe)
-    _apply(env2, case.probe)
-    if not env1.equivalent_to(env2, case.level):
-        return Violation(
-            "P7-single-step-NI",
-            f"equal probe traces broke ~{case.level} equivalence "
-            f"(probe lr={case.probe.read_label}, "
-            f"lw={case.probe.write_label})",
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +308,10 @@ def replay_counterexample(
     case = case_from_dict(doc["case"], lattice)
     spec = registry.get(str(doc["model"]))
     params_factory = PARAM_POINTS[str(doc["param_point"])]
-    return check_case(
+    violations = check_case(
         lambda: spec.make(lattice, params_factory()), lattice, case
     )
+    return violations[0] if violations else None
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +356,11 @@ def campaign_point(
     @given(case=case_strategy(lattice))
     def attack(case: ContractCase) -> None:
         state["examples"] = int(state["examples"]) + 1
-        violation = check_case(factory, lattice, case)
-        if violation is not None:
-            state["violation"] = violation
+        violations = check_case(factory, lattice, case)
+        if violations:
+            state["violation"] = violations[0]
             state["case"] = case
-            raise ContractFalsified(str(violation))
+            raise ContractFalsified(str(violations[0]))
 
     try:
         attack()
@@ -759,7 +658,7 @@ def _replay_stored_failures(
         try:
             doc = json.loads(blob.decode())
             violation = replay_counterexample(doc, registry)
-        except (ValueError, KeyError, HardwareRegistryError):
+        except (ValueError, KeyError, TypeError, HardwareRegistryError):
             database.delete(key, blob)
             continue
         replayed += 1

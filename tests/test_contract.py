@@ -17,12 +17,6 @@ from repro.hardware import (
     run_contract_suite,
     tiny_machine,
 )
-from repro.hardware.contract import (
-    check_determinism,
-    check_read_label,
-    check_single_step_ni,
-    check_write_label,
-)
 
 LAT = DEFAULT_LATTICE
 
@@ -57,13 +51,13 @@ class TestStandardHardwareIsInsecure:
     def test_fails_write_label(self):
         # The Sec. 2.2 implicit flow: high-context steps modify the shared
         # (bottom-level) cache state.
-        report = check_write_label(
+        report = run_contract_suite(
             lambda: StandardHardware(LAT, tiny_machine()), LAT, trials=10
         )
         assert not report.ok("P5-write-label")
 
     def test_still_deterministic(self):
-        report = check_determinism(
+        report = run_contract_suite(
             lambda: StandardHardware(LAT, tiny_machine()), LAT, trials=10
         )
         assert report.ok("P2-determinism")
@@ -76,12 +70,12 @@ class TestStandardHardwareIsInsecure:
 
 
 class TestDeliberatelyBrokenHardware:
-    """The checkers must catch each kind of bug, not just pass good designs."""
+    """The checker must catch each kind of bug, not just pass good designs."""
 
     def test_nondeterminism_caught(self):
         class Flaky(NullHardware):
-            def __init__(self, lattice):
-                super().__init__(lattice)
+            def __init__(self, lattice, costs=None):
+                super().__init__(lattice, costs)
                 self.counter = 0
 
             def step(self, kind, trace, read_label, write_label):
@@ -90,7 +84,7 @@ class TestDeliberatelyBrokenHardware:
                 # way a fresh clone will not reproduce after interleaving.
                 return (id(self) % 7) + 1
 
-        report = check_determinism(lambda: Flaky(LAT), LAT, trials=5)
+        report = run_contract_suite(lambda: Flaky(LAT), LAT, trials=5)
         assert not report.ok("P2-determinism")
 
     def test_read_label_violation_caught(self):
@@ -102,7 +96,7 @@ class TestDeliberatelyBrokenHardware:
                 tags = sum(sum(s) for s in high.l1_data.state())
                 return cost + tags % 17
 
-        report = check_read_label(
+        report = run_contract_suite(
             lambda: LeakyRead(LAT, tiny_machine()), LAT, trials=10
         )
         assert not report.ok("P6-read-label")
@@ -120,13 +114,12 @@ class TestDeliberatelyBrokenHardware:
                         low.l1_data.touch(trace.reads[0])
                 return cost
 
-        ni = check_single_step_ni(
+        report = run_contract_suite(
             lambda: LeakyWrite(LAT, tiny_machine()), LAT, trials=15
         )
-        p5 = check_write_label(
-            lambda: LeakyWrite(LAT, tiny_machine()), LAT, trials=15
+        assert not (
+            report.ok("P7-single-step-NI") and report.ok("P5-write-label")
         )
-        assert not (ni.ok("P7-single-step-NI") and p5.ok("P5-write-label"))
 
 
 class TestReportPlumbing:

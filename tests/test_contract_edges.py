@@ -1,6 +1,6 @@
-"""Edge cases of the contract checkers themselves.
+"""Edge cases of the contract checker itself.
 
-The checkers are the oracle for the whole verification campaign, so their
+The checker is the oracle for the whole verification campaign, so its
 degenerate inputs -- empty stimulus budgets, one-point lattices, lattices
 with incomparable levels -- must do something sensible rather than crash
 or silently report vacuous success as a violation.
@@ -16,12 +16,7 @@ from repro.hardware import (
     run_contract_suite,
     tiny_machine,
 )
-from repro.hardware.contract import (
-    ContractReport,
-    Violation,
-    _diverging_labels,
-    random_stimulus,
-)
+from repro.hardware.contract import _diverging_labels, random_stimulus
 from repro.lattice import Lattice, chain, diamond, two_point
 
 
@@ -130,34 +125,3 @@ class TestRandomStimulus:
                 assert stim.trace.taken in (True, False)
             else:
                 assert stim.trace.taken is None
-
-
-class TestReportSerialization:
-    def test_violation_round_trip(self):
-        v = Violation("P6-read-label", "cost 10 != 12")
-        assert Violation.from_dict(v.as_dict()) == v
-
-    def test_report_round_trip(self):
-        report = ContractReport()
-        report.record("P2-determinism")
-        report.record("P2-determinism")
-        report.record(
-            "P5-write-label", Violation("P5-write-label", "touched L")
-        )
-        twin = ContractReport.from_dict(report.as_dict())
-        assert twin.checked == report.checked
-        assert twin.violations == report.violations
-        assert twin.failing_properties() == ("P5-write-label",)
-        assert twin.summary() == report.summary()
-
-    def test_clean_report_round_trip_is_clean(self):
-        report = ContractReport()
-        report.record("P7-single-step-NI")
-        twin = ContractReport.from_dict(report.as_dict())
-        assert twin.ok()
-        assert twin.violations == {}
-
-    def test_as_dict_omits_empty_violation_lists(self):
-        report = ContractReport()
-        report.record("P2-determinism")
-        assert report.as_dict()["violations"] == {}

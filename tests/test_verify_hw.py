@@ -6,15 +6,19 @@ from pathlib import Path
 import pytest
 
 from repro.hardware import REGISTRY, NullHardware, StepKind, tiny_machine
-from repro.hardware.contract import Stimulus, Violation
+from repro.hardware.contract import (
+    ContractCase,
+    Stimulus,
+    Violation,
+    check_case,
+)
+from repro.hardware.registry import HardwareRegistry, HardwareSpec
 from repro.hardware.verify import (
     CODE_POOL,
     COUNTEREXAMPLE_SCHEMA,
-    ContractCase,
     campaign_point,
     case_from_dict,
     case_to_dict,
-    check_case,
     counterexample_to_dict,
     lattice_from_dict,
     lattice_to_dict,
@@ -55,7 +59,7 @@ class TestCheckCase:
             probe=_stim(StepKind.ASSIGN, CODE_POOL[0], low, low,
                         reads=(0x1000_0000,)),
         )
-        assert check_case(lambda: NullHardware(lattice), lattice, case) is None
+        assert check_case(lambda: NullHardware(lattice), lattice, case) == ()
 
     def test_hand_built_bus_case_breaks_p6(self):
         lattice = two_point()
@@ -68,11 +72,10 @@ class TestCheckCase:
             divergent=(_stim(StepKind.SKIP, CODE_POOL[0], high, high),),
             probe=_stim(StepKind.SKIP, CODE_POOL[0], low, low),
         )
-        violation = check_case(
+        violations = check_case(
             lambda: spec.make(lattice, tiny_machine()), lattice, case
         )
-        assert violation is not None
-        assert violation.prop == "P6-read-label"
+        assert violations[0].prop == "P6-read-label"
 
     def test_hand_built_speculative_case_breaks_p6(self):
         lattice = two_point()
@@ -87,11 +90,76 @@ class TestCheckCase:
             divergent=(train, train),
             probe=_stim(StepKind.BRANCH, CODE_POOL[0], low, low, taken=False),
         )
-        violation = check_case(
+        violations = check_case(
             lambda: spec.make(lattice, tiny_machine()), lattice, case
         )
-        assert violation is not None
-        assert violation.prop == "P6-read-label"
+        assert violations[0].prop == "P6-read-label"
+
+    def test_p5_violation_does_not_hide_a_later_p6(self):
+        lattice = two_point()
+        low, high = lattice.bottom, lattice.top
+        # The shared mitigate step stamps low state under lw=H (P5), but on
+        # both sides, so the pair stays ~L-equivalent and the low probe
+        # still pays for the extra high step only one side ran (P6).
+        case = ContractCase(
+            level=low,
+            shared=(_stim(StepKind.MITIGATE, CODE_POOL[0], high, high),),
+            divergent=(_stim(StepKind.SKIP, CODE_POOL[1], high, high),),
+            probe=_stim(StepKind.SKIP, CODE_POOL[0], low, low),
+        )
+        violations = check_case(lambda: MarkAndMeter(lattice), lattice, case)
+        assert [v.prop for v in violations] == [
+            "P5-write-label", "P6-read-label"
+        ]
+
+        registry = HardwareRegistry()
+        registry.register(HardwareSpec(
+            name="markmeter",
+            factory=lambda lattice, params=None: MarkAndMeter(lattice),
+            summary="stamps low state from high mitigates; meters high steps",
+            expected_secure=False,
+            violates=("P5-write-label", "P6-read-label"),
+            lattice_points=("two_point",),
+        ))
+        doc = counterexample_to_dict(
+            model="markmeter", lattice_point="two_point", param_point="tiny",
+            seed=0, violation=violations[0], case=case, lattice=lattice,
+        )
+        assert replay_counterexample(
+            json.loads(json.dumps(doc)), registry
+        ) == violations[0]
+
+
+class MarkAndMeter(NullHardware):
+    """Two deliberate bugs on a stateful null machine: a mitigate step
+    stamps bottom-level state whatever its write label (P5), and every
+    step's cost counts the top level's steps (P6)."""
+
+    def __init__(self, lattice, costs=None):
+        super().__init__(lattice, costs)
+        self.marks = 0
+        self.traffic = 0
+
+    def step(self, kind, trace, read_label, write_label):
+        cost = super().step(kind, trace, read_label, write_label)
+        cost += self.traffic
+        if kind is StepKind.MITIGATE:
+            self.marks += 1
+        if write_label == self.lattice.top:
+            self.traffic += 1
+        return cost
+
+    def project(self, level):
+        if level == self.lattice.bottom:
+            return self.marks
+        if level == self.lattice.top:
+            return self.traffic
+        return ()
+
+    def clone(self):
+        twin = super().clone()
+        twin.marks, twin.traffic = self.marks, self.traffic
+        return twin
 
 
 class TestSerialization:
@@ -207,12 +275,16 @@ class TestCampaignPoint:
 
         # Store the golden write-back counterexample under the *null*
         # model's key: it cannot reproduce there, so the campaign must
-        # discard it and fall back to fresh generation.
+        # discard it and fall back to fresh generation.  A document with a
+        # field of the wrong type is dropped the same way.
         doc = json.loads(GOLDEN.read_text())
         doc["model"] = "null"
+        malformed = json.loads(json.dumps(doc))
+        malformed["case"]["probe"]["trace"]["reads"] = 5
         key = b"repro.verify-hw/1:null:two_point:tiny"
         database = DirectoryBasedExampleDatabase(str(tmp_path))
         database.save(key, json.dumps(doc).encode())
+        database.save(key, json.dumps(malformed).encode())
         result = run_campaign(
             models=["null"], lattice_points=["two_point"],
             max_examples=5, seed=0, quantify=False, database_dir=tmp_path,
