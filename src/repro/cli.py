@@ -73,8 +73,8 @@ contract
         python -m repro contract partitioned --levels L,M,H
 
 verify-hw
-    The property-based contract campaign over the whole hardware zoo;
-    exit 1 when a model defies its declared verdict.
+    The seeded contract campaign over the whole hardware zoo; exit 1 when
+    a model defies its declared verdict.
 
 attack
     The red-team campaign against the gateway: measured adversary
@@ -1059,10 +1059,9 @@ def cmd_verify_hw(args) -> int:
         seed=args.seed,
         quantify=not args.no_quantify,
         counterexample_dir=args.counterexamples,
-        database_dir=args.database,
     )
     print(
-        f"derandomization seed: {result.seed} "
+        f"campaign seed: {result.seed} "
         f"(per-point seeds listed below; rerun with --seed {result.seed} "
         f"to reproduce)"
     )
@@ -1381,8 +1380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive, default=15)
 
     p = command("verify-hw", cmd_verify_hw,
-                "property-based contract campaign over the whole hardware "
-                "zoo")
+                "seeded contract campaign over the whole hardware zoo")
     p.add_argument("--models", type=_csv,
                    help="comma-separated model names (default: all)")
     p.add_argument("--lattices", type=_csv,
@@ -1391,12 +1389,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-examples", type=_positive, default=300,
                    help="generated stimulus sequences per campaign point")
     p.add_argument("--seed", type=int, default=0,
-                   help="campaign derandomization seed")
+                   help="campaign seed (each point derives its own)")
     _add_output(p)
     p.add_argument("--counterexamples", metavar="DIR",
-                   help="write shrunk, replayable counterexample JSON here")
-    p.add_argument("--database", metavar="DIR",
-                   help="persist the Hypothesis example database here")
+                   help="write shrunk, replayable counterexample JSON "
+                        "here, and replay what an earlier run wrote first")
     p.add_argument("--no-quantify", action="store_true",
                    help="skip end-to-end leak quantification")
     p.add_argument("--list", action="store_true",

@@ -28,7 +28,7 @@ verification campaign has real leaks to find -- see docs/HARDWARE.md):
 The :data:`~repro.hardware.registry.REGISTRY` maps names (and aliases such
 as ``nopar``) to factories plus contract metadata; :func:`make_hardware` is
 the convenience constructor over it.  :mod:`repro.hardware.verify` runs the
-property-based contract-verification campaign over every registered model.
+seeded contract-verification campaign over every registered model.
 """
 
 from typing import Optional

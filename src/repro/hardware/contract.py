@@ -22,11 +22,13 @@ There is one checker, :func:`check_case`, and it evaluates all four
 properties on one :class:`ContractCase`: a shared warm-up, a divergence
 phase whose write labels cannot reach the observation level (so the two
 environments it builds stay ``~level``-equivalent by Property 5), and a
-probe step.  Cases come from two sources.  :func:`run_contract_suite`
-(``repro contract``) draws them from a seeded :class:`random.Random` with
-:func:`random_case`, using only the standard library;
-:mod:`repro.hardware.verify` (``repro verify-hw``) draws them with
-Hypothesis, which can shrink a failing case to a minimal one.
+probe step.  Cases come from one source, :func:`random_cases`, which draws
+:func:`random_case` from a seeded :class:`random.Random` over every
+(observation level, probe write label) pair in turn.
+:func:`run_contract_suite` (``repro contract``) takes a fixed number of
+rounds from it; :mod:`repro.hardware.verify` (``repro verify-hw``) takes
+cases until the first violation and hands that case to :func:`shrink_case`.
+Everything here uses only the standard library.
 
 A note on Properties 6/7 and addresses: in the paper's scalar language the
 addresses a command touches are syntactically determined, so "same command,
@@ -40,8 +42,9 @@ paper's designs discharge.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import cycle, islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
@@ -307,8 +310,7 @@ def random_case(
     rng: random.Random, lattice: Lattice, level: Label, probe_write: Label
 ) -> ContractCase:
     """A random case observed at ``level`` whose probe has write label
-    ``probe_write``; the seeded twin of
-    :func:`repro.hardware.verify.case_strategy`.
+    ``probe_write``.
 
     Addresses come from fresh 24-address pools per case: wide random pools
     reach the cache sets and TLB pages of large machines too, which a fixed
@@ -364,6 +366,16 @@ def random_case(
     return ContractCase(level, shared, divergent, probe)
 
 
+def random_cases(
+    rng: random.Random, lattice: Lattice
+) -> Iterator[ContractCase]:
+    """Random cases without end, one per (observation level, probe write
+    label) pair in turn, all drawn from ``rng``."""
+    levels = lattice.levels()
+    for level, probe_write in cycle([(l, w) for l in levels for w in levels]):
+        yield random_case(rng, lattice, level, probe_write)
+
+
 def run_contract_suite(
     factory: EnvFactory,
     lattice: Lattice,
@@ -373,10 +385,78 @@ def run_contract_suite(
     """Check ``trials`` rounds of random cases, one case per (observation
     level, probe write label) pair each round."""
     report = ContractReport()
-    rng = random.Random(seed)
-    for _ in range(trials):
-        for level in lattice.levels():
-            for probe_write in lattice.levels():
-                case = random_case(rng, lattice, level, probe_write)
-                check_case(factory, lattice, case, report)
+    count = trials * len(lattice.levels()) ** 2
+    for case in islice(random_cases(random.Random(seed), lattice), count):
+        check_case(factory, lattice, case, report)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Shrinking
+# ---------------------------------------------------------------------------
+
+
+def _addresses(case: ContractCase) -> List[int]:
+    """Every address ``case`` touches, code and data alike, ascending."""
+    return sorted({
+        address
+        for s in (*case.shared, *case.divergent, case.probe)
+        for address in (s.trace.instruction, *s.trace.reads, *s.trace.writes)
+    })
+
+
+def _move(case: ContractCase, old: int, new: int) -> ContractCase:
+    """``case`` with every use of address ``old`` moved to ``new``."""
+
+    def moved(stim: Stimulus) -> Stimulus:
+        trace = stim.trace
+        return replace(stim, trace=trace._replace(
+            instruction=new if trace.instruction == old else trace.instruction,
+            reads=tuple(new if a == old else a for a in trace.reads),
+            writes=tuple(new if a == old else a for a in trace.writes),
+        ))
+
+    return ContractCase(
+        case.level,
+        tuple(map(moved, case.shared)),
+        tuple(map(moved, case.divergent)),
+        moved(case.probe),
+    )
+
+
+def shrink_case(
+    factory: EnvFactory, lattice: Lattice, case: ContractCase, prop: str
+) -> ContractCase:
+    """A smaller case whose first violation is still ``prop``, the first
+    violation of ``case`` itself.
+
+    Deterministic and greedy: drop each shared step, then each divergent
+    step, then move each address to the smallest lower address the case
+    already uses.  Each move is kept only if :func:`check_case` still
+    reports the same property first.
+    """
+    def fails(candidate: ContractCase) -> bool:
+        violations = check_case(factory, lattice, candidate)
+        return bool(violations) and violations[0].prop == prop
+
+    for phase in ("shared", "divergent"):
+        index = 0
+        while index < len(getattr(case, phase)):
+            steps = getattr(case, phase)
+            candidate = replace(
+                case, **{phase: steps[:index] + steps[index + 1:]}
+            )
+            if fails(candidate):
+                case = candidate
+            else:
+                index += 1
+
+    for address in _addresses(case):
+        for lower in _addresses(case):
+            if lower >= address:
+                break
+            candidate = _move(case, address, lower)
+            if fails(candidate):
+                case = candidate
+                break
+    return case

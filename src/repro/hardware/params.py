@@ -98,7 +98,7 @@ class MachineParams:
     def scaled_down(self, factor: int = 8) -> "MachineParams":
         """A geometrically smaller machine with the same latencies.
 
-        Contract-property tests and hypothesis runs want caches small enough
+        Contract-property tests and campaign runs want caches small enough
         that random workloads actually generate evictions; dividing the set
         counts preserves all the interesting behaviour.
         """

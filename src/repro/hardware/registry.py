@@ -9,7 +9,10 @@ satisfy Properties 2 and 5-7, and if not, which property does it break?
 The verification campaign (:mod:`repro.hardware.verify`) treats that
 metadata as a falsifiable claim in both directions: an expected-secure
 model producing a violation is a bug, and an expected-insecure model that
-goes *undetected* means the checkers are vacuous.
+goes *undetected* means the checkers are vacuous.  It attacks each model
+with the seeded cases of :func:`repro.hardware.contract.random_cases`, the
+same generator ``repro contract`` uses, at every lattice and parameter
+point the spec lists.
 
 This replaces the ad-hoc ``HARDWARE_CHOICES`` tuple that used to live in
 the CLI.  Consumers:

@@ -1,7 +1,7 @@
-"""The contract-verification campaign: property-based testing of the zoo.
+"""The contract-verification campaign: the hardware zoo, attacked.
 
 ``repro verify-hw`` treats every :class:`~repro.hardware.registry.HardwareSpec`
-as a falsifiable claim and attacks it with Hypothesis:
+as a falsifiable claim and attacks it with seeded random cases:
 
 * for **expected-secure** models (null / nofill / partitioned), the campaign
   must fail to find any violation of Properties 2 and 5-7 across every
@@ -11,19 +11,22 @@ as a falsifiable claim and attacks it with Hypothesis:
   properties the spec declares it breaks -- an undetected insecure model
   means the checkers are vacuous, which is just as much a failure.
 
-One generated example is a :class:`~repro.hardware.contract.ContractCase`:
-a shared warm-up stimulus sequence, a divergence phase whose write labels
-cannot reach the observation level (so the two environments stay
-``~level``-equivalent by Property 5), and a probe step.  The contract's one
-checker, :func:`~repro.hardware.contract.check_case`, evaluates all four
-properties on that single case; its first violation is the predicate
-Hypothesis falsifies and -- crucially -- *shrinks* to a minimal stimulus
-sequence.
+One example is a :class:`~repro.hardware.contract.ContractCase` drawn by
+:func:`~repro.hardware.contract.random_cases`, the same generator behind
+``repro contract``: a shared warm-up stimulus sequence, a divergence phase
+whose write labels cannot reach the observation level (so the two
+environments stay ``~level``-equivalent by Property 5), and a probe step.
+The contract's one checker, :func:`~repro.hardware.contract.check_case`,
+evaluates all four properties on that case; the first failing case is
+shrunk by :func:`~repro.hardware.contract.shrink_case` to a small one that
+still fails the same property first.
 
 Counterexamples serialize to JSON (schema ``repro.verify-hw/1``) together
-with the lattice, the derandomization seed, and the violated property, and
-:func:`replay_counterexample` re-executes them from the file alone; the CI
-job uploads them as artifacts and a regression test replays a stored one.
+with the lattice, the point's seed, and the violated property, and
+:func:`replay_counterexample` re-executes them from the file alone.  The
+directory they are written to is also the campaign's memory: a later run
+replays a point's stored counterexample before generating fresh cases.  The
+CI job uploads them as artifacts and a regression test replays a stored one.
 
 For each *detected* model the campaign then quantifies the leak end to end
 (:func:`measure_end_to_end`): it runs the unmitigated password and S-box
@@ -39,27 +42,23 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from zlib import crc32
 
-from hypothesis import HealthCheck, Phase, given
-from hypothesis import seed as hypothesis_seed
-from hypothesis import settings as hypothesis_settings
-from hypothesis import strategies as st
-from hypothesis.database import DirectoryBasedExampleDatabase
-
-from ..lattice import Label, Lattice
+from ..lattice import Lattice
 from ..machine.layout import AccessTrace, Layout
 from .contract import (
     ContractCase,
     EnvFactory,
     Stimulus,
     Violation,
-    _STEP_KINDS,
-    _diverging_labels,
     check_case,
+    random_cases,
+    shrink_case,
 )
 from .interface import MachineEnvironment, StepKind
 from .registry import (
@@ -73,121 +72,6 @@ from .registry import (
 
 #: JSON schema tag for serialized counterexamples.
 COUNTEREXAMPLE_SCHEMA = "repro.verify-hw/1"
-
-#: Address pools for generated stimuli.  The data pool strides 24 bytes so
-#: that, on the tiny machine (8-byte blocks, 2 sets, 64-byte pages), it
-#: produces both cache-set conflicts and multiple TLB pages; the code pool
-#: does the same for the instruction side.
-DATA_POOL: Tuple[int, ...] = tuple(0x1000_0000 + i * 24 for i in range(8))
-CODE_POOL: Tuple[int, ...] = tuple(0x0040_0000 + i * 24 for i in range(8))
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis strategies
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def stimulus_strategy(
-    draw,
-    lattice: Lattice,
-    label_pairs: Optional[Tuple[Tuple[Label, Label], ...]] = None,
-    code_pool: Tuple[int, ...] = CODE_POOL,
-    data_pool: Tuple[int, ...] = DATA_POOL,
-    kinds: Tuple[StepKind, ...] = _STEP_KINDS,
-) -> Stimulus:
-    """One step; ``label_pairs`` restricts the (read, write) label choice.
-
-    Duplicates in the pools are deliberate: the probe of a
-    :class:`ContractCase` is drawn from the base pools *plus* every address
-    the earlier phases touched, which biases it toward collisions (re-using
-    a trained branch site or a resident line is what exposes most leaks).
-    """
-    kind = draw(st.sampled_from(kinds))
-    instruction = draw(st.sampled_from(code_pool))
-    reads = tuple(draw(st.lists(st.sampled_from(data_pool), max_size=2)))
-    writes = tuple(draw(st.lists(st.sampled_from(data_pool), max_size=1)))
-    taken = draw(st.booleans()) if kind is StepKind.BRANCH else None
-    if label_pairs is not None:
-        read_label, write_label = draw(st.sampled_from(label_pairs))
-    else:
-        read_label = draw(st.sampled_from(lattice.levels()))
-        # Favour lr = lw, the combination real designs optimize for.
-        write_label = (
-            read_label
-            if draw(st.booleans())
-            else draw(st.sampled_from(lattice.levels()))
-        )
-    trace = AccessTrace(
-        instruction=instruction, reads=reads, writes=writes, taken=taken
-    )
-    return Stimulus(kind, trace, read_label, write_label)
-
-
-@st.composite
-def case_strategy(draw, lattice: Lattice) -> ContractCase:
-    """A full :class:`ContractCase` over ``lattice``."""
-    level = draw(st.sampled_from(lattice.levels()))
-    shared = tuple(
-        draw(st.lists(stimulus_strategy(lattice), max_size=12))
-    )
-    diverging = tuple(_diverging_labels(lattice, level))
-    if diverging:
-        # At least one diverging step, with branches over-weighted:
-        # divergence through the (shared) predictor needs the phase to
-        # actually train a branch site.
-        divergent = tuple(
-            draw(
-                st.lists(
-                    stimulus_strategy(
-                        lattice,
-                        label_pairs=diverging,
-                        kinds=_STEP_KINDS + (StepKind.BRANCH,) * 2,
-                    ),
-                    min_size=1,
-                    max_size=8,
-                )
-            )
-        )
-    else:
-        # At lattice top nothing can diverge; the case still exercises
-        # Properties 2, 5 and 7 on equal environments.
-        divergent = ()
-    probe_read = draw(
-        st.sampled_from(
-            tuple(l for l in lattice.levels() if l.flows_to(level))
-        )
-    )
-    probe_write = draw(st.sampled_from(lattice.levels()))
-    history = (*shared, *divergent)
-    if divergent and draw(st.booleans()):
-        # Replay probe: re-execute one divergence-phase trace under the
-        # probe labels -- the classic attack shape (time what the victim
-        # just did).  This is what reads back a trained branch site.
-        template = draw(st.sampled_from(divergent))
-        probe = Stimulus(
-            template.kind, template.trace, probe_read, probe_write
-        )
-        return ContractCase(level, shared, divergent, probe)
-    used_code = tuple(s.trace.instruction for s in history)
-    # Branch sites trained earlier are the prime observation targets
-    # (shared-predictor leaks need the probe to alias one), so weight them.
-    used_branches = tuple(
-        s.trace.instruction for s in history if s.trace.taken is not None
-    )
-    used_data = tuple(
-        a for s in history for a in (*s.trace.reads, *s.trace.writes)
-    )
-    probe = draw(
-        stimulus_strategy(
-            lattice,
-            label_pairs=((probe_read, probe_write),),
-            code_pool=CODE_POOL + used_code + used_branches * 4,
-            data_pool=DATA_POOL + used_data,
-            kinds=(StepKind.ASSIGN, StepKind.BRANCH),
-        )
-    )
-    return ContractCase(level, shared, divergent, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +199,8 @@ def replay_counterexample(
 
 
 # ---------------------------------------------------------------------------
-# The Hypothesis campaign over one (model, lattice, params) point
+# The campaign over one (model, lattice, params) point
 # ---------------------------------------------------------------------------
-
-
-class ContractFalsified(AssertionError):
-    """Raised inside the Hypothesis property when a case finds a violation."""
 
 
 def campaign_point(
@@ -330,48 +210,31 @@ def campaign_point(
     max_examples: int = 300,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Attack one model instance with ``max_examples`` generated cases.
+    """Attack one model instance with up to ``max_examples`` random cases.
 
-    Returns ``{"examples": n, "violation": ..., "case": ...}`` where the
-    case, if any, is the *shrunk* minimal counterexample (Hypothesis
-    re-executes the minimal failing example last, so the final capture
-    wins).  ``seed`` derandomizes generation; the test-suite profile's
-    ``derandomize=True`` is explicitly overridden so the seed is honoured.
-    (``@seed`` disables Hypothesis's own example database, so cross-run
-    persistence lives in :func:`run_campaign`, which stores and replays
-    the serialized counterexamples instead.)
+    Returns ``{"examples": n, "violation": ..., "case": ...}``.  Cases come
+    from :func:`~repro.hardware.contract.random_cases` seeded with ``seed``
+    and stop at the first violation; the case returned is that one after
+    :func:`~repro.hardware.contract.shrink_case`, with its own first
+    violation.  ``examples`` counts generated cases, not the shrinker's
+    re-checks.
     """
-    state: Dict[str, object] = {"examples": 0, "violation": None, "case": None}
-
-    @hypothesis_seed(seed)
-    @hypothesis_settings(
-        max_examples=max_examples,
-        deadline=None,
-        database=None,
-        derandomize=False,
-        print_blob=False,
-        phases=(Phase.generate, Phase.shrink),
-        suppress_health_check=list(HealthCheck),
-    )
-    @given(case=case_strategy(lattice))
-    def attack(case: ContractCase) -> None:
-        state["examples"] = int(state["examples"]) + 1
+    cases = islice(random_cases(random.Random(seed), lattice), max_examples)
+    for examples, case in enumerate(cases, 1):
         violations = check_case(factory, lattice, case)
         if violations:
-            state["violation"] = violations[0]
-            state["case"] = case
-            raise ContractFalsified(str(violations[0]))
-
-    try:
-        attack()
-    except ContractFalsified:
-        pass
-    return state
+            case = shrink_case(factory, lattice, case, violations[0].prop)
+            return {
+                "examples": examples,
+                "violation": check_case(factory, lattice, case)[0],
+                "case": case,
+            }
+    return {"examples": max_examples, "violation": None, "case": None}
 
 
 def point_seed(campaign_seed: int, model: str, lattice_point: str,
                param_point: str) -> int:
-    """A stable per-point derandomization seed derived from the campaign's."""
+    """A stable per-point seed derived from the campaign's."""
     return campaign_seed ^ crc32(
         f"{model}:{lattice_point}:{param_point}".encode()
     )
@@ -639,40 +502,33 @@ class CampaignResult:
 
 
 def _replay_stored_failures(
-    database: Optional[DirectoryBasedExampleDatabase],
-    key: bytes,
+    path: Optional[Path],
+    point: Tuple[str, str, str],
     registry: HardwareRegistry,
 ) -> Optional[Dict[str, object]]:
-    """Re-check counterexamples persisted under ``key`` in a prior run.
+    """Re-check the counterexample a prior run stored at ``path``.
 
-    Returns a ``campaign_point``-shaped state for the first stored document
-    that still falsifies the contract (``examples`` counts the replays), or
-    None when nothing is stored or every stored case has gone stale --
-    entries that no longer reproduce are deleted so the database tracks the
-    current models.
+    Returns a ``campaign_point``-shaped state (the replay is its one
+    example) when the stored document still falsifies the contract at
+    ``point`` (model, lattice point, parameter point), else None.  A stored
+    document that does not parse, belongs to another point or no longer
+    reproduces is deleted, so the store tracks the current models.
     """
-    if database is None:
+    if path is None or not path.is_file():
         return None
-    replayed = 0
-    for blob in sorted(database.fetch(key)):
-        try:
-            doc = json.loads(blob.decode())
-            violation = replay_counterexample(doc, registry)
-        except (ValueError, KeyError, TypeError, HardwareRegistryError):
-            database.delete(key, blob)
-            continue
-        replayed += 1
-        if violation is not None:
-            case = case_from_dict(
-                doc["case"], lattice_from_dict(doc["lattice"])
-            )
-            return {
-                "examples": replayed,
-                "violation": violation,
-                "case": case,
-            }
-        database.delete(key, blob)
-    return None
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        stored = (doc["model"], doc["lattice_point"], doc["param_point"])
+        violation = (
+            replay_counterexample(doc, registry) if stored == point else None
+        )
+        case = case_from_dict(doc["case"], lattice_from_dict(doc["lattice"]))
+    except (ValueError, KeyError, TypeError, HardwareRegistryError):
+        violation = None
+    if violation is None:
+        path.unlink()
+        return None
+    return {"examples": 1, "violation": violation, "case": case}
 
 
 def run_campaign(
@@ -684,34 +540,32 @@ def run_campaign(
     seed: int = 0,
     quantify: bool = True,
     counterexample_dir: Optional[Union[str, Path]] = None,
-    database_dir: Optional[Union[str, Path]] = None,
 ) -> CampaignResult:
     """Run the verification campaign over the registry.
 
     Every selected model is attacked at every (lattice point, parameter
     point) its spec declares, each with a seed derived stably from
     ``seed`` and the point's name (so single-model reruns reproduce the
-    full campaign's generation exactly).  With ``counterexample_dir`` each
-    shrunk counterexample is written as replayable JSON.
+    full campaign's generation exactly).
 
-    ``database_dir`` persists an example database across runs: every
-    detected counterexample is stored (as its replayable JSON document,
-    keyed by point), and subsequent campaigns *replay* the stored failures
-    before generating fresh examples -- so CI refinds a known leak
-    immediately even with a tiny example budget.  Hypothesis's own
-    database cannot serve here because ``@seed`` (which we need for
-    printable, derandomized generation) disables it.
+    With ``counterexample_dir`` each detected point's shrunk counterexample
+    is written there as replayable JSON, one file per point, and a later
+    campaign replays that file before generating fresh cases -- so a known
+    leak is refound at once even with a tiny example budget.  The directory
+    is checked (and created) before any point runs.
     """
     specs = (
         [registry.get(name) for name in models]
         if models
         else list(registry)
     )
-    database = (
-        DirectoryBasedExampleDatabase(str(database_dir))
-        if database_dir
-        else None
-    )
+    store = None if counterexample_dir is None else Path(counterexample_dir)
+    if store is not None:
+        if store.exists() and not store.is_dir():
+            raise NotADirectoryError(
+                f"counterexample store {store} is not a directory"
+            )
+        store.mkdir(parents=True, exist_ok=True)
     result = CampaignResult(seed=seed, max_examples=max_examples)
     for spec in specs:
         quantified = False
@@ -724,12 +578,12 @@ def run_campaign(
                 sub_seed = point_seed(
                     seed, spec.name, lattice_point, param_point
                 )
-                db_key = (
-                    f"{COUNTEREXAMPLE_SCHEMA}:{spec.name}:"
-                    f"{lattice_point}:{param_point}"
-                ).encode()
+                path = None if store is None else store / (
+                    f"counterexample_{spec.name}_"
+                    f"{lattice_point}_{param_point}.json"
+                )
                 state = _replay_stored_failures(
-                    database, db_key, registry
+                    path, (spec.name, lattice_point, param_point), registry
                 )
                 if state is None:
                     state = campaign_point(
@@ -760,20 +614,7 @@ def run_campaign(
                         case=state["case"],
                         lattice=lattice,
                     )
-                    if database is not None:
-                        database.save(
-                            db_key,
-                            json.dumps(
-                                verdict.counterexample, sort_keys=True
-                            ).encode(),
-                        )
-                    if counterexample_dir is not None:
-                        directory = Path(counterexample_dir)
-                        directory.mkdir(parents=True, exist_ok=True)
-                        path = directory / (
-                            f"counterexample_{spec.name}_"
-                            f"{lattice_point}_{param_point}.json"
-                        )
+                    if path is not None:
                         path.write_text(
                             json.dumps(verdict.counterexample, indent=2)
                             + "\n"

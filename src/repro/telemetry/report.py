@@ -39,8 +39,11 @@ def load_document(path: str) -> Dict[str, Any]:
     Returns either the metrics document as-is (it carries ``schema``) or
     ``{"schema": ..., "journal": [records...]}`` for journals.
     """
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as err:
+        raise ReportError(f"{path}: not UTF-8 text") from err
     stripped = text.lstrip()
     if not stripped:
         raise ReportError(f"{path} is empty")

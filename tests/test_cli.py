@@ -787,7 +787,7 @@ class TestVerifyHw:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "derandomization seed: 0" in out
+        assert "campaign seed: 0" in out
         assert "campaign passed" in out
         doc = json.loads(output.read_text())
         assert doc["schema"] == "repro.verify-hw.campaign/1"
@@ -809,16 +809,30 @@ class TestVerifyHw:
         assert doc["model"] == "bus"
 
     def test_undetected_insecure_model_fails_the_campaign(self, capsys):
-        # Two examples cannot find the speculative leak (verified for seed
-        # 0): the campaign must fail rather than quietly pass the model.
+        # Two examples cannot find the speculative leak at seed 2 (the
+        # first hit is example 22): the campaign must fail rather than
+        # quietly pass the model.
         rc = main([
             "verify-hw", "--models", "speculative", "--max-examples", "2",
-            "--seed", "0", "--no-quantify",
+            "--seed", "2", "--no-quantify",
         ])
         assert rc == 1
         out = capsys.readouterr().out
         assert "CAMPAIGN FAILED" in out
         assert "undetected" in out
+
+    def test_leaves_only_the_requested_outputs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "verify-hw", "--models", "null", "--max-examples", "2",
+            "--no-quantify", "--output", "campaign.json",
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "campaign.json"
+        ]
 
     def test_unknown_model_is_a_usage_error(self, capsys):
         rc = main(["verify-hw", "--models", "bogus"])

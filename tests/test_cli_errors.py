@@ -57,6 +57,9 @@ ROWS = [
     (["check", "mitigated.tl", "--gamma", "h=TOPSECRET"], 2),
     (["check", "secret_only.tl", "--gamma", "h = H"], 0),
     (["bench"], 2),
+    # The counterexample store's parent is a file: no point runs.
+    (["verify-hw", "--models", "bus", "--no-quantify",
+      "--counterexamples", "mitigated.tl/store"], 2),
 ]
 
 #: A bad option value is an argparse error naming the option and why.
@@ -118,12 +121,19 @@ RUNTIME_ROWS = [
     (["attack", "--quick", "--samples", "0"],
      "repro attack: verify_repeats must be >= 1 sample per candidate, "
      "got 0"),
+    # A counterexample store that is a regular file is refused before any
+    # point runs (bus would be detected, and written, on its first case).
+    (["verify-hw", "--models", "bus", "--no-quantify",
+      "--counterexamples", "mitigated.tl"],
+     "repro verify-hw: counterexample store mitigated.tl is not a "
+     "directory"),
 ]
 
-#: A program file that does not decode is bad input, never a traceback.
+#: A program (or, for ``report``, telemetry) file that does not decode is
+#: bad input, never a traceback.
 ENCODING_ROWS = [
     ([command, "latin1.tl"], f"repro {command}: latin1.tl: not UTF-8 text")
-    for command in ("check", "lint", "cost", "run")
+    for command in ("check", "lint", "cost", "run", "report")
 ]
 
 #: A malformed directive is bad input; ``lint`` reports it and carries on.

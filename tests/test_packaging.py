@@ -5,6 +5,7 @@ module must import cleanly, and the documentation must reference only files
 and benches that exist.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -49,6 +50,27 @@ class TestImportSurface:
         for module_name in _all_modules():
             module = importlib.import_module(module_name)
             assert module.__doc__, f"{module_name} lacks a module docstring"
+
+    def test_no_module_imports_hypothesis(self):
+        # The package declares no dependencies: Hypothesis is a test tool.
+        offenders = []
+        for root, _, files in os.walk(repro.__path__[0]):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    if any(m.split(".")[0] == "hypothesis" for m in modules):
+                        offenders.append(f"{path}:{node.lineno}")
+        assert offenders == []
 
 
 class TestDocsConsistency:
