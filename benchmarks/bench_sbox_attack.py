@@ -4,10 +4,10 @@ Not a numbered figure in the paper, but its central motivation: Sec. 1-2
 cite the data-cache attacks on AES (Osvik et al., Gullasch et al.) as the
 channels that "some timing attacks exploit... to infer AES encryption
 keys", and the partitioned design exists to stop exactly them.  This bench
-runs the one-round prime-and-probe key-byte recovery from
-:mod:`repro.attacks.sbox_attack` against all hardware designs and reports
-bits of key learned, plus the encryption-latency overhead each secure
-design costs.
+runs the one-round prime-and-probe key-byte recovery
+(:func:`repro.adversary.recover_key_byte`, driven by ``run_in_process``)
+against all hardware designs and reports bits of key learned, plus the
+encryption-latency overhead each secure design costs.
 
 Shape asserted: ~5+ bits/byte recovered on nopar (line granularity is the
 textbook limit), exactly 0 bits on no-fill and partitioned; partitioned
@@ -16,8 +16,8 @@ costs less than no-fill.
 
 import random
 
+from repro.adversary import recover_key_byte, run_in_process, sbox_victim
 from repro.apps.sbox_cipher import SboxCipher, random_key
-from repro.attacks.sbox_attack import recover_key_byte
 
 from _report import Report, mean
 
@@ -29,10 +29,10 @@ def _attack_bits(hardware, key, plaintexts):
     bits = []
     for index in range(BYTES_TO_ATTACK):
         cipher = SboxCipher(length=index + 1, mitigated=True)
-        result = recover_key_byte(
-            cipher, key, plaintexts, byte_index=index, hardware=hardware
-        )
-        bits.append(result.bits_learned())
+        table, measure = sbox_victim(cipher, key, index, hardware)
+        findings = run_in_process(recover_key_byte(table, plaintexts),
+                                  measure)
+        bits.append(findings.bits_extracted)
     return bits
 
 

@@ -16,10 +16,10 @@ Run: python examples/cache_side_channel.py
 """
 
 from repro import api, two_point
-from repro.attacks import probe
 from repro.machine import Memory
 from repro.machine.layout import Layout
 from repro.hardware import make_hardware, run_contract_suite, tiny_machine
+from repro.hardware.verify import probe
 
 # Array names chosen so the layout gives path_b its own cache block
 # (path_a shares a block with the scalars and is also read by line 3,
@@ -52,7 +52,7 @@ def main():
             spec["h"] = h
             results[h] = compiled.run(spec, hardware=hw)
         probes = {
-            h: probe(results[h].environment, targets).costs for h in (0, 1)
+            h: probe(results[h].environment, targets) for h in (0, 1)
         }
         leaks = probes[0] != probes[1]
         verdict = "LEAKS via probe" if leaks else "probe blinded"

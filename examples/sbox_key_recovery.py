@@ -17,8 +17,8 @@ Run: python examples/sbox_key_recovery.py
 
 import random
 
+from repro.adversary import recover_key_byte, run_in_process, sbox_victim
 from repro.apps.sbox_cipher import SboxCipher, random_key
-from repro.attacks.sbox_attack import recover_key_byte
 
 BYTES_TO_ATTACK = 4
 
@@ -34,14 +34,14 @@ def main():
         print(f"--- hardware = {hardware} ---")
         for index in range(BYTES_TO_ATTACK):
             cipher = SboxCipher(length=index + 1, mitigated=True)
-            result = recover_key_byte(
-                cipher, key, plaintexts, byte_index=index, hardware=hardware
-            )
-            survivors = sorted(result.candidates)
+            table, measure = sbox_victim(cipher, key, index, hardware)
+            findings = run_in_process(recover_key_byte(table, plaintexts),
+                                      measure)
+            survivors = findings.extra["candidates"]
             shown = (str(survivors) if len(survivors) <= 8
                      else f"{len(survivors)} candidates")
             print(f"  key[{index}] = {key[index]:3d}: learned "
-                  f"{result.bits_learned():4.1f} bits -> {shown}")
+                  f"{findings.bits_extracted:4.1f} bits -> {shown}")
         print()
 
     print("The partitioned design (Sec. 4.3) confines the key-dependent")

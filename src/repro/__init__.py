@@ -19,7 +19,8 @@ Entry points:
 * :mod:`repro.quantitative` -- Definitions 1-2, Theorem 2, Sec. 7 bounds;
 * :mod:`repro.telemetry` -- runtime telemetry and dynamic leakage accounting;
 * :mod:`repro.apps` -- the Sec. 8 case studies;
-* :mod:`repro.attacks` -- the timing adversaries the paper defends against.
+* :mod:`repro.adversary` -- the timing adversaries the paper defends against;
+* :mod:`repro.attacks` -- the statistics they report with.
 """
 
 import re as _re

@@ -8,13 +8,22 @@ on the deterministic virtual clock -- and reports each attack's measured
 distinguisher advantage and extracted bits against the victim tenant's
 budget, per scheduler policy.  See ``docs/ATTACKS.md`` and the
 ``repro attack`` subcommand.
+
+The same strategies shape the in-process key attacks, which run against a
+victim oracle with no gateway: the S-box prime-and-probe
+(:func:`recover_key_byte`) and the RSA weight fit
+(:func:`hamming_weight_attack`).
 """
 
 from .attacks import (
     AttackFindings,
     analyze_contention,
+    hamming_weight_attack,
     password_crack,
     prefix_crack,
+    recover_key_byte,
+    rsa_victim,
+    sbox_victim,
     tag_forge,
 )
 from .campaign import (
@@ -58,12 +67,16 @@ __all__ = [
     "SCHEMA",
     "analyze_contention",
     "cell_seed",
+    "hamming_weight_attack",
     "password_crack",
     "prefix_crack",
+    "recover_key_byte",
     "render_campaign",
+    "rsa_victim",
     "run_campaign",
     "run_cell",
     "run_in_process",
+    "sbox_victim",
     "tag_forge",
     "worker_seed",
 ]

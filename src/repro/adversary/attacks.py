@@ -19,7 +19,13 @@ The same strategy runs through the gateway
   over the 16-symbol nibble alphabet of a keyed-hash tag, forging a
   valid tag for a message the adversary chose;
 * :func:`analyze_contention` scores the cross-tenant contention probe's
-  receiver samples (collected by :class:`~.engine.ContentionSource`).
+  receiver samples (collected by :class:`~.engine.ContentionSource`);
+* :func:`recover_key_byte` is the coresident prime-and-probe on the
+  S-box cipher (Sec. 2.1's cache adversary) and
+  :func:`hamming_weight_attack` the Kocher-style weight fit on RSA
+  (Sec. 8.4).  They run in process, against the oracles
+  :func:`sbox_victim` and :func:`rsa_victim` build; the campaign does not
+  register them.
 
 Extraction is *strict-signal gated*: a position only counts as extracted
 when the best candidate's median beats the runner-up's strictly, in the
@@ -34,11 +40,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..attacks.distinguisher import (
     AdvantageResult,
     advantage,
+    fit_weight_model,
     median,
     threshold_classifier,
 )
@@ -283,3 +291,139 @@ def analyze_contention(
             "receiver_samples": len(window),
         },
     )
+
+
+def recover_key_byte(
+    table: Sequence[int],
+    plaintexts: Sequence[int],
+    block_bytes: int = 32,
+) -> Strategy:
+    """Prime-and-probe recovery of one key byte of a table-lookup cipher.
+
+    The classic one-round AES cache analysis (Osvik-Shamir-Tromer): the
+    encryption of plaintext byte ``p`` touches the S-box line holding
+    entry ``p ^ k``, so the lines a public probe finds warm confine the
+    key byte ``k``, and intersecting over chosen plaintexts converges.
+    ``table`` is the address of every S-box entry (the static layout the
+    attacker knows).  Each plaintext is one batch with one probe per
+    cache block the table covers, ``{"byte": p, "address": block}``,
+    answered with that block's probe cost after one victim run; the
+    attack stops once at most one candidate is left.
+
+    Line granularity is the resolution limit, as in the literature:
+    ``(p ^ k) >> 3 = (p >> 3) ^ (k >> 3)``, so 32-byte lines of 4-byte
+    entries reveal the top 5 bits of ``k`` and never the bottom 3.
+    Expect >= 5 bits against ``nopar`` and exactly 0 against no-fill and
+    the partitioned design, whose bottom probes cannot see the victim's
+    high lookups (Property 6).
+    """
+    size = len(table)
+    entries: Dict[int, Set[int]] = {}
+    for entry, address in enumerate(table):
+        entries.setdefault(address // block_bytes * block_bytes,
+                           set()).add(entry)
+    blocks = sorted(entries)
+    candidates: Set[int] = set(range(size))
+    used = 0
+    for p in plaintexts:
+        byte = p % size
+        times = yield [Probe(key=block, args={"byte": byte, "address": block})
+                       for block in blocks]
+        used += 1
+        costs = {block: times[block][0] for block in blocks}
+        fast = min(costs.values())
+        if fast == max(costs.values()):
+            continue  # no contrast: the probe learned nothing this round
+        candidates &= {
+            (entry ^ byte) % size
+            for block in blocks if costs[block] == fast
+            for entry in entries[block]
+        }
+        if len(candidates) <= 1:
+            break
+    pinned = sorted(candidates) if len(candidates) == 1 else []
+    return AttackFindings(
+        recovered=pinned,
+        extracted=len(pinned),
+        bits_extracted=(math.log2(size / len(candidates))
+                        if candidates else 0.0),
+        evidence=None,
+        extra={"candidates": sorted(candidates), "plaintexts": used},
+    )
+
+
+def hamming_weight_attack(weights: Sequence[int],
+                          key_bits: int) -> Strategy:
+    """Kocher-style recovery of an RSA private exponent's Hamming weight.
+
+    Square-and-multiply runs one modular multiply per set exponent bit,
+    so unmitigated decryption time is affine in the key's weight.  One
+    batch times a decryption under each calibration key ``{"key": i}``
+    (of known weight ``weights[i]``) and under the target,
+    ``{"key": len(weights)}``; the fitted line then reads the target's
+    weight off its time.  Under mitigation the line is flat, the
+    predicted weight is NaN and nothing is recovered.  ``extra`` holds
+    the fit (``model``) and the unrounded prediction (``weight``).
+    """
+    target = len(weights)
+    times = yield [Probe(key=i, args={"key": i}) for i in range(target + 1)]
+    model = fit_weight_model(weights, [times[i][0] for i in range(target)])
+    weight = model.predict_weight(times[target][0])
+    recovered = [round(weight)] if model.slope else []
+    return AttackFindings(
+        recovered=recovered,
+        extracted=len(recovered),
+        bits_extracted=len(recovered) * math.log2(key_bits + 1),
+        evidence=None,
+        extra={"model": model, "weight": weight},
+    )
+
+
+def sbox_victim(cipher, key: Sequence[int], byte_index: int = 0,
+                hardware: str = "nopar", params=None
+                ) -> Tuple[List[int], Callable[[Dict[str, Any]], int]]:
+    """The S-box table's entry addresses and the oracle
+    :func:`recover_key_byte` probes.
+
+    The oracle encrypts a plaintext whose byte ``byte_index`` is the
+    probe's ``byte`` (the rest zero) on a fresh ``hardware`` environment,
+    once per plaintext byte, and answers each probe with
+    :func:`~repro.hardware.verify.probe`'s cost for its ``address``.
+    """
+    from ..hardware.verify import probe
+    from ..machine.layout import WORD_BYTES, Layout
+
+    template = [0] * cipher.plaintext_length
+    # Static layout: the attacker derives addresses exactly as the loader
+    # does.  (Address-space randomization is out of scope, as in the paper.)
+    layout = Layout.build(cipher.program, cipher.memory(list(key), template))
+    base = layout.array_addr["sbox"]
+    table = [base + WORD_BYTES * e for e in range(layout.array_len["sbox"])]
+
+    @lru_cache(maxsize=1)
+    def victim(byte: int):
+        plaintext = list(template)
+        plaintext[byte_index % cipher.plaintext_length] = byte
+        return cipher.run(list(key), plaintext, hardware=hardware,
+                          params=params).environment
+
+    def measure(args: Dict[str, Any]) -> int:
+        return probe(victim(args["byte"]), [args["address"]])[0]
+
+    return table, measure
+
+
+def rsa_victim(system, keys: Sequence[Any], message: List[int],
+               hardware: str = "partitioned", params=None
+               ) -> Callable[[Dict[str, Any]], int]:
+    """The oracle :func:`hamming_weight_attack` probes: the time
+    ``system`` takes to decrypt ``message``, encrypted under
+    ``keys[args["key"]]``."""
+    from ..apps.rsa_math import encrypt_blocks
+
+    def measure(args: Dict[str, Any]) -> int:
+        key = keys[args["key"]]
+        return system.run(key, encrypt_blocks(message, key),
+                          hardware=hardware, params=params).time
+
+    return measure

@@ -170,10 +170,7 @@ def eval_const(
         right = eval_const(expr.right, env)
         if left is None or right is None:
             return None
-        try:
-            return _apply_binop(expr.op, left, right)
-        except ZeroDivisionError:
-            return None
+        return _apply_binop(expr.op, left, right)
     return None  # ArrayRead: memory is not tracked
 
 

@@ -19,12 +19,12 @@ from ..lang import ast
 from ..lang.pretty import pretty, pretty_expr
 from ..lattice import Lattice
 from ..machine.layout import WORD_BYTES
-from ..semantics.core import _apply as _apply_binop
 from ..semantics.mitigation import make_scheme
 from ..typesystem.environment import SecurityEnvironment
 from ..typesystem.typing import TypingInfo
 from .cfg import CFG
 from .cost import CostReport
+from .dataflow import eval_const
 from .diagnostics import Diagnostic
 from .flows import TimingDependenceGraph
 from .quantify import QuantifyReport, deadline_span
@@ -81,25 +81,6 @@ def _diag(code: str, message: str, cmd: ast.LabeledCommand,
     )
 
 
-def const_value(expr: ast.Expr) -> Optional[int]:
-    """Evaluate a constant expression under the language's own operator
-    semantics (shared with the interpreter), or None if it reads memory."""
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.UnOp):
-        v = const_value(expr.operand)
-        if v is None:
-            return None
-        return -v if expr.op == "-" else int(v == 0)
-    if isinstance(expr, ast.BinOp):
-        left = const_value(expr.left)
-        right = const_value(expr.right)
-        if left is None or right is None:
-            return None
-        return _apply_binop(expr.op, left, right)
-    return None
-
-
 # -- TL010: secret-dependent sleep -------------------------------------------
 
 
@@ -131,7 +112,7 @@ def lint_degenerate_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     for cmd in ctx.program.walk():
         if not isinstance(cmd, ast.Mitigate):
             continue
-        value = const_value(cmd.budget)
+        value = eval_const(cmd.budget)
         if value is None or value > 0:
             continue
         fixed = ast.Mitigate(
@@ -258,7 +239,7 @@ def _first_labeled(cmd: ast.Command) -> ast.LabeledCommand:
 def lint_unreachable(ctx: LintContext) -> Iterator[Diagnostic]:
     for cmd in ctx.program.walk():
         if isinstance(cmd, ast.If):
-            value = const_value(cmd.cond)
+            value = eval_const(cmd.cond)
             if value is None:
                 continue
             dead = cmd.else_branch if value else cmd.then_branch
@@ -270,7 +251,7 @@ def lint_unreachable(ctx: LintContext) -> Iterator[Diagnostic]:
                 _first_labeled(dead),
             )
         elif isinstance(cmd, ast.While):
-            value = const_value(cmd.cond)
+            value = eval_const(cmd.cond)
             if value is None:
                 continue
             if value == 0:
@@ -336,7 +317,7 @@ def lint_constant_secret_branch(ctx: LintContext) -> Iterator[Diagnostic]:
         label = ctx.gamma.label_of_expr(cmd.cond)
         if label == bottom:
             continue  # a public guard is TL016's (syntactic) territory
-        if const_value(cmd.cond) is not None:
+        if eval_const(cmd.cond) is not None:
             continue  # syntactically constant: already TL016
         value = _guard_value(cmd, ctx.constants)
         if value is None:
@@ -553,17 +534,17 @@ def _index_interval(expr: ast.Expr) -> Optional[Tuple[int, int]]:
     Recognizes the masking idioms that bound an index without making it
     constant: ``e & mask`` and ``e % k``.
     """
-    value = const_value(expr)
+    value = eval_const(expr)
     if value is not None:
         return (value, value)
     if isinstance(expr, ast.BinOp) and expr.op == "&":
-        mask = const_value(expr.right)
+        mask = eval_const(expr.right)
         if mask is None:
-            mask = const_value(expr.left)
+            mask = eval_const(expr.left)
         if mask is not None and mask >= 0:
             return (0, mask)
     if isinstance(expr, ast.BinOp) and expr.op == "%":
-        mod = const_value(expr.right)
+        mod = eval_const(expr.right)
         if mod:
             bound = abs(mod) - 1
             return (-bound, bound)

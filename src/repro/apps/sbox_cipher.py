@@ -25,8 +25,8 @@ The security story exercises the array extension end to end:
   high write label, which the partitioned hardware maps to the H partition
   (no-fill hardware simply never installs it);
 * on ``nopar`` hardware the same program imprints the touched S-box lines
-  on the shared cache, and :mod:`repro.attacks.sbox_attack` recovers key
-  bits by prime-and-probe, exactly like the AES attacks;
+  on the shared cache, and :func:`repro.adversary.recover_key_byte`
+  recovers key bits by prime-and-probe, exactly like the AES attacks;
 * without the ``mitigate``, the trailing public ``done := 1`` is rejected
   (the loop's timing end-label is high) -- encryption *latency* also
   depends on secrets through cache misses.

@@ -1,12 +1,19 @@
-"""Timing adversaries: distinguishers, cache probing, and RSA key analysis."""
+"""Timing statistics: the distinguishers every adversary reports with.
 
-from .cache_probe import ProbeResult, eviction_set, probe, probe_distinguishes
+The attacks themselves -- the gateway cracks, the contention probe, the
+S-box prime-and-probe and the RSA weight fit -- are strategies in
+:mod:`repro.adversary`; the coresident probe is
+:func:`repro.hardware.verify.probe`.
+"""
+
 from .distinguisher import (
     AdvantageResult,
     ThresholdResult,
+    WeightModel,
     advantage,
     chance_accuracy,
     distinguishable,
+    fit_weight_model,
     median,
     median_of_n,
     partition_by,
@@ -15,36 +22,19 @@ from .distinguisher import (
     username_probe,
     welch_t,
 )
-from .sbox_attack import SboxAttackResult, recover_key_byte
-from .rsa_attack import (
-    AttackOutcome,
-    WeightModel,
-    fit_weight_model,
-    hamming_weight_attack,
-    measure_key_times,
-)
 
 __all__ = [
     "AdvantageResult",
-    "AttackOutcome",
-    "ProbeResult",
-    "SboxAttackResult",
     "ThresholdResult",
     "WeightModel",
     "advantage",
     "chance_accuracy",
     "distinguishable",
-    "eviction_set",
     "fit_weight_model",
-    "hamming_weight_attack",
-    "measure_key_times",
     "median",
     "median_of_n",
     "partition_by",
     "pearson_correlation",
-    "probe",
-    "probe_distinguishes",
-    "recover_key_byte",
     "threshold_classifier",
     "username_probe",
     "welch_t",

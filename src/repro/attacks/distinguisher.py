@@ -111,6 +111,48 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
+@dataclass
+class WeightModel:
+    """An affine model ``time = intercept + slope * hamming_weight``."""
+
+    slope: float
+    intercept: float
+    correlation: float
+
+    def predict_weight(self, observed_time: float) -> float:
+        if self.slope == 0:
+            return float("nan")
+        return (observed_time - self.intercept) / self.slope
+
+
+def fit_weight_model(
+    weights: Sequence[int], times: Sequence[int]
+) -> WeightModel:
+    """Least-squares fit of decryption time against key Hamming weight.
+
+    Kocher-style key-weight recovery: square-and-multiply runs one
+    multiply per set exponent bit, so unmitigated decryption time is
+    affine in the key's weight and a few keys of known weight calibrate
+    the line.
+    """
+    if len(weights) != len(times) or len(weights) < 2:
+        raise ValueError("need two aligned samples of size >= 2")
+    n = len(weights)
+    mean_w = sum(weights) / n
+    mean_t = sum(times) / n
+    var_w = sum((w - mean_w) ** 2 for w in weights)
+    if var_w == 0:
+        return WeightModel(slope=0.0, intercept=mean_t, correlation=0.0)
+    cov = sum(
+        (w - mean_w) * (t - mean_t) for w, t in zip(weights, times)
+    )
+    slope = cov / var_w
+    intercept = mean_t - slope * mean_w
+    corr = pearson_correlation([float(w) for w in weights],
+                               [float(t) for t in times])
+    return WeightModel(slope=slope, intercept=intercept, correlation=corr)
+
+
 def partition_by(
     times: Sequence[int], labels: Sequence[object]
 ) -> Dict[object, List[int]]:

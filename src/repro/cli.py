@@ -223,7 +223,7 @@ def _value_range(spec: str) -> Tuple[int, int]:
 
 def _positive(spec: str) -> int:
     """A positive integer (``--horizon``, ``--trials``, ``--max-examples``,
-    ``--max-steps``)."""
+    ``--max-steps``, ``--samples``, ``--quantum``)."""
     try:
         value = int(spec)
     except ValueError:
@@ -233,6 +233,11 @@ def _positive(spec: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positives(spec: str) -> List[int]:
+    """``--clients n[,n...]``: comma-separated positive integers."""
+    return [_positive(item) for item in spec.split(",")]
 
 
 def _bits(spec: str) -> float:
@@ -1113,15 +1118,11 @@ def cmd_attack(args) -> int:
         return 0
 
     try:
-        clients = (
-            [int(c) for c in args.clients.split(",") if c]
-            if args.clients else None
-        )
         document = run_campaign(
             attacks=args.attacks,
             policies=args.policy,
             seed=args.seed,
-            clients=clients,
+            clients=args.clients,
             quantum=args.quantum,
             samples=args.samples,
             quick=args.quick,
@@ -1407,16 +1408,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", type=_csv,
                    help="comma-separated scheduler policies to sweep "
                         "(default: fifo,rr,quantized)")
-    p.add_argument("--clients",
+    p.add_argument("--clients", type=_positives,
                    help="comma-separated adversary worker-pool sizes "
                         "(default: each attack's registered sweep)")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed; every cell derives its own via "
                         "seed ^ crc32(attack:policy:clients)")
-    p.add_argument("--samples", type=int, default=3,
+    p.add_argument("--samples", type=_positive, default=3,
                    help="median-of-N verify samples per candidate "
                         "(default 3)")
-    p.add_argument("--quantum", type=int, default=4096,
+    p.add_argument("--quantum", type=_positive, default=4096,
                    help="quantized-policy quantum in cycles (default 4096)")
     p.add_argument("--quick", action="store_true",
                    help="one client-pool size per attack (bounded CI run)")

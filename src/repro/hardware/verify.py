@@ -278,10 +278,17 @@ class LeakMeasurement:
         }
 
 
-def _probe_costs(
+def probe(
     environment: MachineEnvironment, addresses: Sequence[int]
 ) -> Tuple[int, ...]:
-    """Bottom-labeled read probes, one clone per address (prime-and-probe)."""
+    """The coresident adversary's prime-and-probe: the cost of a public
+    (bottom-labeled) read of each address after the victim ran.
+
+    Each read runs on its own clone of ``environment``, so probes do not
+    disturb each other (the strongest, simultaneous variant).  Property 6
+    says these costs depend on bottom state only: on contract-satisfying
+    hardware they cannot tell two ``~bottom``-equivalent runs apart.
+    """
     bottom = environment.lattice.bottom
     costs = []
     for address in addresses:
@@ -381,9 +388,9 @@ def measure_end_to_end(
             key, plaintext, hardware=spec.name, params=params_factory()
         )
         probe_signatures.add(
-            _probe_costs(pw_run.environment, pw_data)
+            probe(pw_run.environment, pw_data)
             + _branch_probe_costs(pw_run.environment, pw_code)
-            + _probe_costs(sbox_run.environment, sbox_data)
+            + probe(sbox_run.environment, sbox_data)
         )
         direct_times.add((pw_run.time, sbox_run.time))
     return LeakMeasurement(

@@ -12,12 +12,19 @@ from repro.apps.sbox_cipher import (
     reference_encrypt,
     standard_sbox,
 )
-from repro.attacks.sbox_attack import recover_key_byte
+from repro.adversary import recover_key_byte, run_in_process, sbox_victim
 from repro.typesystem import TypingError, typecheck
 
 RNG = random.Random(2012)
 KEY = random_key(RNG)
 PLAINTEXTS = [RNG.randrange(SBOX_SIZE) for _ in range(8)]
+
+
+def key_byte_attack(byte_index, hardware):
+    """The prime-and-probe on key byte ``byte_index``: its findings."""
+    cipher = SboxCipher(length=byte_index + 1, mitigated=True)
+    table, measure = sbox_victim(cipher, KEY, byte_index, hardware)
+    return run_in_process(recover_key_byte(table, PLAINTEXTS), measure)
 
 
 class TestCipherBasics:
@@ -86,34 +93,29 @@ class TestTypeDiscipline:
 
 class TestCacheAttack:
     def test_attack_succeeds_on_nopar(self):
-        cipher = SboxCipher(length=1, mitigated=True)
-        result = recover_key_byte(cipher, KEY, PLAINTEXTS, hardware="nopar")
+        findings = key_byte_attack(0, "nopar")
+        candidates = findings.extra["candidates"]
         # Line granularity: the top 5 bits are recoverable, the bottom
         # 3 are not (32-byte lines, 4-byte entries).
-        assert result.bits_learned() >= 5.0
-        assert (KEY[0] >> 3) in {c >> 3 for c in result.candidates}
-        assert KEY[0] in result.candidates  # never excludes the truth
+        assert findings.bits_extracted >= 5.0
+        assert (KEY[0] >> 3) in {c >> 3 for c in candidates}
+        assert KEY[0] in candidates  # never excludes the truth
 
     @pytest.mark.parametrize("hardware", ["nofill", "partitioned"])
     def test_attack_blind_on_secure_hardware(self, hardware):
-        cipher = SboxCipher(length=1, mitigated=True)
-        result = recover_key_byte(cipher, KEY, PLAINTEXTS,
-                                  hardware=hardware)
-        assert not result.learned_anything
-        assert result.bits_learned() == 0.0
+        findings = key_byte_attack(0, hardware)
+        assert len(findings.extra["candidates"]) == SBOX_SIZE
+        assert findings.bits_extracted == 0.0
 
     def test_attack_on_other_byte_index(self):
-        cipher = SboxCipher(length=2, mitigated=True)
-        result = recover_key_byte(cipher, KEY, PLAINTEXTS, byte_index=1,
-                                  hardware="nopar")
+        findings = key_byte_attack(1, "nopar")
         # Position 0's lookup adds noise; the truth must still survive.
-        assert KEY[1] in result.candidates
+        assert KEY[1] in findings.extra["candidates"]
 
     def test_attack_deterministic(self):
-        cipher = SboxCipher(length=1, mitigated=True)
-        r1 = recover_key_byte(cipher, KEY, PLAINTEXTS, hardware="nopar")
-        r2 = recover_key_byte(cipher, KEY, PLAINTEXTS, hardware="nopar")
-        assert r1.candidates == r2.candidates
+        r1 = key_byte_attack(0, "nopar")
+        r2 = key_byte_attack(0, "nopar")
+        assert r1.extra["candidates"] == r2.extra["candidates"]
 
 
 class TestTimingMitigation:

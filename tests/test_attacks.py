@@ -1,4 +1,4 @@
-"""Unit tests for the adversary toolkit."""
+"""Unit tests for the timing statistics and the coresident probe."""
 
 import pytest
 
@@ -11,18 +11,16 @@ from repro.hardware import (
     StepKind,
     tiny_machine,
 )
+from repro.hardware.verify import probe
 from repro.attacks import (
     advantage,
     chance_accuracy,
     distinguishable,
-    eviction_set,
     fit_weight_model,
     median,
     median_of_n,
     partition_by,
     pearson_correlation,
-    probe,
-    probe_distinguishes,
     threshold_classifier,
     username_probe,
     welch_t,
@@ -210,36 +208,18 @@ class TestCacheProbe:
     def test_probe_distinguishes_on_standard(self):
         e0 = self._victim(StandardHardware(LAT, tiny_machine()), 0)
         e1 = self._victim(StandardHardware(LAT, tiny_machine()), 1)
-        assert probe_distinguishes(e0, e1, [DATA])
+        assert probe(e0, [DATA]) != probe(e1, [DATA])
 
     @pytest.mark.parametrize("hardware_cls", [NoFillHardware,
                                               PartitionedHardware])
     def test_probe_blind_on_secure_designs(self, hardware_cls):
         e0 = self._victim(hardware_cls(LAT, tiny_machine()), 0)
         e1 = self._victim(hardware_cls(LAT, tiny_machine()), 1)
-        assert not probe_distinguishes(e0, e1, [DATA, DATA + 64])
+        assert probe(e0, [DATA, DATA + 64]) == probe(e1, [DATA, DATA + 64])
 
     def test_probe_hit_classification(self):
         env = StandardHardware(LAT, tiny_machine())
         env.step(StepKind.ASSIGN,
                  AccessTrace(instruction=0x400000, reads=(DATA,)), L, L)
-        result = probe(env, [DATA, DATA + 4096])
-        hits = result.hits(hit_threshold=min(result.costs))
-        assert hits[0] and not hits[1]
-
-    def test_eviction_set_geometry(self):
-        addresses = eviction_set(0x1000, sets=4, block_bytes=16, ways=2)
-        assert len(addresses) == 3
-        # All in the same set: identical (block mod sets).
-        sets_hit = {(a // 16) % 4 for a in addresses}
-        assert len(sets_hit) == 1
-
-    def test_eviction_set_evicts(self):
-        from repro.hardware import Cache, CacheParams
-
-        cache = Cache(CacheParams(4, 2, 16, 1))
-        victim = 0x1000
-        cache.touch(victim)
-        for addr in eviction_set(victim, sets=4, block_bytes=16, ways=2):
-            cache.touch(addr)
-        assert not cache.lookup(victim)
+        cached, cold = probe(env, [DATA, DATA + 4096])
+        assert cached < cold

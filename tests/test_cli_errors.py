@@ -93,6 +93,17 @@ OPTION_ROWS = [
     (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
       "--values", "3..3"],
      "argument --values: the range [3, 3) holds no value"),
+    (["attack", "--quick", "--samples", "0"],
+     "argument --samples: must be >= 1, got 0"),
+    (["attack", "--quick", "--quantum", "0"],
+     "argument --quantum: must be >= 1, got 0"),
+    (["attack", "--quick", "--clients", "abc"],
+     "argument --clients: expected an integer, got 'abc'"),
+    # An empty pool list would silently run the default sweep.
+    (["attack", "--quick", "--clients", ","],
+     "argument --clients: expected an integer, got ''"),
+    (["attack", "--quick", "--clients", "2,0"],
+     "argument --clients: must be >= 1, got 0"),
 ]
 
 
@@ -118,9 +129,6 @@ RUNTIME_ROWS = [
       "--adversary", "H"],
      "repro leakage: variant differs from the baseline at level H, which "
      "is outside the varied set L_{lA}"),
-    (["attack", "--quick", "--samples", "0"],
-     "repro attack: verify_repeats must be >= 1 sample per candidate, "
-     "got 0"),
     # A counterexample store that is a regular file is refused before any
     # point runs (bus would be detected, and written, on its first case).
     (["verify-hw", "--models", "bus", "--no-quantify",

@@ -53,24 +53,51 @@ class TestImportSurface:
 
     def test_no_module_imports_hypothesis(self):
         # The package declares no dependencies: Hypothesis is a test tool.
-        offenders = []
-        for root, _, files in os.walk(repro.__path__[0]):
-            for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(root, name)
-                with open(path, encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), path)
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Import):
-                        modules = [alias.name for alias in node.names]
-                    elif isinstance(node, ast.ImportFrom):
-                        modules = [node.module or ""]
-                    else:
-                        continue
-                    if any(m.split(".")[0] == "hypothesis" for m in modules):
-                        offenders.append(f"{path}:{node.lineno}")
+        offenders = [
+            where for where, module in _imports(repro.__path__[0])
+            if module.split(".")[0] == "hypothesis"
+        ]
         assert offenders == []
+
+    def test_attacks_holds_only_statistics(self):
+        # The attacks themselves are adversary strategies; a module here
+        # that drives victims or hardware would be a second attack engine.
+        banned = ("repro.hardware", "repro.apps", "repro.semantics")
+        offenders = [
+            where for where, module in
+            _imports(os.path.join(repro.__path__[0], "attacks"))
+            if any(module == b or module.startswith(b + ".") for b in banned)
+        ]
+        assert offenders == []
+
+
+def _imports(directory):
+    """``(path:line, module)`` for every module each file under
+    ``directory`` imports, relative imports made absolute (a ``from``
+    import also yields each imported name as a submodule)."""
+    src = os.path.dirname(repro.__path__[0])
+    for root, _, files in os.walk(directory):
+        package = os.path.relpath(root, src).split(os.sep)
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    if node.level:
+                        parent = package[:len(package) - node.level + 1]
+                        base = ".".join(parent + ([base] if base else []))
+                    modules = [base] + [f"{base}.{alias.name}"
+                                        for alias in node.names]
+                else:
+                    continue
+                for module in modules:
+                    yield f"{path}:{node.lineno}", module
 
 
 class TestDocsConsistency:
