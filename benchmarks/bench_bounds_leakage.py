@@ -77,7 +77,7 @@ def _build_report():
             name, src, gamma, lattice, secret, space, k
         )
         q = result.leakage.bits
-        log_v = result.variations.bits
+        log_v = result.variations.observed_bits
         ok = result.holds and (k == 0 or log_v <= bound + 1e-9)
         if k == 0:
             ok = ok and q == 0.0 and log_v == 0.0

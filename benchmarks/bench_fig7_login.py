@@ -22,6 +22,7 @@ from repro.apps.login import (
     summarize_valid_invalid,
 )
 from repro.attacks import username_probe
+from repro.semantics.mitigation import MitigationState
 from repro.telemetry import (
     DynamicLeakageMeter,
     RecordingTraceRecorder,
@@ -43,13 +44,28 @@ VALID_COUNTS = (10, 50, 100)
 HARDWARE = "partitioned"
 
 
-def _series(system, tables, recorder=None):
+def _series(system, tables):
     return {
-        valid: login_attempt_times(
-            system, table, hardware=HARDWARE, recorder=recorder
-        )
+        valid: login_attempt_times(system, table, hardware=HARDWARE)
         for valid, table in tables.items()
     }
+
+
+def _metered_series(system, tables, recorder, meter):
+    """``_series`` observed by ``recorder``, with every attempt's result
+    fed to ``meter``: one mitigation state per table's attempt stream, as
+    in ``login_attempt_times``."""
+    series = {}
+    for valid, table in tables.items():
+        mitigation = MitigationState()
+        times = series[valid] = []
+        for username, password in zip(table.usernames, table.passwords):
+            result = system.run(table, username, password,
+                                hardware=HARDWARE, mitigation=mitigation,
+                                recorder=recorder)
+            meter.observe(result)
+            times.append(result.time)
+    return series
 
 
 def _run_experiment():
@@ -67,12 +83,12 @@ def _run_experiment():
     # the meter counts distinct mitigation-deadline sequences across all
     # 3 x 100 attempts and checks them against the static Theorem 2 bound.
     meter = DynamicLeakageMeter(mitigated.lattice)
-    metrics_recorder = RecordingTraceRecorder(meter=meter)
+    metrics_recorder = RecordingTraceRecorder()
     # Epoch-granularity spans keep the 3 x 100-attempt timeline compact:
     # one Perfetto track per attempt, one child span per mitigate epoch.
     span_recorder = SpanRecorder(detail="epochs")
     recorder = TeeRecorder(metrics_recorder, span_recorder)
-    lower = _series(mitigated, tables, recorder=recorder)
+    lower = _metered_series(mitigated, tables, recorder, meter)
     return (tables, upper, lower, budget, metrics_recorder, meter,
             span_recorder)
 

@@ -11,8 +11,8 @@ it into a multi-pass *lint engine* that reports every finding in one run:
   side condition and continues with the rule's natural recovery label;
 * :mod:`.cfg` -- the control-flow graph builder (basic blocks with spans,
   branch/loop/mitigate edges, constant-pruned reachability);
-* :mod:`.dataflow` -- a generic forward/backward worklist solver with
-  reaching definitions, live variables, and constant propagation;
+* :mod:`.dataflow` -- a generic forward worklist solver with reaching
+  definitions and constant propagation;
 * :mod:`.flows` -- the timing-dependence graph (which sources influence
   each command's start time, mirroring T-ASGN/T-IF/T-WHILE) and the
   source->sink path explanations behind ``repro lint --explain``;
@@ -42,7 +42,6 @@ from .cfg import CFG, build_cfg, cfg_to_dot, reachable_commands
 from .collector import CollectingTypeChecker, collect_typing_diagnostics
 from .dataflow import (
     ConstantPropagation,
-    LiveVariables,
     ReachingDefinitions,
     Solution,
     solve,
@@ -78,7 +77,6 @@ __all__ = [
     "LeakageAudit",
     "LintOptions",
     "LintResult",
-    "LiveVariables",
     "MitigateSite",
     "QuantifyReport",
     "RULES",

@@ -1,20 +1,18 @@
 """A small generic dataflow engine over the CFG.
 
-:func:`solve` runs a worklist fixpoint for any :class:`Problem`: forward
-or backward, with problem-supplied join and per-command transfer
-functions.  Facts start *unreached* (``None``) and only reached
+:func:`solve` runs a forward worklist fixpoint for any :class:`Problem`,
+with problem-supplied join and per-command transfer functions.  Facts start *unreached* (``None``) and only reached
 predecessors are joined, which keeps optimistic analyses (constant
 propagation) precise: an unreached branch contributes nothing.  All the
 lattices here are finite (per-program variable sets, constants with a
 two-step per-variable chain) and the transfers monotone, so the fixpoint
 terminates.
 
-Three classic problem instances ship with the engine:
+Two classic problem instances ship with the engine:
 
 * :class:`ReachingDefinitions` -- which ``(variable, node_id)`` definitions
   may reach each point; powers the step-by-step flow paths of
   ``repro lint --explain`` (:mod:`repro.analysis.flows`);
-* :class:`LiveVariables` -- backward liveness;
 * :class:`ConstantPropagation` -- which variables are provably constant;
   powers constant-pruned reachability (:func:`repro.analysis.cfg.
   reachable_commands`), the TL018 constant-secret-branch lint, and the
@@ -24,9 +22,7 @@ Three classic problem instances ship with the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
-)
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..lang import ast
 from ..semantics.core import _apply as _apply_binop
@@ -36,20 +32,17 @@ Fact = Any
 
 
 class Problem:
-    """One dataflow problem: direction, boundary/join, and transfer."""
-
-    #: "forward" or "backward".
-    direction: str = "forward"
+    """One forward dataflow problem: boundary, join and transfer."""
 
     def boundary(self) -> Fact:
-        """The fact at the entry (forward) or exit (backward) block."""
+        """The fact at the entry block."""
         raise NotImplementedError
 
     def join(self, a: Fact, b: Fact) -> Fact:
         raise NotImplementedError
 
     def transfer(self, cmd: ast.LabeledCommand, fact: Fact) -> Fact:
-        """The fact after evaluating one command (in flow direction)."""
+        """The fact after evaluating one command."""
         raise NotImplementedError
 
 
@@ -57,9 +50,9 @@ class Problem:
 class Solution:
     """Per-block facts plus per-command replay.
 
-    ``block_in``/``block_out`` are in *flow* direction: for a backward
-    problem ``block_in`` holds the fact after the block's last command.
-    ``None`` means the block was never reached.
+    ``block_in``/``block_out`` hold the facts before the block's first
+    command and after its last; ``None`` means the block was never
+    reached.
     """
 
     problem: Problem
@@ -68,26 +61,21 @@ class Solution:
     block_out: Dict[int, Optional[Fact]]
 
     def before(self, node_id: int) -> Optional[Fact]:
-        """The fact just before a command evaluates (program order for
-        forward problems; for backward problems, the fact *after* it in
-        program order -- i.e. before it in flow order)."""
+        """The fact just before a command evaluates."""
         block_id = self.cfg.block_of.get(node_id)
         if block_id is None:
             return None
         fact = self.block_in[block_id]
         if fact is None:
             return None
-        commands = self.cfg.blocks[block_id].commands
-        if self.problem.direction == "backward":
-            commands = tuple(reversed(commands))
-        for cmd in commands:
+        for cmd in self.cfg.blocks[block_id].commands:
             if cmd.node_id == node_id:
                 return fact
             fact = self.problem.transfer(cmd, fact)
         raise KeyError(f"node {node_id} not in block {block_id}")
 
     def after(self, node_id: int) -> Optional[Fact]:
-        """The fact just after a command evaluates (in flow direction)."""
+        """The fact just after a command evaluates."""
         fact = self.before(node_id)
         if fact is None:
             return None
@@ -99,29 +87,14 @@ class Solution:
 
 
 def _transfer_block(problem: Problem, block: BasicBlock, fact: Fact) -> Fact:
-    commands = block.commands
-    if problem.direction == "backward":
-        commands = tuple(reversed(commands))
-    for cmd in commands:
+    for cmd in block.commands:
         fact = problem.transfer(cmd, fact)
     return fact
 
 
 def solve(cfg: CFG, problem: Problem) -> Solution:
     """Worklist fixpoint of ``problem`` over ``cfg``."""
-    forward = problem.direction == "forward"
-    start = cfg.entry if forward else cfg.exit
-
-    def flow_preds(bid: int) -> List[int]:
-        if forward:
-            return [e.src for e in cfg.predecessors(bid)]
-        return [e.dst for e in cfg.successors(bid)]
-
-    def flow_succs(bid: int) -> List[int]:
-        if forward:
-            return [e.dst for e in cfg.successors(bid)]
-        return [e.src for e in cfg.predecessors(bid)]
-
+    start = cfg.entry
     block_in: Dict[int, Optional[Fact]] = {b: None for b in cfg.blocks}
     block_out: Dict[int, Optional[Fact]] = {b: None for b in cfg.blocks}
     block_in[start] = problem.boundary()
@@ -129,8 +102,8 @@ def solve(cfg: CFG, problem: Problem) -> Solution:
     work = [start]
     while work:
         bid = work.pop(0)
-        incoming = [block_out[p] for p in flow_preds(bid)
-                    if block_out[p] is not None]
+        incoming = [block_out[e.src] for e in cfg.predecessors(bid)
+                    if block_out[e.src] is not None]
         fact = block_in[bid] if bid == start else None
         for other in incoming:
             fact = other if fact is None else problem.join(fact, other)
@@ -141,9 +114,9 @@ def solve(cfg: CFG, problem: Problem) -> Solution:
         if block_out[bid] is not None and out == block_out[bid]:
             continue
         block_out[bid] = out
-        for succ in flow_succs(bid):
-            if succ not in work:
-                work.append(succ)
+        for edge in cfg.successors(bid):
+            if edge.dst not in work:
+                work.append(edge.dst)
     return Solution(problem=problem, cfg=cfg,
                     block_in=block_in, block_out=block_out)
 
@@ -174,13 +147,6 @@ def eval_const(
     return None  # ArrayRead: memory is not tracked
 
 
-def _reads(cmd: ast.LabeledCommand) -> FrozenSet[str]:
-    """Variables whose values the command reads in its own step."""
-    return frozenset().union(
-        *(expr.variables() for expr in ast.step_exprs(cmd))
-    )
-
-
 # -- reaching definitions ------------------------------------------------------
 
 #: One definition: (variable name, node_id of the defining command).
@@ -189,8 +155,6 @@ Definition = Tuple[str, int]
 
 class ReachingDefinitions(Problem):
     """Which definitions may reach each program point (forward, may)."""
-
-    direction = "forward"
 
     def boundary(self) -> FrozenSet[Definition]:
         return frozenset()
@@ -217,28 +181,6 @@ class ReachingDefinitions(Problem):
         return frozenset(node for var, node in fact if var == name)
 
 
-# -- live variables ------------------------------------------------------------
-
-
-class LiveVariables(Problem):
-    """Which variables may still be read later (backward, may)."""
-
-    direction = "backward"
-
-    def boundary(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-        return a | b
-
-    def transfer(self, cmd: ast.LabeledCommand,
-                 fact: FrozenSet[str]) -> FrozenSet[str]:
-        if isinstance(cmd, ast.Assign):
-            return (fact - {cmd.target}) | cmd.expr.variables()
-        # Array stores are weak updates: the array stays live.
-        return fact | _reads(cmd)
-
-
 # -- constant propagation ------------------------------------------------------
 
 #: The fact is an immutable mapping var -> known constant; a variable
@@ -261,8 +203,6 @@ class ConstantPropagation(Problem):
     about *values*, not labels.  A secret assigned a constant is still a
     constant -- that mismatch is exactly what TL018 reports.
     """
-
-    direction = "forward"
 
     def boundary(self) -> Constants:
         return ()  # nothing known at entry: every input is NAC

@@ -10,7 +10,6 @@ unreachable commands).  Each rule is a generator over a shared
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 

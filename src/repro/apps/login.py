@@ -346,13 +346,11 @@ def login_attempt_times(
     hardware: str = "partitioned",
     params: Optional[MachineParams] = None,
     correct_password: bool = True,
-    recorder: Optional[TraceRecorder] = None,
 ) -> List[int]:
     """Fig. 7's measurement: login time for each attempt in the stream.
 
     A single mitigation state persists across attempts, modeling the
-    long-running server the paper measures.  An optional ``recorder``
-    observes every attempt (one telemetry "run" per login).
+    long-running server the paper measures.
     """
     times = []
     mitigation = MitigationState()
@@ -365,7 +363,6 @@ def login_attempt_times(
         result = system.run(
             credentials, username, password,
             hardware=hardware, params=params, mitigation=mitigation,
-            recorder=recorder,
         )
         times.append(result.time)
     return times

@@ -283,19 +283,16 @@ def decryption_times(
     messages: List[List[int]],
     hardware: str = "partitioned",
     params: Optional[MachineParams] = None,
-    recorder: Optional[TraceRecorder] = None,
 ) -> List[List[int]]:
     """Fig. 8's measurement: per-key series of decryption times over a
-    shared message stream (each message is encrypted under each key).  An
-    optional ``recorder`` observes every decryption (one telemetry "run"
-    per message and key)."""
+    shared message stream (each message is encrypted under each key)."""
     out = []
     for key in keys:
         series = []
         for message in messages:
             cipher = encrypt_blocks(message, key)
             result = system.run(key, cipher, hardware=hardware,
-                                params=params, recorder=recorder)
+                                params=params)
             series.append(result.time)
         out.append(series)
     return out

@@ -431,19 +431,22 @@ def _emit_findings(args, findings, bad_input: bool, lines, doc) -> int:
 class _Telemetry:
     """The telemetry sinks a `run`, `serve` or `leakage` asked for.
 
-    ``meter`` (a :class:`DynamicLeakageMeter`) is kept, behind a metrics
-    recorder, when ``--trace`` or ``--metrics-out`` wants it; spans and a
-    JSONL journal follow ``--trace-out``/``--journal-out``, a profiler
-    ``--profile``/``--prom-out``.  Pass :attr:`recorder` (all of them, or
-    ``None``) to the run, then call :meth:`finish`.
+    A ``metered`` command (`run`, `leakage`) gets a metrics recorder when
+    ``--trace`` or ``--metrics-out`` wants it, and reports its
+    :attr:`meter` (a :class:`DynamicLeakageMeter` it feeds itself) beside
+    it; spans and a JSONL journal follow ``--trace-out``/
+    ``--journal-out``, a profiler ``--profile``/``--prom-out``.  Pass
+    :attr:`recorder` (all of them, or ``None``) to the run, set
+    :attr:`meter`, then call :meth:`finish`.
     """
 
-    def __init__(self, args, meter: Optional[DynamicLeakageMeter] = None):
+    def __init__(self, args, metered: bool = False):
         self.args = args
         wants_metrics = getattr(args, "trace", False) or args.metrics_out
-        self.meter = meter if wants_metrics else None
-        self.metrics = (RecordingTraceRecorder(meter=self.meter)
-                        if self.meter is not None else None)
+        self.metrics = (RecordingTraceRecorder()
+                        if metered and wants_metrics else None)
+        #: The command's leakage meter; reported only beside ``metrics``.
+        self.meter: Optional[DynamicLeakageMeter] = None
         trace_out = getattr(args, "trace_out", None)
         journal_out = getattr(args, "journal_out", None)
         self.journal = EventJournal(journal_out) if journal_out else None
@@ -460,7 +463,7 @@ class _Telemetry:
     @property
     def ok(self) -> bool:
         """False when the leakage meter saw its static bound exceeded."""
-        return self.meter is None or self.meter.holds()
+        return self.metrics is None or self.meter.holds()
 
     def document(self) -> dict:
         """The metrics recorder's ``repro.telemetry/1`` document."""
@@ -480,7 +483,7 @@ class _Telemetry:
         if self.profiling and args.prom_out:
             _emit(prometheus_exposition(profiler.as_dict()), args.prom_out,
                   f"prometheus exposition written to {args.prom_out}", say)
-        if meter is not None and args.trace:
+        if self.metrics is not None and args.trace:
             say("telemetry:")
             for line in self.metrics.registry.summary_lines():
                 say(f"  {line}")
@@ -861,8 +864,9 @@ def cmd_run(args) -> int:
     """`run`: execute on a hardware model; print time/events/mitigations,
     then the requested telemetry (docs/TELEMETRY.md)."""
     compiled, config = _compiled(args, check=not args.unchecked)
-    sinks = _Telemetry(args, DynamicLeakageMeter(
-        compiled.lattice, adversary=config.adversary))
+    sinks = _Telemetry(args, metered=True)
+    meter = sinks.meter = DynamicLeakageMeter(compiled.lattice,
+                                              adversary=config.adversary)
     mitigation = MitigationState(
         scheme=make_scheme(args.scheme), policy=args.penalty
     )
@@ -878,6 +882,7 @@ def cmd_run(args) -> int:
     except INPUT_ERRORS:
         sinks.write_files()  # what the steps taken recorded
         raise
+    meter.observe(result)
     print(f"time: {result.time} cycles ({result.steps} steps)")
     if result.events:
         print("events:")
@@ -964,24 +969,23 @@ def cmd_leakage(args) -> int:
     adversary = config.adversary or lattice.bottom
     levels = [compiled.gamma[args.secret]]
     env = make_hardware(args.hardware, lattice, paper_machine())
-    sinks = _Telemetry(args, DynamicLeakageMeter(lattice, levels=levels,
-                                                 adversary=adversary))
+    sinks = _Telemetry(args, metered=True)
     validate_variants(base, variants, compiled.gamma, lattice, levels,
                       adversary)
     runs = list(sweep(compiled.program, base, env, variants,
                       mitigate_pc=compiled.typing.mitigate_pc,
                       recorder=sinks.recorder))
     q = fold_leakage(runs, compiled.gamma, adversary)
-    v = fold_variations(runs, lattice, levels, adversary)
+    v = sinks.meter = fold_variations(runs, lattice, levels, adversary)
     theorem2 = Theorem2Result(leakage=q, variations=v)
     worst = q.latest_event_time
     bound = leakage_bound(lattice, levels, adversary, worst,
-                          relevant_mitigations=len(
-                              next(iter(v.id_vectors), ())))
+                          relevant_mitigations=v.max_relevant_per_run)
     print(f"secrets: {args.secret} in [{lo}, {hi})  adversary: {adversary}")
     print(f"Q        = {q.bits:.3f} bits "
           f"({q.distinguishable} distinguishable observations)")
-    print(f"log|V|   = {v.bits:.3f} bits ({v.count} timing variations)")
+    print(f"log|V|   = {v.observed_bits:.3f} bits "
+          f"({v.observed_variations} timing variations)")
     print(f"bound    = {bound:.3f} bits  (T={worst})")
     print(f"Theorem 2 {'holds' if theorem2.holds else 'VIOLATED'}")
     sinks.finish({**sinks.document(), "sweep": {
@@ -990,8 +994,8 @@ def cmd_leakage(args) -> int:
         "adversary": adversary.name,
         "q_bits": q.bits,
         "distinguishable": q.distinguishable,
-        "variation_bits": v.bits,
-        "variation_count": v.count,
+        "variation_bits": v.observed_bits,
+        "variation_count": v.observed_variations,
         "bound_bits": bound,
         "theorem2_holds": theorem2.holds,
     }} if args.metrics_out else None)

@@ -19,7 +19,6 @@ from .leakage import (
 )
 from .variations import (
     Theorem2Result,
-    VariationResult,
     check_low_determinism,
     fold_variations,
     timing_variations,
@@ -30,7 +29,6 @@ __all__ = [
     "LeakageResult",
     "Theorem2Result",
     "VariantError",
-    "VariationResult",
     "check_low_determinism",
     "doubling_duration_count",
     "fold_leakage",

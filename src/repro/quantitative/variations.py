@@ -14,7 +14,9 @@ bounds Definition 1's leakage by ``log2`` of the number of distinct duration
 vectors.  All three are folds over one :func:`~.leakage.sweep` of a variant
 family, each projecting the mitigate vectors with ``project_mitigations``:
 
-* :func:`timing_variations` -- Definition 2 over a variant family;
+* :func:`fold_variations` / :func:`timing_variations` -- Definition 2: a
+  :class:`~repro.telemetry.leakage.DynamicLeakageMeter` (the one
+  Definition 2 implementation) fed each run's result;
 * :func:`check_low_determinism` -- Lemma 1 as a checker;
 * :func:`verify_theorem2` -- folds Definitions 1 and 2 over the same runs
   and confirms ``Q <= log2 |V|``.
@@ -22,44 +24,16 @@ family, each projecting the mitigate vectors with ``project_mitigations``:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from ..lang import ast
 from ..lattice import Label, Lattice
 from ..machine.memory import Memory
 from ..hardware.interface import MachineEnvironment
-from ..semantics.events import (
-    mitigation_ids,
-    mitigation_times,
-    project_mitigations,
-)
+from ..semantics.events import mitigation_ids, project_mitigations
+from ..telemetry.leakage import DynamicLeakageMeter
 from .leakage import LeakageResult, Run, fold_leakage, sweep, validate_variants
-
-
-@dataclass
-class VariationResult:
-    """The outcome of a Definition 2 measurement."""
-
-    variations: Set[Tuple[int, ...]]
-    id_vectors: Set[Tuple[str, ...]]
-    runs: int
-
-    @property
-    def count(self) -> int:
-        """``|V|``: the number of distinct duration vectors."""
-        return len(self.variations)
-
-    @property
-    def bits(self) -> float:
-        """``log2 |V|`` -- Theorem 2's leakage bound."""
-        return math.log2(self.count) if self.count else 0.0
-
-    def __str__(self) -> str:
-        return (
-            f"|V| = {self.count} ({self.bits:.3f} bits) over {self.runs} runs"
-        )
 
 
 def fold_variations(
@@ -67,26 +41,15 @@ def fold_variations(
     lattice: Lattice,
     levels: Iterable[Label],
     adversary: Label,
-) -> VariationResult:
-    """Definition 2 over a sweep: the distinct duration and id vectors of
-    the mitigate commands with ``pc(M) not in L^`` (no pc label counts as
-    low, the conservative direction) and ``lev(M) in L^``."""
-    upward = lattice.upward_closure(
-        lattice.exclude_observable(levels, adversary)
-    )
-    variations: Set[Tuple[int, ...]] = set()
-    id_vectors: Set[Tuple[str, ...]] = set()
-    count = 0
+) -> DynamicLeakageMeter:
+    """Definition 2 over a sweep: a meter fed each run's result, holding
+    the distinct duration and id vectors of the mitigate commands with
+    ``pc(M) not in L^`` (no pc label counts as low, the conservative
+    direction) and ``lev(M) in L^``."""
+    meter = DynamicLeakageMeter(lattice, levels, adversary)
     for _, result in runs:
-        relevant = project_mitigations(
-            result.mitigations, pc_not_in=upward, level_in=upward
-        )
-        variations.add(mitigation_times(relevant))
-        id_vectors.add(mitigation_ids(relevant))
-        count += 1
-    return VariationResult(
-        variations=variations, id_vectors=id_vectors, runs=count
-    )
+        meter.observe(result)
+    return meter
 
 
 def timing_variations(
@@ -101,7 +64,7 @@ def timing_variations(
     mitigate_pc: Mapping[str, Label] = None,
     max_steps: int = 10_000_000,
     recorder=None,
-) -> VariationResult:
+) -> DynamicLeakageMeter:
     """Measure ``V(L, lA, c, m, E)`` over an explicit variant family.
 
     Per Definition 2 the variants may range over the larger set ``L^_{lA}``
@@ -149,18 +112,18 @@ class Theorem2Result:
     """Both sides of Theorem 2 on one variant family."""
 
     leakage: LeakageResult
-    variations: VariationResult
+    variations: DynamicLeakageMeter
 
     @property
     def holds(self) -> bool:
         """Did ``Q <= log2 |V|`` hold on this family?"""
-        return self.leakage.bits <= self.variations.bits + 1e-9
+        return self.leakage.bits <= self.variations.observed_bits + 1e-9
 
     def __str__(self) -> str:
         verdict = "holds" if self.holds else "VIOLATED"
         return (
             f"Theorem 2 {verdict}: Q = {self.leakage.bits:.3f} bits "
-            f"<= log|V| = {self.variations.bits:.3f} bits"
+            f"<= log|V| = {self.variations.observed_bits:.3f} bits"
         )
 
 

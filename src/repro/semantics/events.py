@@ -50,7 +50,9 @@ class MitigationRecord:
     (the ``t`` component of the paper's vectors); ``end_time`` orders the
     vector by completion, as Sec. 6.3 prescribes.  ``pc_label`` is the static
     program-counter label at the command (``pc(M_eta)``), supplied by the
-    type checker; ``level`` is the mitigation level (``lev(M_eta)``).
+    type checker; ``level`` is the mitigation level (``lev(M_eta)``) and
+    ``estimate`` the evaluated initial estimate ``n`` the fast-doubling
+    corollary bounds the command's distinct durations by.
     """
 
     mit_id: str
@@ -58,6 +60,7 @@ class MitigationRecord:
     start_time: int
     end_time: int
     pc_label: Optional[Label] = None
+    estimate: int = 0
 
     @property
     def duration(self) -> int:

@@ -229,6 +229,7 @@ class _RunState:
                 start_time=start_time,
                 end_time=self.time,
                 pc_label=pc_label,
+                estimate=estimate,
             )
         )
         if recorder is not None:

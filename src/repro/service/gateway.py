@@ -21,8 +21,8 @@ and the pieces that make it *timing-safe* rather than merely functional:
   mispredictions inflate only A's predictions, so one tenant's ``Miss``
   trajectory can never become another tenant's timing oracle;
 * each tenant also owns a
-  :class:`~repro.telemetry.leakage.DynamicLeakageMeter`, fed one
-  deadline sequence per request, so the Theorem 2 account is kept *per
+  :class:`~repro.telemetry.leakage.DynamicLeakageMeter`, fed each
+  request's finished run, so the Theorem 2 account is kept *per
   tenant* end to end;
 * each tenant owns one hardware environment, reset to its constructed
   state before every request (the flush on a domain switch of time
@@ -190,7 +190,6 @@ class Gateway:
                 make_hardware(spec.hardware, handler.lattice))
             self._tenant_recorders[name] = combine(
                 RecordingTraceRecorder(registry=self.tenant_registries[name],
-                                       meter=self.meters[name],
                                        mirrors=(self.registry,)),
                 recorder,
             )
@@ -308,6 +307,7 @@ class Gateway:
                 self._tenant_recorders[tenant], environment,
             )
             wall_ns = perf_counter_ns() - started
+            self.meters[tenant].observe(result)
             completion = now + result.time
             release = self.policy.release_time(now, completion)
             self._push(completion, _FREE, None)

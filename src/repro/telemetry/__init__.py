@@ -17,9 +17,10 @@ Three pieces, designed to make the software/hardware timing contract
 * :class:`~repro.telemetry.metrics.MetricsRegistry` -- counters, gauges,
   histograms, and ordered series with a stable JSON export
   (schema ``repro.telemetry/1``).
-* :class:`~repro.telemetry.leakage.DynamicLeakageMeter` -- live Theorem 2
-  accounting: counts distinct observed mitigation-deadline sequences and
-  checks them against the static Sec. 7 bound.
+* :class:`~repro.telemetry.leakage.DynamicLeakageMeter` -- Definition 2
+  and the dynamic side of Theorem 2: fed each finished run, it counts the
+  distinct relevant mitigation-deadline sequences and checks them against
+  the static Sec. 7 bound.
 
 On top of the raw stream sit the execution timelines
 (:mod:`repro.telemetry.spans`: hierarchical spans plus the streaming

@@ -1,24 +1,25 @@
-"""Dynamic leakage accounting: Theorem 2 checked against live runs.
+"""Definition 2 and Theorem 2's dynamic side: the leakage meter.
 
 The static side of Theorem 2 lives in :mod:`repro.quantitative.bounds`:
 after elapsed time ``T`` with ``K`` relevant mitigate executions, at most
 ``|L^| * log2(K+1) * (1 + log2 T)`` bits can leak, because the observable
 duration vectors of the relevant mitigations can take at most that many
-distinct values (log-scale).  The :class:`DynamicLeakageMeter` measures the
-*dynamic* side: it watches every completed ``mitigate`` during execution,
-keeps the deadline (padded-duration) sequence of each run's relevant
-mitigations, and counts how many *distinct* sequences have actually been
-observed.  ``log2`` of that count can never exceed the static bound; the
-meter makes the inequality executable (:meth:`DynamicLeakageMeter.holds`)
-and raises :class:`LeakageBoundViolation` on demand when it fails
+distinct values (log-scale).  The :class:`DynamicLeakageMeter` is the
+*measured* side and the repo's one Definition 2 implementation: fed one
+finished :class:`~repro.semantics.full.ExecutionResult` at a time
+(:meth:`DynamicLeakageMeter.observe`), it keeps the distinct duration and
+id vectors of each run's relevant mitigations.  ``log2`` of the number of
+distinct duration vectors is Definition 2's ``log|V|``, which can never
+exceed the static bound; the meter makes the inequality executable
+(:meth:`DynamicLeakageMeter.holds`) and raises
+:class:`LeakageBoundViolation` on demand when it fails
 (:meth:`DynamicLeakageMeter.assert_within_bound`).
 
-Relevance follows Definition 2 exactly (the projection
-:func:`repro.quantitative.variations.fold_variations` makes with
-:func:`repro.semantics.events.project_mitigations`): a completed
-mitigation matters when its static ``pc`` label lies *outside* the upward
-closure ``L^`` of the varied levels (low context) while its mitigation
-level lies *inside* (high level).
+Relevance follows Definition 2 exactly, through
+:func:`repro.semantics.events.project_mitigations`: a completed mitigation
+matters when its static ``pc`` label lies *outside* the upward closure
+``L^`` of the varied levels (low context; no label counts as low) while
+its mitigation level lies *inside* (high level).
 
 For the default fast-doubling scheme the meter additionally checks the
 per-command corollary: one mitigate command with initial estimate ``n``
@@ -33,6 +34,11 @@ import math
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..lattice import Label, Lattice
+from ..semantics.events import (
+    mitigation_ids,
+    mitigation_times,
+    project_mitigations,
+)
 
 #: Numeric slack for comparing measured bits against closed-form bounds.
 EPSILON = 1e-9
@@ -43,7 +49,8 @@ class LeakageBoundViolation(AssertionError):
 
 
 class DynamicLeakageMeter:
-    """Counts observed mitigation-deadline sequences against Theorem 2.
+    """Definition 2's timing variations, fed one finished run at a time,
+    checked against Theorem 2.
 
     Parameters
     ----------
@@ -72,10 +79,11 @@ class DynamicLeakageMeter:
         self.upward = lattice.upward_closure(
             lattice.exclude_observable(self.levels, self.adversary)
         )
-        #: Distinct relevant deadline sequences observed across runs.
-        self.sequences: Set[Tuple[int, ...]] = set()
-        #: Deadline sequence of the run in progress.
-        self._current: List[int] = []
+        #: ``V``: the distinct duration vectors of the relevant mitigations.
+        self.variations: Set[Tuple[int, ...]] = set()
+        #: The distinct id vectors of the relevant mitigations (one, for a
+        #: well-typed program: Lemma 1).
+        self.id_vectors: Set[Tuple[str, ...]] = set()
         #: Per-mitigate-command distinct padded durations (relevant only).
         self._per_command: Dict[str, Set[int]] = {}
         #: Smallest initial estimate seen per command (doubling corollary).
@@ -84,47 +92,37 @@ class DynamicLeakageMeter:
         self.max_relevant_per_run = 0
         self.runs = 0
 
-    # -- feeding (called by the recorder) -------------------------------------
-
-    def observe(
-        self,
-        mit_id: str,
-        level: Label,
-        estimate: int,
-        duration: int,
-        pc_label: Optional[Label],
-    ) -> None:
-        """One completed mitigation; ``duration`` is the padded total."""
-        in_low_context = pc_label is None or pc_label not in self.upward
-        if not (in_low_context and level in self.upward):
-            return
-        self._current.append(duration)
-        self._per_command.setdefault(mit_id, set()).add(duration)
-        prior = self._estimates.get(mit_id)
-        if prior is None or estimate < prior:
-            self._estimates[mit_id] = estimate
-
-    def end_run(self, final_time: int) -> None:
-        """Close the current run's sequence (hooked to ``on_finish``)."""
-        self.sequences.add(tuple(self._current))
-        self.max_relevant_per_run = max(
-            self.max_relevant_per_run, len(self._current)
+    def observe(self, result) -> None:
+        """Fold one finished run (an ``ExecutionResult``) into the
+        account: its relevant mitigations' duration and id vectors, its
+        final clock and the per-command durations and estimates."""
+        relevant = project_mitigations(
+            result.mitigations, pc_not_in=self.upward, level_in=self.upward
         )
-        self._current = []
-        self.max_final_time = max(self.max_final_time, final_time)
+        self.variations.add(mitigation_times(relevant))
+        self.id_vectors.add(mitigation_ids(relevant))
         self.runs += 1
+        self.max_final_time = max(self.max_final_time, result.time)
+        self.max_relevant_per_run = max(self.max_relevant_per_run,
+                                        len(relevant))
+        for record in relevant:
+            mit_id = record.mit_id
+            self._per_command.setdefault(mit_id, set()).add(record.duration)
+            prior = self._estimates.get(mit_id)
+            if prior is None or record.estimate < prior:
+                self._estimates[mit_id] = record.estimate
 
     # -- accounting ------------------------------------------------------------
 
     @property
     def observed_variations(self) -> int:
-        """Distinct relevant deadline sequences observed so far (``|V|``
-        measured from below)."""
-        return len(self.sequences)
+        """``|V|``: the distinct relevant duration vectors observed so far
+        (measured from below)."""
+        return len(self.variations)
 
     @property
     def observed_bits(self) -> float:
-        """``log2`` of the observed variation count."""
+        """``log2 |V|`` -- Theorem 2's leakage bound on the runs seen."""
         count = self.observed_variations
         return math.log2(count) if count else 0.0
 

@@ -29,8 +29,7 @@ The hooks mirror the layers of the full semantics:
   raised instead.
 
 The sinks are :class:`RecordingTraceRecorder` (aggregates into a
-:class:`~repro.telemetry.metrics.MetricsRegistry` and optionally a
-:class:`~repro.telemetry.leakage.DynamicLeakageMeter`),
+:class:`~repro.telemetry.metrics.MetricsRegistry`),
 :class:`~repro.telemetry.spans.SpanRecorder` (timelines) and
 :class:`~repro.telemetry.profiling.Profiler` (cycle/wall attribution).
 :class:`TeeRecorder` is the one fan-out: it subscribes each child only to
@@ -52,7 +51,6 @@ from typing import Any, Mapping, Optional, Sequence, TYPE_CHECKING
 from ..lattice import Label
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .leakage import DynamicLeakageMeter
     from .metrics import MetricsRegistry
 
 
@@ -148,8 +146,7 @@ HOOKS = tuple(name for name in vars(TraceRecorder) if name.startswith("on_"))
 
 
 class RecordingTraceRecorder(TraceRecorder):
-    """A recorder that aggregates into a metrics registry and, optionally,
-    a dynamic leakage meter.
+    """A recorder that aggregates into a metrics registry.
 
     It takes no ``on_step``: charged steps reach the ``steps.*``,
     ``cycles.machine`` and ``hw.*`` counters once per run, through
@@ -160,10 +157,6 @@ class RecordingTraceRecorder(TraceRecorder):
     registry:
         The :class:`~repro.telemetry.metrics.MetricsRegistry` to fill; a
         fresh one is created when omitted.
-    meter:
-        An optional :class:`~repro.telemetry.leakage.DynamicLeakageMeter`;
-        completed mitigations are fed to it and each :meth:`on_finish`
-        closes one observed deadline sequence.
     mirrors:
         Further registries that receive every write made to ``registry``
         (the gateway's aggregate beside each tenant's own).
@@ -172,7 +165,6 @@ class RecordingTraceRecorder(TraceRecorder):
     def __init__(
         self,
         registry: Optional["MetricsRegistry"] = None,
-        meter: Optional["DynamicLeakageMeter"] = None,
         mirrors: Sequence["MetricsRegistry"] = (),
     ):
         if registry is None:
@@ -180,7 +172,6 @@ class RecordingTraceRecorder(TraceRecorder):
 
             registry = MetricsRegistry()
         self.registry = registry
-        self.meter = meter
         self._registries = (registry, *mirrors)
 
     # -- interpreter-level hooks --------------------------------------------
@@ -206,8 +197,6 @@ class RecordingTraceRecorder(TraceRecorder):
         for reg in self._registries:
             reg.inc("runs")
             reg.inc("cycles.final", result.time)
-        if self.meter is not None:
-            self.meter.end_run(result.time)
 
     # -- mitigation-runtime hooks -------------------------------------------
 
@@ -245,10 +234,6 @@ class RecordingTraceRecorder(TraceRecorder):
             reg.inc(f"site.{mit_id}.completions")
             reg.inc(f"site.{mit_id}.cycles", padded)
             reg.inc(f"site.{mit_id}.padding", padding)
-        if self.meter is not None:
-            self.meter.observe(
-                mit_id, level, estimate, padded, pc_label
-            )
 
 
 class TeeRecorder(TraceRecorder):

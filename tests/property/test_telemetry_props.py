@@ -110,20 +110,19 @@ def test_dynamic_leakage_within_static_bound(seed):
                 variant.write(name, (k * 5 + len(name)) % 7)
         variants.append(variant)
 
-    # One long-lived meter across all runs; each execute() closes one
-    # observed deadline sequence (Lemma 1 makes their *identities* agree
-    # across the low-equivalent variants, so only durations can differ).
+    # One long-lived meter across all runs, fed each execute()'s result
+    # (Lemma 1 makes the relevant mitigations' *identities* agree across
+    # the low-equivalent variants, so only durations can differ).
     meter = DynamicLeakageMeter(LAT)
-    recorder = RecordingTraceRecorder(meter=meter)
     for variant in variants:
-        execute(
+        meter.observe(execute(
             program,
             variant.copy(),
             PartitionedHardware(LAT, tiny_machine()),
             mitigation=MitigationState(),
             mitigate_pc=info.mitigate_pc,
-            recorder=recorder,
-        )
+        ))
     assert meter.runs == len(variants)
+    assert len(meter.id_vectors) == 1
     assert meter.observed_variations >= 1
     meter.assert_within_bound()

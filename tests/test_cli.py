@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -479,6 +481,30 @@ class TestLeakage:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Q        = 3.000 bits" in out
+
+    def test_bound_does_not_follow_hash_order(self, tmp_path):
+        # A loop completes one mitigation per iteration, so the secret
+        # varies the relevant id vectors.  The bound's K is the largest
+        # relevant count per run (3 here), not the length of whichever id
+        # vector a set of strings yields first, so the output is the same
+        # at every hash seed.
+        (tmp_path / "loop.tl").write_text(
+            "// gamma: h=H, l=L\n"
+            "while h > 0 do { mitigate (1, H) { h := h - 1 } }; l := 1\n")
+        src = os.path.join(REPO_ROOT, "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        outs = []
+        for seed in ("1", "4"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "leakage", "loop.tl",
+                 "--secret", "h", "--values", "0..4", "--unchecked"],
+                cwd=tmp_path, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert "bound    = 18.617 bits" in outs[0]
 
 
 class TestServe:

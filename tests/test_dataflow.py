@@ -10,7 +10,6 @@ from repro.analysis.cfg import (
 )
 from repro.analysis.dataflow import (
     ConstantPropagation,
-    LiveVariables,
     ReachingDefinitions,
     eval_const,
     solve,
@@ -153,19 +152,6 @@ class TestSolver:
         sol = solve(cfg, ReachingDefinitions())
         use = assign_to(program, "x")
         assert len(sol.problem.of(sol.before(use.node_id), "a")) == 2
-
-    def test_live_variables_backward(self):
-        program = parse("x := 1;\ny := 2;\nz := x\n")
-        cfg = build_cfg(program)
-        sol = solve(cfg, LiveVariables())
-        first = assign_to(program, "x")
-        live_after_first = sol.before(first.node_id)  # flow order: after
-        assert "x" in live_after_first  # read by z := x below
-        # The definition kills its own liveness going further back.
-        assert "x" not in sol.problem.transfer(first, live_after_first)
-        # y is dead everywhere: assigned, never read.
-        second = assign_to(program, "y")
-        assert "y" not in sol.before(second.node_id)
 
     def test_constants_propagate_through_assignments(self):
         program = parse("x := 2;\ny := x + 3;\nz := y\n")

@@ -164,4 +164,4 @@ class TestChainEndToEnd:
             mitigate_pc=cp.typing.mitigate_pc,
         )
         assert result.holds
-        assert 0 < result.leakage.bits <= result.variations.bits
+        assert 0 < result.leakage.bits <= result.variations.observed_bits

@@ -147,7 +147,7 @@ class TestDefinition2AndTheorem2:
             cp.program, LAT, [H], L, base, NullHardware(LAT), variants,
             mitigate_pc=cp.typing.mitigate_pc,
         )
-        assert 1 < v.count <= 6
+        assert 1 < v.observed_variations <= 6
         assert len(v.id_vectors) == 1  # Lemma 1: ids are low-deterministic
 
     def test_theorem2_holds_exhaustively(self):
@@ -171,7 +171,7 @@ class TestDefinition2AndTheorem2:
             PartitionedHardware(LAT, tiny_machine()), variants,
             mitigate_pc=cp.typing.mitigate_pc,
         )
-        assert result.variations.count == 1
+        assert result.variations.observed_variations == 1
         assert result.leakage.bits == 0.0
         assert result.holds
 

@@ -33,6 +33,7 @@ from repro.hardware import PartitionedHardware, make_hardware, tiny_machine
 from repro.hardware.registry import REGISTRY as MODELS
 from repro.lang import DEFAULT_LATTICE
 from repro.semantics import full
+from repro.semantics.events import MitigationRecord
 from repro.semantics.full import Interpreter, execute
 from repro.semantics.mitigation import MitigationState
 from repro.telemetry import (
@@ -152,16 +153,16 @@ class TestNonInterference:
             memory = gen.memory()
             outputs = []
             for profiler in (None, Profiler()):
-                metrics = RecordingTraceRecorder(
-                    meter=DynamicLeakageMeter(LAT))
+                metrics = RecordingTraceRecorder()
+                meter = DynamicLeakageMeter(LAT)
                 journal = EventJournal()
                 regions = RegionRecorder()
                 result = _run(program, info, memory, TeeRecorder(
                     metrics, SpanRecorder(journal=journal), regions,
                     profiler))
+                meter.observe(result)
                 outputs.append((
-                    metrics.registry.as_dict(
-                        leakage=metrics.meter.as_dict()),
+                    metrics.registry.as_dict(leakage=meter.as_dict()),
                     journal.records(),
                     regions.mitigations,
                 ))
@@ -338,6 +339,19 @@ class TestMetricsRegistry:
         assert doc["leakage"] == {"within_bound": True}
 
 
+def _finished(time, *mitigations):
+    """A finished run ending at ``time`` whose completed mitigations are
+    ``(mit_id, level, estimate, duration, pc_label)``, back to back."""
+    records, start = [], 0
+    for mit_id, level, estimate, duration, pc_label in mitigations:
+        records.append(MitigationRecord(mit_id, level, start, start + duration,
+                                        pc_label, estimate))
+        start += duration
+    return full.ExecutionResult(memory=None, environment=None, time=time,
+                                event_records=(), mitigations=tuple(records),
+                                steps=0)
+
+
 class TestDynamicLeakageMeter:
     def _meter(self):
         return DynamicLeakageMeter(LAT)
@@ -345,29 +359,32 @@ class TestDynamicLeakageMeter:
     def test_relevance_filtering(self):
         meter = self._meter()
         high, low = LAT["H"], LAT["L"]
-        # Low-context high mitigation: relevant (Definition 2).
-        meter.observe("m1", high, 4, 8, low)
-        # High-context mitigation: projected away.
-        meter.observe("m2", high, 4, 16, high)
-        # Low-level mitigation: cannot carry the varied secrets.
-        meter.observe("m3", low, 4, 32, low)
-        meter.end_run(final_time=100)
-        assert meter.sequences == {(8,)}
+        meter.observe(_finished(
+            100,
+            # Low-context high mitigation: relevant (Definition 2).
+            ("m1", high, 4, 8, low),
+            # High-context mitigation: projected away.
+            ("m2", high, 4, 16, high),
+            # Low-level mitigation: cannot carry the varied secrets.
+            ("m3", low, 4, 32, low),
+        ))
+        assert meter.variations == {(8,)}
+        assert meter.id_vectors == {("m1",)}
         assert meter.max_relevant_per_run == 1
 
     def test_unknown_pc_counts_as_low_context(self):
         meter = self._meter()
-        meter.observe("m", LAT["H"], 4, 8, None)
-        meter.end_run(final_time=10)
-        assert meter.sequences == {(8,)}
+        meter.observe(_finished(10, ("m", LAT["H"], 4, 8, None)))
+        assert meter.variations == {(8,)}
 
     def test_observed_bits_and_bound(self):
         meter = self._meter()
         for duration in (8, 16, 32, 64):
-            meter.observe("m", LAT["H"], 8, duration, LAT["L"])
-            meter.end_run(final_time=duration + 10)
+            meter.observe(_finished(duration + 10,
+                                    ("m", LAT["H"], 8, duration, LAT["L"])))
         assert meter.observed_variations == 4
         assert meter.observed_bits == pytest.approx(2.0)
+        assert meter.id_vectors == {("m",)}
         # Two-point lattice, K=1, T=74: bound = 1 * log2(2) * (1 + log2 74).
         assert meter.static_bound_bits() == pytest.approx(
             1 + math.log2(74)
@@ -380,8 +397,7 @@ class TestDynamicLeakageMeter:
         # T = 1 makes the static bound 1 bit; three distinct sequences
         # claim log2(3) > 1 bits.
         for duration in (1, 2, 3):
-            meter.observe("m", LAT["H"], 1, duration, LAT["L"])
-            meter.end_run(final_time=1)
+            meter.observe(_finished(1, ("m", LAT["H"], 1, duration, LAT["L"])))
         assert not meter.holds()
         with pytest.raises(LeakageBoundViolation):
             meter.assert_within_bound()
@@ -390,17 +406,15 @@ class TestDynamicLeakageMeter:
         meter = self._meter()
         # Durations off the n*2^k schedule: more distinct values than the
         # fast-doubling scheme can produce within T.
-        for duration in (4, 5, 6, 7):
-            meter.observe("m", LAT["H"], 4, duration, LAT["L"])
-        meter.end_run(final_time=8)
+        meter.observe(_finished(8, *(("m", LAT["H"], 4, duration, LAT["L"])
+                                     for duration in (4, 5, 6, 7))))
         assert meter.doubling_violations()
         with pytest.raises(LeakageBoundViolation):
             meter.assert_within_bound(check_doubling=True)
 
     def test_as_dict(self):
         meter = self._meter()
-        meter.observe("m", LAT["H"], 4, 8, LAT["L"])
-        meter.end_run(final_time=20)
+        meter.observe(_finished(20, ("m", LAT["H"], 4, 8, LAT["L"])))
         doc = meter.as_dict()
         assert doc["within_bound"] is True
         assert doc["observed_variations"] == 1

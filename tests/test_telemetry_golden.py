@@ -167,8 +167,9 @@ def raised_registries(length: int, max_steps: int):
     with _fresh_ids():
         compiled = api.compile_program(RAISING,
                                        {"a": "L", "s": "L", "i": "L"})
+    # The run raises, so no result reaches the meter.
     meter = DynamicLeakageMeter(compiled.lattice)
-    sinks = (RecordingTraceRecorder(), RecordingTraceRecorder(meter=meter))
+    sinks = (RecordingTraceRecorder(), RecordingTraceRecorder())
     memory = {"a": list(range(1, length + 1)), "s": 0, "i": 0}
     with pytest.raises((EvaluationError, TimeoutError)) as error:
         compiled.run(memory, hardware="partitioned", max_steps=max_steps,
@@ -309,7 +310,7 @@ def test_run_that_raises_still_writes_its_metrics(tmp_path):
         compiled = api.compile_program((ROOT / DEMO[0]).read_text(),
                                        {"h": "H", "ready": "L"})
     meter = DynamicLeakageMeter(compiled.lattice)
-    recorder = RecordingTraceRecorder(meter=meter)
+    recorder = RecordingTraceRecorder()
     with pytest.raises(TimeoutError):
         compiled.run({"h": 9, "ready": 0}, hardware="partitioned",
                      params=cli.paper_machine(),
