@@ -15,7 +15,10 @@ the sha256 of every document either side writes for the shipped corpus
 * the same census per compiling program that has a mitigate, with every
   mitigate budget rewritten to 1 (the tuner's probe: the smallest
   budget fans each site out into the most deadline classes);
-* ``repro tune --bits-budget 0 --format json`` per tune example;
+* ``repro tune --bits-budget 0 --format json`` per tune example, and
+  on three infeasible programs whose searches prune nothing
+  (:data:`TUNED`): they cover the auto and whole-program skeletons and
+  unbounded bodies under both schemes;
 * ``repro lint`` text per corpus file (its Theorem 2 audit, on by
   default, carries each site's ``cost=[lo, hi]`` column).
 
@@ -52,6 +55,13 @@ GOLDEN = Path(__file__).parent / "golden" / "cost_census_digests.json"
 CORPUS = ("examples/*.tl", "examples/lint/*.tl", "examples/tune/*.tl")
 SCHEMES = ("doubling", "polynomial")
 DEMO = ["examples/mitigate_demo.tl", "--gamma", "h=H,ready=L"]
+#: The ``repro tune`` cases: every tune example, then the corpus
+#: programs whose searches score every candidate.
+TUNED = (*sorted(str(path.relative_to(ROOT))
+                 for path in ROOT.glob("examples/tune/*.tl")),
+         "examples/mitigate_demo.tl",
+         "examples/lint/tl012_redundant_mitigate.tl",
+         "examples/lint/tl019_shadowed_mitigate.tl")
 
 
 def corpus():
@@ -68,10 +78,9 @@ def _cli_cases():
     for model in REGISTRY.names():
         cases[f"flow/{model}"] = ["flow", *DEMO, "--dot", "cfg",
                                   "--costs", model]
-    for path in sorted(ROOT.glob("examples/tune/*.tl")):
-        cases[f"tune/{path.stem}"] = [
-            "tune", str(path.relative_to(ROOT)), "--bits-budget", "0",
-            "--format", "json"]
+    for path in TUNED:
+        cases[f"tune/{Path(path).stem}"] = [
+            "tune", path, "--bits-budget", "0", "--format", "json"]
     for path in corpus():
         cases[f"audit/{path}"] = ["lint", path]
     return cases
@@ -174,6 +183,9 @@ def test_golden_covers_every_case():
     assert list(golden["cli"]) == list(CLI_CASES)
     assert list(golden["census"]) == CENSUS_CASES + BUDGET1_CASES
     assert len(corpus()) == 42
+    assert [name for name in golden["cli"] if name.startswith("tune/")] == [
+        "tune/password", "tune/sbox", "tune/mitigate_demo",
+        "tune/tl012_redundant_mitigate", "tune/tl019_shadowed_mitigate"]
     # Every compiling program has a census; the syntax fixture does not.
     assert sum(golden["census"][case] is not None
                for case in CENSUS_CASES) >= 80
