@@ -162,11 +162,12 @@ def compute_cost(
     walker = CensusWalker(contract, DoublingScheme(), DEFAULT_HORIZON)
     # Nothing is secret to this observer, so the census never forks.
     (final,) = walker.walk(program)
+    tables = walker.tables
     return CostReport(
         hardware=contract.name,
         program=final.unpadded,
         padded=final.span,
-        per_command=walker.per_command,
+        per_command=tables.per_command,
         mitigates={
             mit_id: MitigateCost(
                 mit_id=site.mit_id,
@@ -178,9 +179,9 @@ def compute_cost(
             )
             for mit_id, site in walker.sites.items()
         },
-        branches=walker.branches,
-        loops=walker.loops,
-        notes=walker.widenings,
+        branches=tables.branches,
+        loops=tables.loops,
+        notes=tables.widenings,
     )
 
 

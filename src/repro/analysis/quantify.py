@@ -39,10 +39,12 @@ order of the *per-class walk*, one class per pair.  Classes that reach a
 mitigate-free command in the same *state* (env, hardware state, secret
 bits) share one walk from a zero-duration origin, placed after each
 class's own durations, and a mitigate-free ``mitigate`` body is walked
-once per entry state for the whole walk; each pair then settles its own
-deadlines.  This is exact because the walk is translation-equivariant in
-the durations: regions start from a restarted origin, deadlines never
-read the entry time, and every table effect joins state-only values.
+once per entry state for the life of a :class:`WalkMemo` (one walk, or
+every walk of one ``repro tune`` skeleton); each pair then settles its
+own deadlines.  This is exact because the walk is translation-equivariant
+in the durations: regions start from a restarted origin, deadlines never
+read the entry time, and every table effect joins state-only values, so
+a reused body walk applies the effects it recorded (:class:`TableEffects`).
 
 The same walk is the static cost analysis.  Along the way the walker
 tabulates unpadded intervals per command, branch, loop and mitigate site
@@ -230,12 +232,32 @@ def settle_misses(
     scheme: PredictionScheme, budget: int, misses: int, elapsed: int
 ) -> int:
     """The Miss count after S-UPDATE: the least ``m >= misses`` whose
-    prediction strictly exceeds ``elapsed``."""
-    m = misses
-    while (scheme.predict(budget, m) <= elapsed
-           and m - misses < _MAX_MISSES):
-        m += 1
-    return m
+    prediction strictly exceeds ``elapsed``, at most ``misses +
+    _MAX_MISSES``.
+
+    Every scheme's prediction strictly increases in ``m``, so the count
+    is found by galloping to a prediction above ``elapsed`` and bisecting
+    back: O(log) predictions where S-UPDATE takes one per miss.
+    """
+    if scheme.predict(budget, misses) > elapsed:
+        return misses
+    cap = misses + _MAX_MISSES
+    # predict(lo) <= elapsed throughout; hi is the first probe above it.
+    lo, step = misses, 1
+    while True:
+        hi = min(lo + step, cap)
+        if scheme.predict(budget, hi) > elapsed:
+            break
+        if hi == cap:
+            return cap
+        lo, step = hi, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if scheme.predict(budget, mid) > elapsed:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def deadline_span(
@@ -484,6 +506,112 @@ def _merge_classes(
 # ---------------------------------------------------------------------------
 
 
+class TableEffects:
+    """The tables a walk writes besides its mitigate sites: unpadded
+    intervals per command, branch and loop, the widening, fork and
+    precision notes (each in first-seen order), and saturation.
+
+    Every write joins into what is there.  So :meth:`absorb`-ing the
+    tables of another walk has exactly the effect of taking that walk
+    here, and a memoized body walk (:class:`WalkMemo`) records its own
+    tables to absorb wherever it is reused.  The records absorbed are
+    copies: the walker updates its own in place.
+    """
+
+    def __init__(self) -> None:
+        #: Unpadded interval per command, joined over every visit.
+        self.per_command: Dict[int, Interval] = {}
+        self.branches: Dict[int, BranchCost] = {}
+        self.loops: Dict[int, LoopCost] = {}
+        #: Why a region lost its finite upper bound (cost's notes).
+        self.widenings: List[WideningNote] = []
+        self.forks: List[ForkNote] = []
+        self.notes: List[PrecisionNote] = []
+        self.saturated = False
+
+    def step(self, node_id: int, interval: Interval) -> None:
+        seen = self.per_command.get(node_id)
+        if seen != interval:
+            self.per_command[node_id] = (
+                interval if seen is None else seen.join(interval)
+            )
+
+    def branch(self, record: BranchCost) -> None:
+        seen = self.branches.get(record.node_id)
+        if seen is None:
+            self.branches[record.node_id] = record
+        else:
+            seen.then_interval = seen.then_interval.join(
+                record.then_interval)
+            seen.else_interval = seen.else_interval.join(
+                record.else_interval)
+
+    def loop(self, record: LoopCost) -> None:
+        """Exits from a loop: ``record.unrolled`` is the first exit's
+        iteration count, kept until some exit widens."""
+        seen = self.loops.get(record.node_id)
+        if seen is None:
+            self.loops[record.node_id] = record
+        else:
+            seen.interval = seen.interval.join(record.interval)
+            if record.widened:
+                seen.widened = True
+                seen.unrolled = None
+
+    def fork(self, record: ForkNote) -> None:
+        """One fork note per site and kind, with the largest bits and the
+        first message."""
+        for note in self.forks:
+            if note.node_id == record.node_id and note.kind == record.kind:
+                note.bits = max(note.bits, record.bits)
+                return
+        self.forks.append(record)
+
+    def absorb(self, other: "TableEffects") -> None:
+        """Apply another walk's effects, as taking that walk here would."""
+        for node_id, interval in other.per_command.items():
+            self.step(node_id, interval)
+        for branch in other.branches.values():
+            self.branch(dataclasses.replace(branch))
+        for loop in other.loops.values():
+            self.loop(dataclasses.replace(loop))
+        for widening in other.widenings:
+            _once(self.widenings, dataclasses.replace(widening))
+        for fork in other.forks:
+            self.fork(dataclasses.replace(fork))
+        for note in other.notes:
+            _once(self.notes, dataclasses.replace(note))
+        self.saturated = self.saturated or other.saturated
+
+
+def _once(records: list, record) -> None:
+    """Keep the first note per command."""
+    if all(seen.node_id != record.node_id for seen in records):
+        records.append(record)
+
+
+class WalkMemo:
+    """What the walks of one program share for as long as their caller
+    keeps this memo: each command's step facts and whether it contains a
+    ``mitigate`` (by ``id``), and per contract the classes and
+    :class:`TableEffects` of every mitigate-free ``mitigate`` body walked
+    from an entry state (env, hardware state, secret bits).
+
+    Nothing here reads a mitigate budget or the scheme: a mitigate-free
+    body holds neither, and a literal budget charges no reads.  So one
+    memo serves every walk of one tree under one Gamma, observer and
+    horizon, whatever scheme each walk uses and whatever literal budgets
+    the tree carries.  Commands are keyed by ``id``: the memo's owner
+    keeps the tree alive.
+    """
+
+    def __init__(self) -> None:
+        self.facts: Dict[int, Optional[StepFacts]] = {}
+        self.mitigating: Dict[int, bool] = {}
+        self.bodies: Dict[CostContract, Dict[Tuple, Tuple[
+            List[TimingClass], TableEffects]]] = {}
+
+
 class CensusWalker:
     """The abstract interpreter over the program term.
 
@@ -493,7 +621,8 @@ class CensusWalker:
     and mitigate site, plus widening notes).  ``observer=None`` is the
     observer who sees everything: nothing is secret, so no class ever
     forks and the walk is the path-insensitive cost analysis (``gamma``
-    is then never consulted).
+    is then never consulted).  ``memo`` is shared with the other walks
+    of the program its caller runs (default: this walk's own).
     """
 
     def __init__(
@@ -503,6 +632,7 @@ class CensusWalker:
         horizon: int,
         gamma: Optional[SecurityEnvironment] = None,
         observer: Optional[Label] = None,
+        memo: Optional[WalkMemo] = None,
     ):
         self.contract = contract
         self.scheme = scheme
@@ -510,102 +640,42 @@ class CensusWalker:
         self.gamma = gamma
         self.observer = observer
         self.sites: Dict[str, SiteQuant] = {}
-        self.forks: List[ForkNote] = []
-        self.notes: List[PrecisionNote] = []
-        self.saturated = False
-        #: Unpadded interval per command, joined over every visit.
-        self.per_command: Dict[int, Interval] = {}
-        self.branches: Dict[int, BranchCost] = {}
-        self.loops: Dict[int, LoopCost] = {}
-        #: Why a region lost its finite upper bound (cost's notes).
-        self.widenings: List[WideningNote] = []
+        self.tables = TableEffects()
         #: Extra widening bits one widened secret loop may contribute.
         self.widen_bits = math.log2(
             1 + max(math.log2(max(horizon, 2)), 1)
         )
-        #: Each mitigate-free mitigate body's classes per entry state
-        #: (env, hardware state, secret bits), from the state's
-        #: :meth:`~TimingClass.origin`.  :meth:`walk` empties it when it
-        #: ends.
-        self._bodies: Dict[Tuple, List[TimingClass]] = {}
-        #: Does the command (by ``id``) contain a ``mitigate``?
-        self._mitigating: Dict[int, bool] = {}
-        #: The step each charged command (by ``id``) takes.
-        self._facts: Dict[int, StepFacts] = {}
+        memo = memo if memo is not None else WalkMemo()
+        self._facts = memo.facts
+        self._mitigating = memo.mitigating
+        self._bodies = memo.bodies.setdefault(contract, {})
+        #: The body walks whose tables this walk has absorbed.
+        self._absorbed: set = set()
 
     def walk(self, program: ast.Command) -> List[TimingClass]:
         """Abstractly execute the whole program; its final classes, each
         charged the program's closing region overhead."""
         initial = TimingClass(ZERO, (), self.contract.initial_state())
-        try:
-            final = self.run(program, [initial])
-        finally:
-            self._bodies.clear()
-            self._mitigating.clear()
-            self._facts.clear()
         return [
             cls.after(self.contract.region_overhead(cls.hw), cls.hw)
-            for cls in final
+            for cls in self.run(program, [initial])
         ]
 
     # -- bookkeeping ----------------------------------------------------------
 
     def _fork(self, cmd: ast.LabeledCommand, kind: str, bits: float,
               message: str) -> None:
-        if bits <= 0:
-            return
-        for note in self.forks:
-            if note.node_id == cmd.node_id and note.kind == kind:
-                note.bits = max(note.bits, bits)
-                return
-        self.forks.append(
-            ForkNote(cmd.node_id, cmd.span, kind, bits, message)
-        )
+        if bits > 0:
+            self.tables.fork(
+                ForkNote(cmd.node_id, cmd.span, kind, bits, message))
 
     def _note(self, cmd: ast.LabeledCommand, message: str) -> None:
-        if any(n.node_id == cmd.node_id for n in self.notes):
-            return
-        self.notes.append(PrecisionNote(cmd.node_id, cmd.span, message))
+        _once(self.tables.notes,
+              PrecisionNote(cmd.node_id, cmd.span, message))
 
     def _widened(self, cmd: ast.LabeledCommand, message: str) -> None:
-        if any(n.node_id == cmd.node_id for n in self.widenings):
-            return
-        self.widenings.append(WideningNote(cmd.node_id, cmd.span, message))
-
-    def _record_step(self, cmd: ast.LabeledCommand,
-                     interval: Interval) -> None:
-        seen = self.per_command.get(cmd.node_id)
-        if seen != interval:
-            self.per_command[cmd.node_id] = (
-                interval if seen is None else seen.join(interval)
-            )
-
-    def _record_branch(self, cmd: ast.If, then_iv: Interval,
-                       else_iv: Interval) -> None:
-        seen = self.branches.get(cmd.node_id)
-        if seen is None:
-            self.branches[cmd.node_id] = BranchCost(
-                cmd.node_id, cmd.span, then_iv, else_iv
-            )
-        else:
-            seen.then_interval = seen.then_interval.join(then_iv)
-            seen.else_interval = seen.else_interval.join(else_iv)
-
-    def _record_loop(self, cmd: ast.While, interval: Interval,
-                     iterations: Optional[int]) -> None:
-        """One exit from the loop; ``iterations`` is None when widened."""
-        widened = iterations is None
-        seen = self.loops.get(cmd.node_id)
-        if seen is None:
-            self.loops[cmd.node_id] = LoopCost(
-                cmd.node_id, cmd.span, interval, widened,
-                unrolled=iterations,
-            )
-        else:
-            seen.interval = seen.interval.join(interval)
-            seen.widened = seen.widened or widened
-            if widened:
-                seen.unrolled = None
+        _once(self.tables.widenings,
+              WideningNote(cmd.node_id, cmd.span, message))
 
     def _secret(self, expr: ast.Expr) -> bool:
         """Does the expression read data invisible to the observer?"""
@@ -619,7 +689,7 @@ class CensusWalker:
             return classes
         if _count(classes) <= MAX_CLASSES:
             return classes
-        self.saturated = True
+        self.tables.saturated = True
         singles = [one for cls in classes for one in cls.singles()]
         keep = singles[:MAX_CLASSES - 1]
         keep.append(_merge_classes(singles[MAX_CLASSES - 1:],
@@ -634,7 +704,7 @@ class CensusWalker:
         if facts is None:
             facts = self._facts[id(cmd)] = step_facts(cmd)
         interval, hw = self.contract.step_cost(*facts, cls.hw)
-        self._record_step(cmd, interval)
+        self.tables.step(cmd.node_id, interval)
         return cls.after(interval, hw)
 
     # -- commands --------------------------------------------------------------
@@ -694,12 +764,20 @@ class CensusWalker:
     def _walk_body(self, body: ast.Command,
                    head: TimingClass) -> List[TimingClass]:
         """A mitigate-free body's classes from ``head``'s state, walked
-        once per state; their pairs are the origin's, not ``head``'s."""
+        once per state for the memo's lifetime; their pairs are the
+        origin's, not ``head``'s.  The walk's recorded tables are
+        absorbed once per walk that reaches it."""
         key = (id(body), head.env, head.hw, head.secret_bits)
-        subs = self._bodies.get(key)
-        if subs is None:
-            subs = self._bodies[key] = self.run(body, [head.origin()])
-        return subs
+        walked = self._bodies.get(key)
+        if walked is None:
+            outer, self.tables = self.tables, TableEffects()
+            subs = self.run(body, [head.origin()])
+            walked = self._bodies[key] = (subs, self.tables)
+            self.tables = outer
+        if key not in self._absorbed:
+            self._absorbed.add(key)
+            self.tables.absorb(walked[1])
+        return walked[0]
 
     def _run_one(self, cmd: ast.Command,
                  cls: TimingClass) -> List[TimingClass]:
@@ -748,7 +826,7 @@ class CensusWalker:
                 "its cycle cost is unbounded (⊤)",
             )
         # Property 4: sleep never touches the hardware.
-        self._record_step(cmd, interval)
+        self.tables.step(cmd.node_id, interval)
         nxt = cls.after(interval, cls.hw)
         if duration is None and self._secret(cmd.duration):
             # Every distinct duration is its own observation; the horizon
@@ -780,8 +858,9 @@ class CensusWalker:
         base = head.restarted()
         then_out = self.run(cmd.then_branch, [base])
         else_out = self.run(cmd.else_branch, [base])
-        self._record_branch(cmd, _join(c.unpadded for c in then_out),
-                            _join(c.unpadded for c in else_out))
+        self.tables.branch(BranchCost(
+            cmd.node_id, cmd.span, _join(c.unpadded for c in then_out),
+            _join(c.unpadded for c in else_out)))
         then_iv = _join(c.span for c in then_out)
         else_iv = _join(c.span for c in else_out)
 
@@ -818,7 +897,9 @@ class CensusWalker:
             for c in stepped:
                 guard = eval_const(cmd.cond, c.env_dict())
                 if guard == 0:
-                    self._record_loop(cmd, c.unpadded, iterations)
+                    self.tables.loop(LoopCost(
+                        cmd.node_id, cmd.span, c.unpadded, False,
+                        unrolled=iterations))
                     done.append(c)
                 elif guard is None:
                     self._widened(
@@ -869,7 +950,8 @@ class CensusWalker:
             landed = _merge_classes(self.run(cmd.body, [seeded]),
                                     self.contract)
             unpadded = Interval.top(c.unpadded.lo)
-            self._record_loop(cmd, unpadded, None)
+            self.tables.loop(
+                LoopCost(cmd.node_id, cmd.span, unpadded, True))
             out.append(TimingClass(
                 interval=Interval.top(c.interval.lo),
                 env=env,
@@ -1136,6 +1218,7 @@ def quantify(
     horizon: int = DEFAULT_HORIZON,
     params: Optional[MachineParams] = None,
     contract: Optional[CostContract] = None,
+    memo: Optional[WalkMemo] = None,
 ) -> QuantifyReport:
     """Enumerate the timing-equivalence classes of ``program`` on one
     hardware model and report the channel capacity ``log2(#classes)``.
@@ -1143,16 +1226,19 @@ def quantify(
     ``observer`` defaults to the lattice bottom (the paper's low
     adversary); data whose label flows to the observer is public for the
     census.  ``scheme`` names the prediction scheme quantizing mitigate
-    deadlines (``doubling`` or ``polynomial``).
+    deadlines (``doubling`` or ``polynomial``).  ``memo`` is one the
+    other walks of ``program`` under the same Gamma, observer and
+    horizon share (:class:`Census`); by default the walk keeps its own.
     """
     contract = contract if contract is not None else contract_for(
         hardware, params
     )
     observer = observer if observer is not None else gamma.lattice.bottom
     walker = CensusWalker(
-        contract, make_scheme(scheme), horizon, gamma, observer
+        contract, make_scheme(scheme), horizon, gamma, observer, memo
     )
     final = walker.walk(program)
+    tables = walker.tables
     # Each class stands for 2^secret_bits indistinguishable-by-structure
     # but duration-separable observations; a bundle, for one per pair.
     weight = sum(
@@ -1161,7 +1247,7 @@ def quantify(
     )
     weight = max(weight, 1.0)
     capacity = math.log2(weight)
-    if walker.saturated:
+    if tables.saturated:
         capacity = max(capacity, math.log2(MAX_CLASSES))
     return QuantifyReport(
         hardware=contract.name,
@@ -1169,11 +1255,11 @@ def quantify(
         horizon=horizon,
         classes=max(int(round(weight)), _count(final)),
         capacity_bits=capacity,
-        saturated=walker.saturated,
+        saturated=tables.saturated,
         padded=_join(c.span for c in final),
         sites=walker.sites,
-        forks=walker.forks,
-        notes=walker.notes,
+        forks=tables.forks,
+        notes=tables.notes,
     )
 
 
@@ -1200,6 +1286,53 @@ def census_groups(
     return list(groups.values())
 
 
+class Census:
+    """The census of one program on several registry models (default:
+    all), for every scheme and literal budgets the caller walks it with.
+
+    The models are grouped by the walk they share (:func:`census_groups`)
+    once, and every walk shares one :class:`WalkMemo`, which lives as
+    long as this object: for :func:`quantify_all`, one call; for the
+    ``repro tune`` search, one placement skeleton, whose budgets the
+    search rewrites in place between walks.
+    """
+
+    def __init__(
+        self,
+        program: ast.Command,
+        gamma: SecurityEnvironment,
+        models: Optional[Iterable[str]] = None,
+        observer: Optional[Label] = None,
+        horizon: int = DEFAULT_HORIZON,
+        params: Optional[MachineParams] = None,
+    ):
+        from ..hardware.registry import REGISTRY
+
+        self.program = program
+        self.gamma = gamma
+        self.names = (list(models) if models is not None
+                      else list(REGISTRY.names()))
+        self.observer = observer
+        self.horizon = horizon
+        self.groups = census_groups(program, self.names, params)
+        self.memo = WalkMemo()
+
+    def reports(self, scheme: str = "doubling") -> Dict[str, QuantifyReport]:
+        """The census on every model at the program's current budgets,
+        walked once per group; the other models of a group get their own
+        copy of its report."""
+        reports: Dict[str, QuantifyReport] = {}
+        for (first, contract), *others in self.groups:
+            report = reports[first] = quantify(
+                self.program, self.gamma, observer=self.observer,
+                scheme=scheme, horizon=self.horizon, contract=contract,
+                memo=self.memo,
+            )
+            for name, other in others:
+                reports[name] = report.renamed(other.name)
+        return {name: reports[name] for name in self.names}
+
+
 def quantify_all(
     program: ast.Command,
     gamma: SecurityEnvironment,
@@ -1209,18 +1342,7 @@ def quantify_all(
     horizon: int = DEFAULT_HORIZON,
     params: Optional[MachineParams] = None,
 ) -> Dict[str, QuantifyReport]:
-    """The census on every requested registry model (default: all),
-    walked once per :func:`census_groups` group; the other models of a
-    group get their own copy of its report."""
-    from ..hardware.registry import REGISTRY
-
-    names = list(models) if models is not None else list(REGISTRY.names())
-    reports: Dict[str, QuantifyReport] = {}
-    for (first, contract), *others in census_groups(program, names, params):
-        report = reports[first] = quantify(
-            program, gamma, observer=observer, scheme=scheme,
-            horizon=horizon, contract=contract,
-        )
-        for name, other in others:
-            reports[name] = report.renamed(other.name)
-    return {name: reports[name] for name in names}
+    """The census on every requested registry model (default: all), one
+    :class:`Census` walk per :func:`census_groups` group."""
+    return Census(program, gamma, models, observer, horizon,
+                  params).reports(scheme)

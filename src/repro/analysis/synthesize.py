@@ -46,7 +46,7 @@ from ..typesystem.errors import TypingError
 from ..typesystem.inference import infer_labels
 from ..typesystem.suggest import UnmitigatableError, auto_mitigate
 from .audit import DEFAULT_HORIZON
-from .quantify import QuantifyReport, deadline_span, quantify_all
+from .quantify import Census, QuantifyReport, deadline_span
 
 #: Placement skeleton names, in deterministic search order.
 PLACEMENTS = ("as-written", "auto", "whole-program")
@@ -197,8 +197,16 @@ class TuneResult:
 
 def _clone(program: ast.Command,
            gamma: SecurityEnvironment) -> ast.Command:
-    """A structural copy with fresh node ids and re-inferred labels."""
+    """A structural copy with fresh node ids and re-inferred labels, at
+    the spans of the commands it copies (pretty-printing and parsing keep
+    the labeled commands one-to-one, in preorder), so an error found on
+    the copy cites the user's line."""
     clone = parse(pretty(program), gamma.lattice)
+    copies = [cmd for cmd in clone.walk() if cmd.labeled()]
+    originals = [cmd for cmd in program.walk() if cmd.labeled()]
+    assert len(copies) == len(originals)
+    for copy, original in zip(copies, originals):
+        copy.span = original.span
     try:
         infer_labels(clone, gamma)
     except TypingError:
@@ -320,21 +328,18 @@ def _combos(per_site: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
 
 
 def _evaluate(
-    skeleton: ast.Command,
-    gamma: SecurityEnvironment,
+    census: Census,
     placement: str,
     scheme: str,
     budgets: Tuple[int, ...],
-    models: Sequence[str],
-    observer: Optional[Label],
-    horizon: int,
     bits_budget: float,
 ) -> Candidate:
     # Score on the skeleton in place: a candidate keeps its budgets and
-    # its source text, never the tree the next candidate rewrites.
+    # its source text, never the tree the next candidate rewrites.  The
+    # budgets are literals, so the skeleton's census memo still holds.
+    skeleton = census.program
     _apply_budgets(skeleton, budgets)
-    reports = quantify_all(skeleton, gamma, models, observer=observer,
-                           scheme=scheme, horizon=horizon)
+    reports = census.reports(scheme)
     capacity: Dict[str, float] = {}
     objective: Optional[int] = 0
     worst_deadline = 1
@@ -350,7 +355,7 @@ def _evaluate(
             if site.padded_hi is not None:
                 worst_deadline = max(worst_deadline, site.padded_hi)
     feasible = all(
-        not reports[model].exceeds(bits_budget) for model in models
+        not report.exceeds(bits_budget) for report in reports.values()
     )
     return Candidate(
         placement=placement,
@@ -425,16 +430,20 @@ def synthesize(
         models = list(REGISTRY.names())
     models = tuple(models)
 
-    # Baseline: the program exactly as written.
+    def census_of(placement: str) -> Census:
+        return Census(_skeleton(placement, program, gamma), gamma, models,
+                      observer, horizon)
+
+    # Baseline: the program exactly as written, scored on the as-written
+    # skeleton at the written budgets (so it shares that skeleton's
+    # census memo).
     written_budgets = tuple(
         max(b, 1) if (b := _const_budget(site)) is not None else 1
         for site in ast.mitigates(program)
     )
-    baseline = _evaluate(
-        _clone(program, gamma), gamma, "as-written",
-        "doubling", written_budgets, models, observer, horizon,
-        bits_budget,
-    )
+    as_written = census_of("as-written")
+    baseline = _evaluate(as_written, "as-written", "doubling",
+                         written_budgets, bits_budget)
 
     explored = 1
     pruned = 0
@@ -444,12 +453,15 @@ def synthesize(
     )
 
     for placement in placements:
-        try:
-            skeleton = _skeleton(placement, program, gamma)
-        except (UnmitigatableError, TypingError) as err:
-            skipped[placement] = str(err)
-            continue
-        sites = ast.mitigates(skeleton)
+        if placement == "as-written":
+            census = as_written
+        else:
+            try:
+                census = census_of(placement)
+            except (UnmitigatableError, TypingError) as err:
+                skipped[placement] = str(err)
+                continue
+        sites = ast.mitigates(census.program)
         if placement != "as-written" and not sites:
             # Nothing to place: identical to the stripped program; only
             # worth evaluating once, under one scheme.
@@ -459,11 +471,8 @@ def synthesize(
         for scheme in scheme_list:
             # Census the budget-1 skeleton once per model: per-site body
             # intervals for budget options + the pruning estimates.
-            probe = _evaluate(
-                skeleton, gamma, placement, scheme,
-                tuple(1 for _ in sites), models, observer, horizon,
-                bits_budget,
-            )
+            probe = _evaluate(census, placement, scheme,
+                              tuple(1 for _ in sites), bits_budget)
             explored += 1
             if incumbent is None or (
                     probe.feasible
@@ -503,10 +512,8 @@ def synthesize(
                         and incumbent.feasible):
                     pruned += 1
                     continue
-                candidate = _evaluate(
-                    skeleton, gamma, placement, scheme, combo,
-                    models, observer, horizon, bits_budget,
-                )
+                candidate = _evaluate(census, placement, scheme, combo,
+                                      bits_budget)
                 explored += 1
                 if candidate.feasible and (
                         incumbent is None

@@ -63,6 +63,14 @@ class UnmitigatableError(TypingError):
     """The program's errors are not timing-induced; mitigation cannot help."""
 
 
+def _unrepairable(reason: str, original: TypingError) -> UnmitigatableError:
+    """Give up on ``original`` for ``reason``, located once: at the
+    command ``original`` names."""
+    rule = f"[{original.rule}] " if original.rule else ""
+    return UnmitigatableError(f"{reason}: {rule}{original.message}",
+                              original.command)
+
+
 class _Repairer:
     def __init__(self, gamma: SecurityEnvironment,
                  budget: BudgetPolicy = 1):
@@ -175,10 +183,9 @@ class _Repairer:
         if cut is None:
             # Even a full rollback does not help (or nothing precedes the
             # failure): the error is not timing-induced.
-            raise UnmitigatableError(
+            raise _unrepairable(
                 "this type error cannot be repaired by inserting mitigate "
-                f"commands: {original}",
-                getattr(original, "command", None),
+                "commands", original,
             )
         cut_taint = taints[cut]
         suffix = out[cut:]
@@ -201,10 +208,8 @@ class _Repairer:
         taints.append(cut_taint)
         new_taint = self._end_label(wrapper, pc, cut_taint)
         if not self._typechecks(failing, pc, new_taint):
-            raise UnmitigatableError(
-                "mitigation insertion did not unblock the command: "
-                f"{original}",
-                getattr(original, "command", None),
+            raise _unrepairable(
+                "mitigation insertion did not unblock the command", original,
             )
         return new_taint
 

@@ -321,6 +321,15 @@ class TestInferAndFix:
         fixed.write_text(program)
         assert main(["check", str(fixed), "--gamma", "h=H,ready=L"]) == 0
 
+    def test_fix_cites_an_unrepairable_error_once(self, capsys):
+        path = os.path.join(REPO_ROOT, "examples", "lint",
+                            "tl001_explicit_flow.tl")
+        assert main(["fix", path]) == 1
+        err = capsys.readouterr().err.rstrip("\n")
+        assert err.endswith(
+            "join to H, which does not flow to L (at Assign, line 3, col 1)")
+        assert err.count("(at ") == 1
+
 
 #: A program that declares its lattice and Gamma only in directives.
 DIRECTED = (

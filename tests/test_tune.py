@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import analyze_source
 from repro.analysis.engine import DirectiveError, LintOptions
 from repro.analysis.quantify import (
+    _MAX_MISSES,
     deadline_span,
     quantify,
     quantify_all,
@@ -156,6 +157,51 @@ class TestQuantify:
         assert settle_misses(scheme, 8, 0, 8) == 1
         lo, hi = deadline_span(scheme, 8, 0, Interval(7, 16), 1 << 20)
         assert (lo, hi) == (0, 2)
+
+
+def _settle_linear(scheme, budget, misses, elapsed):
+    """S-UPDATE one miss at a time, up to the cap: the reference
+    ``settle_misses`` must agree with."""
+    m = misses
+    while (scheme.predict(budget, m) <= elapsed
+           and m - misses < _MAX_MISSES):
+        m += 1
+    return m
+
+
+class TestSettleMisses:
+    """``settle_misses`` bisects where S-UPDATE counts one miss at a
+    time; both predictions strictly increase in the Miss count, so the
+    least count found is the same, cap included."""
+
+    BUDGETS = (0, 1, 8, 4095, 1 << 20)
+    MISSES = (0, 5, 4000)
+
+    @pytest.mark.parametrize("name", ["doubling", "polynomial"])
+    def test_equals_the_linear_scan(self, name):
+        scheme = make_scheme(name)
+        for budget in self.BUDGETS:
+            for misses in self.MISSES:
+                # Every prediction boundary of the first misses, plus
+                # elapsed values below any budget and far past the
+                # horizon.
+                elapsed = {-(1 << 40), -1, 0, 1, 1 << 20, (1 << 20) + 1,
+                           1 << 40, (1 << 40) + 1, 1 << 62}
+                for m in (*range(misses, misses + 6),
+                          misses + _MAX_MISSES):
+                    deadline = scheme.predict(budget, m)
+                    elapsed.update((deadline - 1, deadline, deadline + 1))
+                for time in sorted(elapsed):
+                    assert settle_misses(scheme, budget, misses, time) == (
+                        _settle_linear(scheme, budget, misses, time)
+                    ), (name, budget, misses, time)
+
+    @pytest.mark.parametrize("name", ["doubling", "polynomial"])
+    def test_the_cap_holds(self, name):
+        scheme = make_scheme(name)
+        beyond = scheme.predict(1, 10_000)
+        assert settle_misses(scheme, 1, 0, beyond) == _MAX_MISSES
+        assert settle_misses(scheme, 1, 4000, beyond) == 4000 + _MAX_MISSES
 
 
 def _corpus_programs():
@@ -506,6 +552,19 @@ class TestTuneCLI:
         assert doc["schema"] == "repro.tune/1"
         assert doc["feasible"] is True
         assert doc["spec"]["policy"] == "quantized"
+
+    def test_skipped_placement_cites_the_users_line_once(self, capsys):
+        # `repro check` puts the failing assignment at line 8, col 5.
+        path = os.path.join(LINT_DIR, "tl018_constant_secret_branch.tl")
+        rc = main(["tune", path, "--bits-budget", "0", "--models", "null",
+                   "--format", "json"])
+        assert rc == 0
+        reason = json.loads(
+            capsys.readouterr().out)["search"]["skipped_placements"]["auto"]
+        assert reason.endswith(
+            "wrap the timing-variable code in a mitigate command "
+            "(at Assign, line 8, col 5)")
+        assert reason.count("(at ") == 1
 
     def test_infeasible_exit_1(self, tmp_path, capsys):
         path = tmp_path / "leaky.tl"
