@@ -90,7 +90,7 @@ def _build_report():
     for (policy, clients), (result, audit) in sorted(cells.items()):
         q = _latency_quantiles(result)
         cross = max(
-            (p.probe.advantage for p in audit.cross_tenant), default=0.0
+            (p.probe.result.advantage for p in audit.cross_tenant), default=0.0
         )
         rows.append((
             policy, clients, len(result.completed()),

@@ -98,7 +98,8 @@ def main():
         print(f"  {name}: observed {tenant.observed_bits:.3f} bits <= "
               f"Theorem 2 bound {tenant.bound_bits:.3f} bits"
               + (f"; distinguisher advantage "
-                 f"{tenant.probe.advantage:+.3f}" if tenant.probe else ""))
+                 f"{tenant.probe.result.advantage:+.3f}"
+                 if tenant.probe else ""))
     print(f"  Service audit: {'OK' if audit.ok else 'VIOLATED'} -- "
           "no tenant's clients can read another tenant's secrets "
           "from response times.")

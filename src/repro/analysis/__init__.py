@@ -31,8 +31,9 @@ it into a multi-pass *lint engine* that reports every finding in one run:
 * :mod:`.synthesize` -- mitigation-placement synthesis
   (``repro tune``): branch-and-bound over placement x scheme x budgets
   under a bits budget;
-* :mod:`.render` -- human text (with carets), JSON, and SARIF 2.1.0
-  (codeFlows, relatedLocations, partialFingerprints);
+* :mod:`.render` -- the ``lint``/``cost``/``tune`` JSON documents, their
+  text (with carets) rendered from them, and SARIF 2.1.0 (codeFlows,
+  relatedLocations, partialFingerprints);
 * :mod:`.engine` -- the driver tying it together (``repro lint``).
 """
 
@@ -61,7 +62,7 @@ from .quantify import (
     quantify,
     quantify_all,
 )
-from .render import model_rows, render_json, render_sarif, render_text
+from .render import render_json, render_lint, render_sarif
 from .rules import RULES, Rule
 from .synthesize import Candidate, TuneResult, synthesize
 
@@ -97,13 +98,12 @@ __all__ = [
     "check_corpus",
     "collect_typing_diagnostics",
     "compute_cost",
-    "model_rows",
     "quantify",
     "quantify_all",
     "reachable_commands",
     "render_json",
+    "render_lint",
     "render_sarif",
-    "render_text",
     "replay_program",
     "solve",
     "synthesize",

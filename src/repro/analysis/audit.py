@@ -17,7 +17,6 @@ buying the program its leakage budget and which are inflating it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -49,16 +48,6 @@ class MitigateSite:
     #: contract's exact facts), when the cost analysis saw the site run.
     static_cost: Optional[Interval] = None
 
-    def describe(self) -> str:
-        where = "" if self.span.is_synthetic else f" at {self.span}"
-        head = (f"mitigate {self.mit_id}{where}: pc={self.pc} "
-                f"level={self.level}")
-        cost = "" if self.static_cost is None else f"  cost={self.static_cost}"
-        if self.relevant:
-            return (f"{head}  relevant  +{self.contribution_bits:.2f} "
-                    f"bits{cost}")
-        return f"{head}  not relevant ({self.reason}){cost}"
-
 
 @dataclass(frozen=True)
 class LeakageAudit:
@@ -81,34 +70,6 @@ class LeakageAudit:
     def pruned_count(self) -> int:
         """How many syntactically-relevant sites dataflow pruning dropped."""
         return self.syntactic_relevant_count - self.relevant_count
-
-    def lines(self) -> List[str]:
-        out = [
-            f"static Theorem 2 audit (adversary {self.adversary}, "
-            f"horizon T={self.horizon}):"
-        ]
-        if not self.sites:
-            out.append("  no mitigate commands: leakage bound is 0 bits "
-                       "(Theorem 2 corollary)")
-            return out
-        for site in self.sites:
-            out.append(f"  {site.describe()}")
-        log_t = math.log2(self.horizon) if self.horizon > 1 else 0.0
-        out.append(
-            f"  |L^_{{{self.adversary}}}| = {self.closure_size}, "
-            f"K = {self.relevant_count}  =>  bound = {self.closure_size} "
-            f"* log2({self.relevant_count + 1}) * (1 + {log_t:.0f}) "
-            f"= {self.bound_bits:.2f} bits"
-        )
-        if self.pruned_count:
-            out.append(
-                f"  syntactic bound would be {self.syntactic_bound_bits:.2f} "
-                f"bits over K = {self.syntactic_relevant_count} sites; "
-                f"dataflow reachability pruned {self.pruned_count} dead "
-                f"site(s), tightening the bound by "
-                f"{self.syntactic_bound_bits - self.bound_bits:.2f} bits"
-            )
-        return out
 
     def as_dict(self) -> dict:
         return {

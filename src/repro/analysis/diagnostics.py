@@ -74,6 +74,18 @@ class Severity(enum.Enum):
         return self.value
 
 
+def location_of(diag: dict) -> str:
+    """``path:line:col`` of a diagnostic's JSON form (parts omitted when
+    unknown)."""
+    where = diag.get("path") or "<program>"
+    span = diag["span"]
+    if span["line"]:
+        where += f":{span['line']}:{span['column']}"
+    elif "node_id" in diag:
+        where += f":node#{diag['node_id']}"
+    return where
+
+
 @dataclass
 class Diagnostic:
     """One lint finding, anchored to a source span."""
@@ -101,12 +113,7 @@ class Diagnostic:
 
     def location(self) -> str:
         """``path:line:col`` (parts omitted when unknown)."""
-        where = self.path or "<program>"
-        if not self.span.is_synthetic:
-            where += f":{self.span.line}:{self.span.column}"
-        elif self.node_id is not None:
-            where += f":node#{self.node_id}"
-        return where
+        return location_of(self.as_dict())
 
     def as_dict(self) -> dict:
         doc = {

@@ -82,9 +82,11 @@ attack
     policy; exit 1 on a beaten budget or a vacuous positive control.
 
 report
-    Render a human audit report from a telemetry document (a metrics
-    JSON from ``--metrics-out`` or a JSONL journal from
-    ``--journal-out``)::
+    Render any document the repo writes: a telemetry audit of a
+    ``repro.telemetry/1`` metrics JSON or a JSONL journal, or the text
+    report (and exit code) of the ``repro.lint/1``, ``repro.cost/1``,
+    ``repro.tune/1``, ``repro.adversary/1`` or
+    ``repro.verify-hw.campaign/1`` JSON its command wrote::
 
         python -m repro report benchmarks/results/fig7_metrics.json
 
@@ -118,11 +120,11 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .analysis import render_json, render_sarif, render_text
 from .analysis.audit import DEFAULT_HORIZON as ANALYSIS_HORIZON
 from .analysis.engine import (DirectiveError, LintOptions, _bits_budget,
                               analyze_source, parse_gamma, resolve_config)
-from .analysis.render import dump, model_rows, unread_lines
+from .analysis.render import (dump, render_cost, render_json, render_lint,
+                              render_sarif, render_tune)
 from .api import compile_program
 from .hardware import (
     REGISTRY,
@@ -415,15 +417,15 @@ def _emit(text: str, output: Optional[str] = None,
         say(note)
 
 
-def _emit_findings(args, findings, bad_input: bool, lines, doc) -> int:
-    """Emit a findings report in ``--format`` (``lines()``/``doc()`` build
-    the text and JSON forms) and map it to the exit code: 2 on bad input,
-    else 1 with findings, else 0."""
+def _emit_findings(args, doc: dict, render, findings,
+                   bad_input: bool) -> int:
+    """Emit a findings report in ``--format`` -- the document ``doc``, its
+    text ``render(doc)``, or SARIF over ``findings`` -- and map it to the
+    exit code: 2 on bad input, else 1 with findings, else 0."""
     if args.format == "text":
-        text = "\n".join(lines()) + "\n"
+        text = "\n".join(render(doc)) + "\n"
     else:
-        text = dump(doc() if args.format == "json"
-                    else render_sarif(findings))
+        text = dump(doc if args.format == "json" else render_sarif(findings))
     _emit(text, args.output, f"{args.format} report written to {args.output}")
     return 2 if bad_input else (1 if findings else 0)
 
@@ -532,9 +534,8 @@ def cmd_check(args) -> int:
         result = _analyze(args.program,
                           _options(args, lints=False, audit=False))
         if result.diagnostics:
-            for line in render_text(result.diagnostics,
-                                    {args.program: result.source}):
-                print(line)
+            print("\n".join(render_lint(render_json(result.diagnostics),
+                                         {args.program: result.source})))
             return 1
         return _well_typed(result.typing)
     try:
@@ -584,9 +585,9 @@ def cmd_lint(args) -> int:
     } if args.audit else None
     sources = {res.path: res.source for res in results}
     return _emit_findings(
-        args, diagnostics, unread > 0 or any(res.fatal for res in results),
-        lambda: render_text(diagnostics, sources, audits, unread),
-        lambda: render_json(diagnostics, audits),
+        args, render_json(diagnostics, audits),
+        lambda doc: render_lint(doc, sources, unread), diagnostics,
+        unread > 0 or any(res.fatal for res in results),
     )
 
 
@@ -624,7 +625,6 @@ def cmd_cost(args) -> int:
     results, unread = _analyze_all(args, options)
 
     findings = []
-    lines: List[str] = []
     programs = []
     for result in results:
         walked = {}
@@ -639,11 +639,6 @@ def cmd_cost(args) -> int:
             site.mit_id: site.contribution_bits
             for site in (result.audit.sites if result.audit else ())
         }
-        lines.append(f"{result.path}: static cycle-cost analysis")
-        lines.append("  <program> (unpadded cycles):")
-        lines.extend(model_rows(
-            {model: reports[model].program for model in models}
-        ))
         sites = []
         for site in reports[models[0]].mitigates.values():
             intervals = {
@@ -651,34 +646,17 @@ def cmd_cost(args) -> int:
                 for model in models
                 if site.mit_id in reports[model].mitigates
             }
-            marginal = bits.get(site.mit_id, 0.0)
             sites.append({
                 "mit_id": site.mit_id,
                 "line": site.span.line,
                 "level": site.level,
                 "budget": site.budget,
-                "marginal_bits": marginal,
+                "marginal_bits": bits.get(site.mit_id, 0.0),
                 "intervals": {
                     model: [interval.lo, interval.hi]
                     for model, interval in intervals.items()
                 },
             })
-            budget = "?" if site.budget is None else site.budget
-            lines.append(
-                f"  mitigate {site.mit_id} (line {site.span.line}, "
-                f"level {site.level}, budget {budget}): "
-                f"+{marginal:.2f} bits"
-            )
-            lines.extend(model_rows(intervals))
-        for note in reports[models[0]].notes:
-            lines.append(
-                f"  widened: line {note.span.line}: {note.message}"
-            )
-        for diag in diags:
-            lines.append(
-                f"  {diag.location()}: {diag.severity}[{diag.code}]: "
-                f"{diag.message}"
-            )
         programs.append({
             "path": result.path,
             "hardware": {
@@ -689,16 +667,10 @@ def cmd_cost(args) -> int:
             "diagnostics": [d.as_dict() for d in diags],
         })
 
-    count = len(findings)
-    lines = (lines or ["no programs analyzed"]) + [
-        f"{count} cost-backed finding{'s' if count != 1 else ''}"
-        if count else "no cost-backed findings" if unread
-        else "clean: no cost-backed findings"
-    ] + unread_lines(unread)
     return _emit_findings(
-        args, findings, unread > 0, lambda: lines,
-        lambda: {"schema": "repro.cost/1", "hardware": models,
-                 "programs": programs},
+        args, {"schema": "repro.cost/1", "hardware": models,
+               "programs": programs},
+        lambda doc: render_cost(doc, unread), findings, unread > 0,
     )
 
 
@@ -773,10 +745,7 @@ def cmd_tune(args) -> int:
         print("repro tune: no feasible policy; --emit-program skipped",
               file=sys.stderr)
     text = args.format == "text"
-    if text:
-        _print_tuned(args, result.bits_budget, models, tuned, winner, doc)
-    else:
-        _emit(dump(doc))
+    print("\n".join(render_tune(doc)) if text else json.dumps(doc, indent=2))
     if args.emit_program and winner is not None:
         _emit(winner.source + "\n", args.emit_program,
               f"  program written to {args.emit_program}" if text else None)
@@ -786,56 +755,6 @@ def cmd_tune(args) -> int:
               f"  spec fragment written to {args.emit_spec}" if text
               else None)
     return 0 if tuned.feasible else 1
-
-
-def _print_tuned(args, bits_budget, models, tuned, winner, doc) -> None:
-    """`tune`'s text report."""
-
-    def show(candidate, tag):
-        budgets = ",".join(str(b) for b in candidate.budgets) or "-"
-        objective = ("unbounded" if candidate.objective is None
-                     else candidate.objective)
-        print(f"  {tag}: {candidate.placement}/{candidate.scheme} "
-              f"budgets=({budgets})  objective {objective} padded cycles"
-              f"{'' if candidate.feasible else '  INFEASIBLE'}")
-        print("    capacity (bits) per model:")
-        for line in model_rows({
-            model: ("saturated" if bits == float("inf")
-                    else f"{bits:.3f}")
-            for model, bits in sorted(candidate.capacity.items())
-        }, indent="      "):
-            print(line)
-
-    print(f"{args.program}: mitigation-policy synthesis "
-          f"(budget {bits_budget:g} bits, "
-          f"models {', '.join(models)})")
-    show(tuned.baseline, "baseline")
-    if winner is not None:
-        show(winner, "best")
-        print(f"  quantum: {winner.quantum} cycles "
-              f"(quantized release policy, {winner.scheme} scheme)")
-        if tuned.improved:
-            print(f"  improved: objective {winner.objective} < "
-                  f"baseline {tuned.baseline.objective}")
-        print("  program:")
-        for line in winner.source.splitlines():
-            print(f"    {line}")
-    else:
-        print(f"  no feasible policy within {bits_budget:g} bits "
-              f"(explored {tuned.explored}, pruned {tuned.pruned})")
-        for placement, why in sorted(tuned.skipped_placements.items()):
-            print(f"  skipped {placement}: {why}")
-    print(f"  search: explored {tuned.explored}, pruned {tuned.pruned}")
-    if "service" in doc:
-        for tag in ("baseline", "tuned"):
-            run = doc["service"][tag]
-            verdict = "ok" if run["audit_ok"] else "VIOLATED"
-            print(f"  service[{tag}]: {run['policy']}  "
-                  f"makespan {run['makespan']}  audit {verdict}")
-            for name, t in run["tenants"].items():
-                print(f"    {name}: latency p50 {t['p50']} "
-                      f"p95 {t['p95']} p99 {t['p99']}  "
-                      f"leakage {t['observed_bits']} bits")
 
 
 def cmd_infer(args) -> int:
@@ -938,10 +857,10 @@ def cmd_serve(args) -> int:
         if t_audit.probe is not None:
             say(f"    distinguisher "
                 f"{t_audit.probe.class_a} vs {t_audit.probe.class_b}: "
-                f"advantage {t_audit.probe.advantage:+.3f}")
+                f"advantage {t_audit.probe.result.advantage:+.3f}")
     for probe in audit.cross_tenant:
         say(f"  cross-tenant {probe.observer} observing {probe.victim}: "
-            f"advantage {probe.probe.advantage:+.3f}")
+            f"advantage {probe.probe.result.advantage:+.3f}")
     if audit.ok:
         say("audit: OK (every tenant within its Theorem 2 bound)")
     else:
@@ -1003,8 +922,8 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """`report`: render an audit report from a metrics JSON or journal;
-    exit 1 when it records leakage past its static Theorem 2 bound."""
+    """`report`: render a document (:func:`render_report`); exit 1 when
+    it records a violated bound or its command exited 1."""
     try:
         lines, ok = render_report(load_document(args.document),
                                   source=args.document)
@@ -1040,7 +959,7 @@ def cmd_verify_hw(args) -> int:
     its example budget and every expected-insecure one is detected with a
     property violation its spec declares."""
     from .hardware.registry import LATTICE_POINTS
-    from .hardware.verify import run_campaign
+    from .hardware.verify import render_verify_campaign, run_campaign
 
     if args.list:
         for spec in REGISTRY.specs():
@@ -1069,36 +988,12 @@ def cmd_verify_hw(args) -> int:
         quantify=not args.no_quantify,
         counterexample_dir=args.counterexamples,
     )
-    print(
-        f"campaign seed: {result.seed} "
-        f"(per-point seeds listed below; rerun with --seed {result.seed} "
-        f"to reproduce)"
-    )
-    print(f"examples per point: {result.max_examples}")
-    print()
-    for line in result.summary_lines():
-        print(line)
+    doc = result.as_dict()
+    print("\n".join(render_verify_campaign(doc)))
     if args.output:
-        _emit(json.dumps(result.as_dict(), indent=2) + "\n", args.output,
+        _emit(json.dumps(doc, indent=2) + "\n", args.output,
               f"\nwrote campaign result to {args.output}")
-    surprises = result.surprises()
-    if surprises:
-        print(f"\nCAMPAIGN FAILED: {len(surprises)} point(s) defied "
-              f"their spec")
-        for verdict in surprises:
-            kind = (
-                "expected secure but a violation was found"
-                if verdict.expected_secure
-                else "expected insecure but went undetected or was "
-                     "misattributed"
-            )
-            print(
-                f"  {verdict.model}[{verdict.lattice_point},"
-                f"{verdict.param_point}]: {kind}"
-            )
-        return 1
-    print("\ncampaign passed: secure models held, insecure models detected")
-    return 0
+    return 0 if doc["ok"] else 1
 
 
 def cmd_attack(args) -> int:
@@ -1430,10 +1325,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list registered attacks and exit")
 
     p = command("report", cmd_report,
-                "render an audit report from telemetry output")
+                "render any document the repo writes: a telemetry audit "
+                "or a command's text report")
     p.add_argument("document",
-                   help="a metrics JSON (--metrics-out) or an event "
-                        "journal (--journal-out)")
+                   help="a repro.telemetry/1 metrics JSON (--metrics-out), "
+                        "an event journal (--journal-out), or the JSON of "
+                        "lint (repro.lint/1), cost (repro.cost/1), tune "
+                        "(repro.tune/1), attack (repro.adversary/1) or "
+                        "verify-hw --output (repro.verify-hw.campaign/1)")
 
     return parser
 

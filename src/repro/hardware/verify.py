@@ -474,9 +474,6 @@ class CampaignResult:
     def ok(self) -> bool:
         return all(v.as_expected() for v in self.verdicts)
 
-    def surprises(self) -> List[ModelVerdict]:
-        return [v for v in self.verdicts if not v.as_expected()]
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "schema": "repro.verify-hw.campaign/1",
@@ -486,26 +483,38 @@ class CampaignResult:
             "verdicts": [v.as_dict() for v in self.verdicts],
         }
 
-    def summary_lines(self) -> List[str]:
-        lines = []
-        for v in self.verdicts:
-            point = f"{v.model}[{v.lattice_point},{v.param_point}]"
-            expect = "secure" if v.expected_secure else "insecure"
-            if v.detected:
-                outcome = f"VIOLATED {v.violation.prop}"
-                if v.leak is not None:
-                    outcome += (
-                        f"; adversary observes {v.leak.probe_classes} "
-                        f"probe classes (~{v.leak.probe_bits:.1f} bits/run)"
-                    )
-            else:
-                outcome = "all properties held"
-            mark = "ok " if v.as_expected() else "BAD"
-            lines.append(
-                f"{mark} {point:34s} expected {expect:8s} "
-                f"[{v.examples} examples, seed {v.seed}] {outcome}"
-            )
-        return lines
+
+def render_verify_campaign(doc: Dict[str, object]) -> List[str]:
+    """A ``repro.verify-hw.campaign/1`` document as report lines: one per
+    point, then the verdict and the points that defied their spec."""
+    seed = doc["seed"]
+    lines = [f"campaign seed: {seed} (per-point seeds listed below; rerun "
+             f"with --seed {seed} to reproduce)",
+             f"examples per point: {doc['max_examples']}", ""]
+    surprises = []
+    for v in doc["verdicts"]:
+        point = f"{v['model']}[{v['lattice']},{v['params']}]"
+        outcome = ("all properties held" if not v["detected"]
+                   else f"VIOLATED {v['violation']['prop']}")
+        if v["leak"] is not None:
+            # The bits from the class count, not the rounded field.
+            classes = v["leak"]["probe_classes"]
+            bits = math.log2(classes) if classes else 0.0
+            outcome += (f"; adversary observes {classes} probe classes "
+                        f"(~{bits:.1f} bits/run)")
+        lines.append(f"{'ok ' if v['as_expected'] else 'BAD'} {point:34s} "
+                     f"expected {v['expected']:8s} [{v['examples']} "
+                     f"examples, seed {v['seed']}] {outcome}")
+        if not v["as_expected"]:
+            surprises.append(f"  {point}: " + (
+                "expected secure but a violation was found"
+                if v["expected"] == "secure" else
+                "expected insecure but went undetected or was misattributed"))
+    if not surprises:
+        return lines + ["", "campaign passed: secure models held, "
+                            "insecure models detected"]
+    return lines + ["", f"CAMPAIGN FAILED: {len(surprises)} point(s) "
+                        f"defied their spec", *surprises]
 
 
 def _replay_stored_failures(

@@ -107,11 +107,16 @@ def secret_variants(
     for overrides in assignments:
         variant = base.copy()
         for name, value in overrides.items():
-            if variant.is_scalar(name):
-                variant.write(name, value)  # type: ignore[arg-type]
-            elif variant.is_array(name):
+            if variant.is_scalar(name) and isinstance(value, int):
+                variant.write(name, value)
+            elif variant.is_array(name) and not isinstance(value, int):
                 for i, item in enumerate(value):  # type: ignore[arg-type]
                     variant.write_elem(name, i, item)
+            elif variant.is_scalar(name) or variant.is_array(name):
+                shape = ("a scalar" if variant.is_scalar(name) else
+                         f"an array of length {variant.array_length(name)}")
+                raise VariantError(f"{name!r} is declared as {shape}; a "
+                                   f"variant cannot set it to {value!r}")
             else:
                 raise KeyError(
                     f"variant overrides undeclared name {name!r}; declare "

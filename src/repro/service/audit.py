@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..attacks.distinguisher import advantage as welch_advantage
+from ..attacks.distinguisher import AdvantageResult, advantage
 from ..telemetry.leakage import EPSILON
 from .gateway import Response, ServiceResult
 
@@ -56,49 +56,31 @@ def quantile(values: List[int], q: float) -> int:
 
 @dataclass
 class ProbeResult:
-    """One threshold-distinguisher probe over labeled response times.
-
-    Beyond the accuracy-over-chance advantage, the probe carries the
-    Welch's t-test verdict (:func:`repro.attacks.distinguisher.advantage`)
-    so the metrics document reports not just *how well* the classes
-    separate but whether the separation is statistically real --
-    ``repro report`` renders the observed advantage, raw sample counts,
-    and p-value next to the tenant's Theorem 2 budget.
-    """
+    """One threshold-distinguisher probe over labeled response times:
+    ``result`` (:func:`repro.attacks.distinguisher.advantage`) carries the
+    advantage and the Welch's t-test, so ``repro report`` shows *how well*
+    the classes separate and whether the separation is statistically
+    real, next to the tenant's Theorem 2 budget."""
 
     class_a: str
     class_b: str
-    samples_a: int
-    samples_b: int
-    accuracy: float
-    chance: float
-    t_stat: float = 0.0
-    dof: float = 0.0
-    p_value: float = 1.0
-
-    @property
-    def advantage(self) -> float:
-        return self.accuracy - self.chance
-
-    @property
-    def significant(self) -> bool:
-        """Is the separation statistically significant (alpha = 0.01)?"""
-        return self.p_value < 0.01
+    result: AdvantageResult
 
     def as_dict(self) -> Dict[str, Any]:
+        result = self.result
         return {
             "classes": [self.class_a, self.class_b],
-            "samples": [self.samples_a, self.samples_b],
-            "accuracy": round(self.accuracy, 4),
-            "chance": round(self.chance, 4),
-            "advantage": round(self.advantage, 4),
+            "samples": [result.samples_a, result.samples_b],
+            "accuracy": round(result.accuracy, 4),
+            "chance": round(result.chance, 4),
+            "advantage": round(result.advantage, 4),
             # JSON has no infinity: a zero-variance, distinct-means
             # channel (deterministically distinguishable) is null here.
-            "t_stat": (None if math.isinf(self.t_stat)
-                       else round(self.t_stat, 4)),
-            "dof": round(self.dof, 2),
-            "p_value": self.p_value,
-            "significant": self.significant,
+            "t_stat": (None if math.isinf(result.t_stat)
+                       else round(result.t_stat, 4)),
+            "dof": round(result.dof, 2),
+            "p_value": result.p_value,
+            "significant": result.significant(),
         }
 
 
@@ -197,18 +179,8 @@ def _probe(grouped: Dict[str, List[int]]) -> Optional[ProbeResult]:
     if len(eligible) < 2:
         return None
     (name_a, times_a), (name_b, times_b) = eligible[0], eligible[1]
-    result = welch_advantage(times_a, times_b, name_a, name_b)
-    return ProbeResult(
-        class_a=name_a,
-        class_b=name_b,
-        samples_a=len(times_a),
-        samples_b=len(times_b),
-        accuracy=result.accuracy,
-        chance=result.chance,
-        t_stat=result.t_stat,
-        dof=result.dof,
-        p_value=result.p_value,
-    )
+    return ProbeResult(name_a, name_b,
+                       advantage(times_a, times_b, name_a, name_b))
 
 
 def _tenant_probe(responses: List[Response]) -> Optional[ProbeResult]:
@@ -299,12 +271,12 @@ def audit_service(result: ServiceResult) -> ServiceAudit:
         if audit.probe is not None:
             registry.set_gauge(
                 f"attack.service.{name}.advantage",
-                round(audit.probe.advantage, 4),
+                round(audit.probe.result.advantage, 4),
             )
     for probe in cross:
         registry.set_gauge(
             f"attack.service.{probe.observer}<-{probe.victim}.advantage",
-            round(probe.probe.advantage, 4),
+            round(probe.probe.result.advantage, 4),
         )
     return ServiceAudit(tenants=tenants, cross_tenant=cross)
 

@@ -21,10 +21,21 @@ to the text reports in ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 SCHEMA = "repro.telemetry/1"
+
+
+def site_breakdown(counters: Mapping[str, int]) -> Dict[str, Dict[str, int]]:
+    """Per-mitigate-site totals from the ``site.<id>.<what>`` counters:
+    completions, total (padded) and pure padding cycles per mitigate id
+    -- the data behind ``repro report``'s padding breakdown."""
+    sites: Dict[str, Dict[str, int]] = {}
+    for name, value in counters.items():
+        if name.startswith("site."):
+            _, mit_id, what = name.split(".", 2)
+            sites.setdefault(mit_id, {})[what] = value
+    return sites
 
 
 class MetricsRegistry:
@@ -81,17 +92,6 @@ class MetricsRegistry:
             for name, value in self.gauges.items()
             if name.startswith("miss.")
         }
-
-    def site_breakdown(self) -> Dict[str, Dict[str, int]]:
-        """Per-mitigate-site totals, keyed by mitigate id: completions,
-        total (padded) cycles, and pure padding cycles -- the data behind
-        ``repro report``'s padding breakdown."""
-        sites: Dict[str, Dict[str, int]] = {}
-        for name, value in self.counters.items():
-            if name.startswith("site."):
-                _, mit_id, what = name.split(".", 2)
-                sites.setdefault(mit_id, {})[what] = value
-        return sites
 
     def attack_summary(self) -> Dict[str, Dict[str, Any]]:
         """Per-attack distinguisher statistics, from the
@@ -174,7 +174,7 @@ class MetricsRegistry:
                 for name, values in sorted(self.series.items())
             },
         }
-        sites = self.site_breakdown()
+        sites = site_breakdown(self.counters)
         if sites:
             doc["sites"] = {k: sites[k] for k in sorted(sites)}
         attacks = self.attack_summary()
@@ -185,21 +185,6 @@ class MetricsRegistry:
         if profile is not None:
             doc["profile"] = profile
         return doc
-
-    def to_json(self, leakage: Optional[Dict[str, Any]] = None,
-                profile: Optional[Dict[str, Any]] = None,
-                indent: int = 2) -> str:
-        """:meth:`as_dict` serialized as a JSON string."""
-        return json.dumps(self.as_dict(leakage=leakage, profile=profile),
-                          indent=indent)
-
-    def write(self, path: str,
-              leakage: Optional[Dict[str, Any]] = None,
-              profile: Optional[Dict[str, Any]] = None) -> None:
-        """Write the JSON document to ``path``."""
-        with open(path, "w") as handle:
-            handle.write(self.to_json(leakage=leakage, profile=profile)
-                         + "\n")
 
     # -- display ---------------------------------------------------------------
 

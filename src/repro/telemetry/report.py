@@ -1,9 +1,11 @@
-"""The ``repro report`` audit renderer.
+"""The ``repro report`` renderer: every document the repo writes.
 
-Consumes either a metrics JSON document (schema ``repro.telemetry/1``, as
-written by ``repro run --metrics-out``, ``repro leakage --metrics-out``,
-or the fig7/fig8 benchmarks) or an event journal (JSONL, as written by
-``repro run --journal-out``) and renders a human audit report:
+The JSON of ``lint``, ``cost``, ``tune``, ``attack`` and ``verify-hw``
+renders through that command's own text renderer, chosen by its
+``schema``.  A metrics JSON document (schema ``repro.telemetry/1``, as
+written by ``--metrics-out`` or the fig7/fig8 benchmarks) or an event
+journal (JSONL, as written by ``repro run --journal-out``) renders as an
+audit report:
 
 * **time sinks** -- where the cycles went (machine, sleep, padding), top
   first, with their share of the final clock;
@@ -16,7 +18,8 @@ or the fig7/fig8 benchmarks) or an event journal (JSONL, as written by
   explicit within-bound verdict.
 
 :func:`render_report` returns the lines plus an ``ok`` flag; the CLI exits
-nonzero when a metrics document records an observed > bound violation.
+1 when it is false.  SARIF logs, Chrome traces and ``repro.verify-hw/1``
+counterexamples have readers of their own and are refused by name.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .metrics import SCHEMA
+from .metrics import SCHEMA, site_breakdown
 from .profiling import render_profile_lines
 from .spans import CATEGORY_MITIGATE, CATEGORY_RUN, Span, spans_from_journal
 
 
 class ReportError(ValueError):
-    """The input document is not a metrics JSON or an event journal."""
+    """The input is not a document ``repro report`` renders."""
 
 
 def load_document(path: str) -> Dict[str, Any]:
@@ -73,17 +76,6 @@ def _trajectory_line(level: str, values: Sequence[int]) -> str:
     return f"  Miss[{level}]: {shown}"
 
 
-def _sites_from_counters(counters: Mapping[str, int]) -> Dict[str, Dict]:
-    """Per-mitigate-site totals from ``site.<id>.<what>`` counters."""
-    sites: Dict[str, Dict[str, int]] = {}
-    for name, value in counters.items():
-        if not name.startswith("site."):
-            continue
-        _, mit_id, what = name.split(".", 2)
-        sites.setdefault(mit_id, {})[what] = value
-    return sites
-
-
 def _metrics_report(doc: Mapping[str, Any]) -> Tuple[List[str], bool]:
     lines: List[str] = []
     timing = doc.get("timing", {})
@@ -101,7 +93,7 @@ def _metrics_report(doc: Mapping[str, Any]) -> Tuple[List[str], bool]:
     for name, cycles in sorted(sinks, key=lambda kv: -kv[1]):
         lines.append(f"  {_fmt_share(cycles, final)}  {cycles:>12}  {name}")
 
-    sites = doc.get("sites") or _sites_from_counters(doc.get("counters", {}))
+    sites = doc.get("sites") or site_breakdown(doc.get("counters", {}))
     distinct = doc.get("leakage", {}).get(
         "per_command_distinct_durations", {}
     )
@@ -337,29 +329,71 @@ def _journal_report(records: List[Dict[str, Any]]) -> Tuple[List[str], bool]:
     return lines, True
 
 
+def _documents():
+    """schema -> (render, ok) for the command documents: ``render(doc)``
+    is the command's text report, ``ok(doc)`` false where it exits 1.
+    Imported on use, so loading telemetry loads no analysis."""
+    from ..adversary.campaign import render_campaign
+    from ..analysis.render import render_cost, render_lint, render_tune
+    from ..hardware.verify import render_verify_campaign
+
+    return {
+        "repro.lint/1": (render_lint, lambda doc: not doc["summary"]["total"]),
+        "repro.cost/1": (render_cost, lambda doc: not any(
+            program["diagnostics"] for program in doc["programs"])),
+        "repro.tune/1": (render_tune, lambda doc: doc["feasible"]),
+        "repro.adversary/1": (lambda doc: render_campaign(doc).split("\n"),
+                              lambda doc: doc["ok"]),
+        "repro.verify-hw.campaign/1": (render_verify_campaign,
+                                       lambda doc: doc["ok"]),
+    }
+
+
+def _read_elsewhere(doc: Mapping[str, Any]) -> Optional[str]:
+    """What ``doc`` is, when a reader of its own takes it."""
+    if "runs" in doc and "version" in doc:
+        return "a SARIF log: open it in a SARIF viewer or code scanning"
+    if "traceEvents" in doc:
+        return "a Chrome trace: open it in Perfetto or chrome://tracing"
+    if doc.get("schema") == "repro.verify-hw/1":
+        return ("a repro.verify-hw/1 counterexample: replay it with "
+                "repro.hardware.verify.replay_counterexample")
+    return None
+
+
 def render_report(doc: Mapping[str, Any],
                   source: Optional[str] = None) -> Tuple[List[str], bool]:
-    """Render the audit report for a loaded document.
+    """Render the report for a loaded document.
 
-    Returns ``(lines, ok)``; ``ok`` is False exactly when the document
-    records a violated bound -- a dynamic-leakage account exceeding its
-    static Theorem 2 bound, or a ``sweep`` section where the measured
-    ``Q`` beat ``log2 |V|``.
+    Returns ``(lines, ok)``.  A command document renders as the command's
+    text, ``ok`` false where the command exits 1.  An audit report's
+    ``ok`` is False exactly when the document records a violated bound --
+    a dynamic-leakage account exceeding its static Theorem 2 bound, or a
+    ``sweep`` section where the measured ``Q`` beat ``log2 |V|``.
     """
     schema = doc.get("schema")
+    elsewhere = _read_elsewhere(doc)
+    if elsewhere is not None:
+        raise ReportError(f"document is {elsewhere}; repro report does not "
+                          f"render it")
     header = f"repro audit report (schema {schema or 'unknown'})"
     if source:
         header += f" -- {source}"
     lines = [header, "=" * len(header)]
+    documents = _documents()
     try:
+        if schema in documents:
+            render, ok = documents[schema]
+            return render(doc), ok(doc)
         if "journal" in doc:
             body, ok = _journal_report(doc["journal"])
         elif "counters" in doc or "timing" in doc:
             body, ok = _metrics_report(doc)
         else:
             raise ReportError(
-                "document is neither a repro.telemetry metrics JSON nor an "
-                "event journal"
+                "document is neither a repro.telemetry metrics JSON, an "
+                "event journal, nor a document of lint, cost, tune, attack "
+                "or verify-hw"
             )
     except ReportError:
         raise
@@ -368,7 +402,8 @@ def render_report(doc: Mapping[str, Any],
         # A recognizable document with missing/truncated/mistyped
         # sections must exit 2 at the CLI, not traceback.
         raise ReportError(
-            f"telemetry document is truncated or malformed: "
+            f"{schema if schema in documents else 'telemetry'} document "
+            f"is truncated or malformed: "
             f"{type(err).__name__}: {err}"
         )
     return lines + body, ok

@@ -13,8 +13,8 @@ from repro.analysis import (
     audit_leakage,
     collect_typing_diagnostics,
     render_json,
+    render_lint,
     render_sarif,
-    render_text,
 )
 from repro.analysis.engine import DirectiveError, LintOptions, parse_directives
 from repro.analysis.rules import RULES
@@ -320,7 +320,8 @@ class TestAudit:
 
     def test_audit_lines_show_the_formula(self):
         result = analyze("mitigate(4, H) { sleep(h) }\n", horizon=1024)
-        text = "\n".join(result.audit.lines())
+        text = "\n".join(render_lint(
+            render_json([], {"test.tl": result.audit})))
         assert "|L^_{L}| = 1" in text
         assert "log2(2)" in text
 
@@ -350,7 +351,8 @@ class TestRenderers:
 
     def test_text_has_excerpt_and_caret(self):
         result = self._result()
-        lines = render_text(result.diagnostics, {"test.tl": result.source})
+        lines = render_lint(render_json(result.diagnostics),
+                            {"test.tl": result.source})
         text = "\n".join(lines)
         assert "test.tl:1:1: error[TL001]" in text
         assert "    l := h;" in text
@@ -358,7 +360,7 @@ class TestRenderers:
         assert "finding" in lines[-1]
 
     def test_text_clean_summary(self):
-        assert render_text([], {}) == ["clean: no findings"]
+        assert render_lint(render_json([])) == ["clean: no findings"]
 
     def test_json_document(self):
         result = self._result()

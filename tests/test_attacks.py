@@ -164,6 +164,19 @@ class TestWelchAdvantage:
         assert 2 * _student_t_sf(2.228, 10.0) == pytest.approx(0.05,
                                                                abs=1e-3)
 
+    def test_clamp_at_chance_never_bites(self):
+        """The outermost threshold puts every sample on one side, which
+        scores exactly the majority guess: the best threshold is never
+        below chance, so the advantage is ``accuracy - chance`` as is."""
+        import random
+
+        rng = random.Random(35)
+        for _ in range(300):
+            a = [rng.randrange(12) for _ in range(rng.randrange(2, 15))]
+            b = [rng.randrange(12) for _ in range(rng.randrange(2, 15))]
+            result = advantage(a, b)
+            assert result.advantage == result.accuracy - result.chance >= 0
+
     def test_as_dict_round_trips(self):
         result = advantage([1, 2, 3, 4], [10, 11, 12, 13])
         d = result.as_dict()

@@ -124,6 +124,16 @@ RUNTIME_ROWS = [
     (["leakage", "array_read.tl", *ARRAYS, "--set", "a=1:2",
       "--secret", "x", "--values", "0..1"],
      "repro leakage: array read a[5] out of bounds (length 2)"),
+    # A secret range sets scalars: an array secret, or a scalar that
+    # --set declared an array, does not fit it.
+    (["leakage", "array_read.tl", *ARRAYS, "--set", "a=1:2",
+      "--secret", "a", "--values", "0..2"],
+     "repro leakage: 'a' is declared as an array of length 2; a variant "
+     "cannot set it to 0"),
+    (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
+      "--values", "0..2", "--set", "h=1:2"],
+     "repro leakage: 'h' is declared as an array of length 2; a variant "
+     "cannot set it to 0"),
     # A secret the adversary observes is not in the varied set L_{lA}.
     (["leakage", "mitigated.tl", *GAMMA, "--secret", "h",
       "--adversary", "H"],

@@ -21,6 +21,7 @@ from repro.analysis.flows import (
     duration_vars,
     tdg_to_dot,
 )
+from repro.analysis.render import render_json, render_lint
 from repro.lang import ast, parse
 from repro.lang.parser import DEFAULT_LATTICE
 from repro.typesystem import SecurityEnvironment
@@ -434,7 +435,8 @@ class TestAuditPrecision:
             fixture("tl020_unreachable_mitigate.tl"),
             path="tl020_unreachable_mitigate.tl",
         )
-        text = "\n".join(result.audit.lines())
+        text = "\n".join(render_lint(
+            render_json([], {result.path: result.audit})))
         assert "syntactic bound" in text
         doc = result.audit.as_dict()
         assert doc["syntactic"]["pruned_count"] == 1

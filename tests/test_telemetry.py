@@ -325,18 +325,7 @@ class TestMetricsRegistry:
             "l1d": {"hits": 3, "misses": 0}
         }
         # The document must round-trip through JSON unchanged.
-        assert json.loads(reg.to_json()) == json.loads(
-            json.dumps(doc)
-        )
-
-    def test_write(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.inc("runs")
-        path = tmp_path / "m.json"
-        reg.write(str(path), leakage={"within_bound": True})
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == SCHEMA
-        assert doc["leakage"] == {"within_bound": True}
+        assert json.loads(json.dumps(reg.as_dict())) == doc
 
 
 def _finished(time, *mitigations):

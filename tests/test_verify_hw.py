@@ -432,7 +432,7 @@ class TestCampaign:
             registry, max_examples=20, seed=0, quantify=False
         )
         assert not result.ok()
-        (verdict,) = result.surprises()
+        (verdict,) = [v for v in result.verdicts if not v.as_expected()]
         assert verdict.model == "imposter"
         assert not verdict.detected
 
@@ -454,7 +454,7 @@ class TestCampaign:
             registry, max_examples=60, seed=3, quantify=False
         )
         assert not result.ok()
-        (verdict,) = result.surprises()
+        (verdict,) = [v for v in result.verdicts if not v.as_expected()]
         assert verdict.model == "optimist"
         assert verdict.detected
 
