@@ -28,6 +28,7 @@ from repro.telemetry import (
     RecordingTraceRecorder,
     SpanRecorder,
     TeeRecorder,
+    render_metrics,
 )
 
 from _report import (
@@ -152,10 +153,8 @@ def _build_report():
     for v in VALID_COUNTS:
         report.line(f"mitigated   valid={v}: {lower[v][:5]} ... (constant)")
 
-    registry = recorder.registry
-    metrics_path = write_metrics(
-        "fig7", registry.as_dict(leakage=meter.as_dict())
-    )
+    document = recorder.registry.as_dict(leakage=meter.as_dict())
+    metrics_path = write_metrics("fig7", document)
     trace_path = write_trace("fig7", span_recorder.spans)
     report.line()
     report.line(f"Execution timeline (Perfetto-loadable): "
@@ -163,8 +162,8 @@ def _build_report():
                 f"({len(span_recorder.spans)} spans)")
     report.line(f"Telemetry over the mitigated stream "
                 f"({repo_path(metrics_path)}):")
-    for line in registry.summary_lines():
-        report.line(f"  {line}")
+    for line in render_metrics(document)[0]:
+        report.line(f"  {line}" if line else "")
     leakage_ok = meter.holds()
     report.expect(
         "dynamic leakage accounting within the static Theorem 2 bound",

@@ -61,7 +61,8 @@ serve
 
 leakage
     Measure Definition 1 leakage exhaustively over one secret's value
-    range, plus the Theorem 2 variation count and the Sec. 7 bound::
+    range, plus the Theorem 2 variation count and the Sec. 7 bound; exit
+    1 when Theorem 2 fails on the range::
 
         python -m repro leakage prog.tl --gamma h=H,l=L --set l=0 \\
             --secret h --values 0..32
@@ -160,6 +161,7 @@ from .telemetry import (
     combine,
     load_document,
     prometheus_exposition,
+    render_metrics,
     render_report,
     write_chrome_trace,
 )
@@ -439,7 +441,8 @@ class _Telemetry:
     it; spans and a JSONL journal follow ``--trace-out``/
     ``--journal-out``, a profiler ``--profile``/``--prom-out``.  Pass
     :attr:`recorder` (all of them, or ``None``) to the run, set
-    :attr:`meter`, then call :meth:`finish`.
+    :attr:`meter`, then call :meth:`finish`.  The command's text goes
+    through :attr:`say`: to stderr when ``--metrics-out -`` takes stdout.
     """
 
     def __init__(self, args, metered: bool = False):
@@ -461,46 +464,50 @@ class _Telemetry:
                               or getattr(args, "prom_out", None))
         self.profiler = Profiler() if self.profiling else None
         self.recorder = combine(self.metrics, self.spans, self.profiler)
-
-    @property
-    def ok(self) -> bool:
-        """False when the leakage meter saw its static bound exceeded."""
-        return self.metrics is None or self.meter.holds()
+        self.say = functools.partial(
+            print, file=sys.stderr if args.metrics_out == "-" else sys.stdout)
 
     def document(self) -> dict:
-        """The metrics recorder's ``repro.telemetry/1`` document."""
-        return self.metrics.registry.as_dict(
-            leakage=self.meter.as_dict(),
-            profile=self.profiler.as_dict() if self.profiling else None,
-        )
+        """The ``repro.telemetry/1`` document of the metrics recorder,
+        with the leakage and profile sections; without a recorder, the
+        profile alone (or nothing)."""
+        profile = self.profiler.as_dict() if self.profiling else None
+        if self.metrics is None:
+            return {} if profile is None else {"profile": profile}
+        return self.metrics.registry.as_dict(leakage=self.meter.as_dict(),
+                                             profile=profile)
 
-    def finish(self, doc: Optional[dict] = None, say=print) -> None:
-        """Print the requested summaries and write the requested files
-        (``doc`` as in :meth:`write_files`)."""
-        args, profiler, meter = self.args, self.profiler, self.meter
-        if self.profiling and args.profile:
-            say("profile:")
-            for line in profiler.summary_lines():
-                say(f"  {line}")
+    def finish(self, doc: Optional[dict] = None,
+               section: Optional[str] = None) -> int:
+        """Print the command's text, write the requested files (``doc``
+        as in :meth:`write_files`) and return the exit code.
+
+        The text is :func:`render_metrics` over ``doc`` (default
+        :meth:`document`): every part with ``--trace``, else the
+        command's ``section`` and, with ``--profile``, the profile.  The
+        code is 1 when the document records a violated bound, as
+        ``repro report`` exits on the written document.
+        """
+        args = self.args
+        parts = None if getattr(args, "trace", False) else (
+            {section, "profile"} if getattr(args, "profile", False)
+            else {section})
+        lines, ok = render_metrics(self.document() if doc is None else doc,
+                                   parts)
+        for line in lines:
+            self.say(line)
         if self.profiling and args.prom_out:
-            _emit(prometheus_exposition(profiler.as_dict()), args.prom_out,
-                  f"prometheus exposition written to {args.prom_out}", say)
-        if self.metrics is not None and args.trace:
-            say("telemetry:")
-            for line in self.metrics.registry.summary_lines():
-                say(f"  {line}")
-            say(
-                f"  leakage: {meter.observed_variations} observed "
-                f"variation(s) ({meter.observed_bits:.3f} bits) <= "
-                f"static bound {meter.static_bound_bits():.3f} bits: "
-                f"{'ok' if meter.holds() else 'VIOLATED'}"
-            )
-        self.write_files(doc, say)
+            _emit(prometheus_exposition(self.profiler.as_dict()),
+                  args.prom_out,
+                  f"prometheus exposition written to {args.prom_out}",
+                  self.say)
+        self.write_files(doc)
+        return 0 if ok else 1
 
-    def write_files(self, doc: Optional[dict] = None, say=print) -> None:
+    def write_files(self, doc: Optional[dict] = None) -> None:
         """Write --metrics-out (``doc``, key-sorted, or :meth:`document`),
         --journal-out and --trace-out: also what a run that raised took."""
-        args = self.args
+        args, say = self.args, self.say
         if args.metrics_out:
             text = (json.dumps(self.document(), indent=2) if doc is None
                     else json.dumps(doc, indent=2, sort_keys=True))
@@ -802,26 +809,26 @@ def cmd_run(args) -> int:
         sinks.write_files()  # what the steps taken recorded
         raise
     meter.observe(result)
-    print(f"time: {result.time} cycles ({result.steps} steps)")
+    say = sinks.say
+    say(f"time: {result.time} cycles ({result.steps} steps)")
     if result.events:
-        print("events:")
+        say("events:")
         for event in result.events:
-            print(f"  {event}")
+            say(f"  {event}")
     if result.mitigations:
-        print(f"mitigations ({mitigation.describe()}):")
+        say(f"mitigations ({mitigation.describe()}):")
         for record in result.mitigations:
-            print(f"  {record.mit_id}: duration {record.duration} "
-                  f"(level {record.level}, done at {record.end_time})")
+            say(f"  {record.mit_id}: duration {record.duration} "
+                f"(level {record.level}, done at {record.end_time})")
     for name in sorted(compiled.gamma):
-        print(f"final {name} = {result.memory.value_of(name)}")
-    sinks.finish()
-    return 0 if sinks.ok else 1
+        say(f"final {name} = {result.memory.value_of(name)}")
+    return sinks.finish()
 
 
 def cmd_serve(args) -> int:
-    """`serve`: run a workload through the gateway; print a summary and
-    the per-tenant audit (on stderr when ``--metrics-out -`` takes
-    stdout)."""
+    """`serve`: run a workload through the gateway and print its
+    ``service`` section: counts and the per-tenant audit (on stderr when
+    ``--metrics-out -`` takes stdout)."""
     from .service import Gateway, audit_service, service_document
 
     spec = _workload(args.spec, policy=args.policy, requests=args.requests,
@@ -829,44 +836,10 @@ def cmd_serve(args) -> int:
                      workers=args.workers)
     sinks = _Telemetry(args)
     result = Gateway(spec, recorder=sinks.recorder).serve()
-    audit = audit_service(result)
-    doc = service_document(result, audit)
+    doc = service_document(result, audit_service(result))
     if sinks.profiling:
         doc["profile"] = sinks.profiler.as_dict()
-
-    say = functools.partial(
-        print, file=sys.stderr if args.metrics_out == "-" else sys.stdout
-    )
-    counts = doc["service"]["requests"]
-    say(f"policy {result.policy.describe()}  workers {spec.workers}  "
-        f"seed {spec.seed}")
-    say(f"requests: {counts['submitted']} submitted, "
-        f"{counts['completed']} completed, {counts['rejected']} rejected, "
-        f"{counts['timed_out']} timed out ({result.retries} retries)")
-    say(f"makespan: {result.makespan} cycles  "
-        f"throughput: {result.throughput_per_mcycle():.1f} req/Mcycle")
-    for name, tenant in doc["service"]["tenants"].items():
-        t_audit = audit.tenants[name]
-        lat = tenant["latency"]
-        verdict = "ok" if t_audit.within_bound else "VIOLATED"
-        say(f"  {name} ({tenant['app']}): "
-            f"{tenant['requests']['completed']} ok, "
-            f"latency p50 {lat['p50']} p99 {lat['p99']}, "
-            f"leakage {t_audit.observed_bits:.3f} <= "
-            f"{t_audit.bound_bits:.3f} bits: {verdict}")
-        if t_audit.probe is not None:
-            say(f"    distinguisher "
-                f"{t_audit.probe.class_a} vs {t_audit.probe.class_b}: "
-                f"advantage {t_audit.probe.result.advantage:+.3f}")
-    for probe in audit.cross_tenant:
-        say(f"  cross-tenant {probe.observer} observing {probe.victim}: "
-            f"advantage {probe.probe.result.advantage:+.3f}")
-    if audit.ok:
-        say("audit: OK (every tenant within its Theorem 2 bound)")
-    else:
-        say("audit: VIOLATED")
-    sinks.finish(doc, say)
-    return 0 if audit.ok else 1
+    return sinks.finish(doc, "service")
 
 
 def cmd_leakage(args) -> int:
@@ -875,7 +848,8 @@ def cmd_leakage(args) -> int:
     The range runs once and both sides of Theorem 2 are folds over those
     runs, so one telemetry document covers the whole sweep, with the
     dynamic Theorem 2 account against the swept secret's level and a
-    ``sweep`` section recording both sides of the theorem.
+    ``sweep`` section recording both sides of the theorem.  Prints that
+    section; exits 1 when either side of Theorem 2 is violated.
     """
     compiled, config = _compiled(args, check=not args.unchecked)
     lattice = compiled.lattice
@@ -896,18 +870,10 @@ def cmd_leakage(args) -> int:
                       recorder=sinks.recorder))
     q = fold_leakage(runs, compiled.gamma, adversary)
     v = sinks.meter = fold_variations(runs, lattice, levels, adversary)
-    theorem2 = Theorem2Result(leakage=q, variations=v)
     worst = q.latest_event_time
     bound = leakage_bound(lattice, levels, adversary, worst,
                           relevant_mitigations=v.max_relevant_per_run)
-    print(f"secrets: {args.secret} in [{lo}, {hi})  adversary: {adversary}")
-    print(f"Q        = {q.bits:.3f} bits "
-          f"({q.distinguishable} distinguishable observations)")
-    print(f"log|V|   = {v.observed_bits:.3f} bits "
-          f"({v.observed_variations} timing variations)")
-    print(f"bound    = {bound:.3f} bits  (T={worst})")
-    print(f"Theorem 2 {'holds' if theorem2.holds else 'VIOLATED'}")
-    sinks.finish({**sinks.document(), "sweep": {
+    return sinks.finish({**sinks.document(), "sweep": {
         "secret": args.secret,
         "values": [lo, hi],
         "adversary": adversary.name,
@@ -916,9 +882,9 @@ def cmd_leakage(args) -> int:
         "variation_bits": v.observed_bits,
         "variation_count": v.observed_variations,
         "bound_bits": bound,
-        "theorem2_holds": theorem2.holds,
-    }} if args.metrics_out else None)
-    return 0 if sinks.ok else 1
+        "T": worst,
+        "theorem2_holds": Theorem2Result(leakage=q, variations=v).holds,
+    }}, "sweep")
 
 
 def cmd_report(args) -> int:

@@ -53,7 +53,7 @@ from .recorder import (
     TraceRecorder,
     combine,
 )
-from .report import ReportError, load_document, render_report
+from .report import ReportError, load_document, render_metrics, render_report
 from .spans import (
     EventJournal,
     Span,
@@ -82,6 +82,7 @@ __all__ = [
     "load_document",
     "load_journal",
     "prometheus_exposition",
+    "render_metrics",
     "render_report",
     "spans_from_journal",
     "write_chrome_trace",

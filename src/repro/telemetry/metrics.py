@@ -25,6 +25,9 @@ from typing import Any, Dict, List, Mapping, Optional
 
 SCHEMA = "repro.telemetry/1"
 
+#: The cache and TLB components the ``hardware`` section counts, in order.
+CACHE_COMPONENTS = ("l1d", "l2d", "l1i", "l2i", "dtlb", "itlb")
+
 
 def site_breakdown(counters: Mapping[str, int]) -> Dict[str, Dict[str, int]]:
     """Per-mitigate-site totals from the ``site.<id>.<what>`` counters:
@@ -75,15 +78,6 @@ class MetricsRegistry:
     def gauge(self, name: str, default: int = 0) -> int:
         """Latest gauge value."""
         return self.gauges.get(name, default)
-
-    def prefixed(self, prefix: str) -> Dict[str, int]:
-        """All counters under ``prefix.`` with the prefix stripped."""
-        cut = len(prefix) + 1
-        return {
-            name[cut:]: value
-            for name, value in self.counters.items()
-            if name.startswith(prefix + ".")
-        }
 
     def miss_counters(self) -> Dict[str, int]:
         """Final per-level mitigation ``Miss`` values, by level name."""
@@ -155,7 +149,7 @@ class MetricsRegistry:
                         "hits": self.counter(f"hw.{comp}.hits"),
                         "misses": self.counter(f"hw.{comp}.misses"),
                     }
-                    for comp in ("l1d", "l2d", "l1i", "l2i", "dtlb", "itlb")
+                    for comp in CACHE_COMPONENTS
                     if self.counter(f"hw.{comp}.hits")
                     or self.counter(f"hw.{comp}.misses")
                 },
@@ -185,44 +179,3 @@ class MetricsRegistry:
         if profile is not None:
             doc["profile"] = profile
         return doc
-
-    # -- display ---------------------------------------------------------------
-
-    def summary_lines(self) -> List[str]:
-        """Human-readable lines for ``repro run --trace``."""
-        lines = [
-            f"steps: {self.counter('steps.total')}  "
-            f"(machine {self.machine_cycles()} cycles, "
-            f"sleep {self.counter('cycles.sleep')}, "
-            f"padding {self.padding_cycles()}; "
-            f"overhead ratio {self.padding_overhead_ratio():.3f})",
-        ]
-        if self.counter("mitigation.completions"):
-            misses = self.miss_counters()
-            shown = ", ".join(f"{k}={v}" for k, v in sorted(misses.items()))
-            lines.append(
-                f"mitigation: {self.counter('mitigation.completions')} "
-                f"completions, Miss {{{shown}}}"
-            )
-        cache = self.prefixed("hw")
-        if any(k.endswith("hits") or k.endswith("misses") for k in cache):
-            parts = []
-            for comp in ("l1d", "l2d", "l1i", "l2i", "dtlb", "itlb"):
-                hits = self.counter(f"hw.{comp}.hits")
-                miss = self.counter(f"hw.{comp}.misses")
-                if hits or miss:
-                    parts.append(f"{comp} {hits}/{miss}")
-            if parts:
-                lines.append("cache hits/misses: " + "  ".join(parts))
-        branch_events = (self.counter("hw.branch.hits")
-                         + self.counter("hw.branch.mispredictions"))
-        if branch_events:
-            lines.append(
-                f"branch: {self.counter('hw.branch.hits')} predicted, "
-                f"{self.counter('hw.branch.mispredictions')} mispredicted"
-            )
-        if self.counter("hw.bypass.steps"):
-            lines.append(
-                f"bypassed steps (lr != lw): {self.counter('hw.bypass.steps')}"
-            )
-        return lines

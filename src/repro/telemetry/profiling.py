@@ -347,10 +347,6 @@ class Profiler(TraceRecorder):
             "budgets": {t: dict(v) for t, v in sorted(self.budgets.items())},
         }
 
-    def summary_lines(self) -> List[str]:
-        """Human-readable summary (used by ``repro run/serve --profile``)."""
-        return render_profile_lines(self.as_dict())
-
 
 def hardware_subsystem(environment: object) -> str:
     """The attribution key for a hardware model's access path, derived
@@ -370,8 +366,8 @@ def _hardware_key(class_name: str) -> str:
 
 
 def render_profile_lines(profile: Mapping) -> List[str]:
-    """Render a ``profile`` section as indented text lines (shared by the
-    CLI summary and ``repro report``)."""
+    """Render a ``profile`` section as text lines (the body of
+    :func:`repro.telemetry.report.render_profile`)."""
     lines: List[str] = []
     subsystems = profile.get("subsystems") or {}
     if subsystems:

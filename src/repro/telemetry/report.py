@@ -13,9 +13,17 @@ audit report:
   padding, and distinct observed durations;
 * **Miss trajectory** -- every value each ``Miss[l]`` took, in order (the
   fast-doubling staircase of Fig. 6);
+* **hardware** -- steps, cache hits/misses per component, branch
+  predictions and bypassed steps;
 * **leakage verdict** -- the dynamic Theorem 2 account: observed bits
   versus the static ``|L^| * log2(K+1) * (1 + log2 T)`` bound, with an
-  explicit within-bound verdict.
+  explicit within-bound verdict;
+
+with the ``sweep`` (``repro leakage``), ``service`` (``repro serve``) and
+``profile`` sections between, where the document has them.  Each part
+has one renderer (:data:`PARTS`): ``run --trace``, ``serve`` and
+``leakage`` print the parts they built through :func:`render_metrics`,
+so a command's text is a block of the report on the document it writes.
 
 :func:`render_report` returns the lines plus an ``ok`` flag; the CLI exits
 1 when it is false.  SARIF logs, Chrome traces and ``repro.verify-hw/1``
@@ -25,9 +33,10 @@ counterexamples have readers of their own and are refused by name.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Collection, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
-from .metrics import SCHEMA, site_breakdown
+from .metrics import CACHE_COMPONENTS, SCHEMA, site_breakdown
 from .profiling import render_profile_lines
 from .spans import CATEGORY_MITIGATE, CATEGORY_RUN, Span, spans_from_journal
 
@@ -65,135 +74,151 @@ def load_document(path: str) -> Dict[str, Any]:
     return {"schema": header.get("schema", SCHEMA), "journal": records}
 
 
-def _fmt_share(part: int, whole: int) -> str:
-    return f"{part / whole:6.1%}" if whole else "   n/a"
+# -- parts shared by the metrics and journal reports ---------------------------
 
 
-def _trajectory_line(level: str, values: Sequence[int]) -> str:
-    shown = " -> ".join(str(v) for v in values[:12])
-    if len(values) > 12:
-        shown += f" -> ... ({len(values)} updates)"
-    return f"  Miss[{level}]: {shown}"
+def _time_sinks(sinks: Sequence[Tuple[str, int]], final: int) -> List[str]:
+    lines = ["time sinks (top first):"]
+    for name, cycles in sorted(sinks, key=lambda kv: -kv[1]):
+        share = f"{cycles / final:6.1%}" if final else "   n/a"
+        lines.append(f"  {share}  {cycles:>12}  {name}")
+    return lines
 
 
-def _metrics_report(doc: Mapping[str, Any]) -> Tuple[List[str], bool]:
-    lines: List[str] = []
+def _site_lines(rows: Sequence[Tuple[str, Any, int, int, Optional[int]]]
+                ) -> List[str]:
+    """``(mit_id, completions, cycles, padding, distinct durations or
+    None)`` per mitigate site, as the padding breakdown."""
+    if not rows:
+        return []
+    lines = ["mitigate sites (padding breakdown):"]
+    for mit_id, completions, total, padding, distinct in rows:
+        lines.append(
+            f"  {mit_id}: {completions} completions, "
+            f"{total} cycles total, {padding} padding"
+            + (f" ({padding / total:.1%})" if total else "")
+            + (f", {distinct} distinct duration(s)"
+               if distinct is not None else "")
+        )
+    return lines
+
+
+def _trajectory_lines(trajectories: Mapping[str, Sequence[int]],
+                      finals: Optional[Mapping[str, int]] = None
+                      ) -> List[str]:
+    """Every value each ``Miss[l]`` took; without a trajectory, the final
+    values ``finals`` a document kept instead."""
+    lines = ["Miss trajectory per level:"]
+    for level, values in sorted(trajectories.items()):
+        shown = " -> ".join(str(v) for v in values[:12])
+        if len(values) > 12:
+            shown += f" -> ... ({len(values)} updates)"
+        lines.append(f"  Miss[{level}]: {shown}")
+    if not trajectories:
+        for level, value in sorted((finals or {}).items()):
+            lines.append(f"  Miss[{level}]: final value {value} "
+                         "(no trajectory series in this document)")
+    if len(lines) == 1:
+        lines.append("  (no mispredictions recorded)")
+    return lines
+
+
+# -- the metrics document, one renderer per part -------------------------------
+
+
+def _summary(doc: Mapping[str, Any]) -> List[str]:
+    return [f"runs: {doc.get('runs', 0)}   final clock total: "
+            f"{doc.get('timing', {}).get('final_cycles', 0)} cycles"]
+
+
+def _timing(doc: Mapping[str, Any]) -> List[str]:
     timing = doc.get("timing", {})
-    final = timing.get("final_cycles", 0)
-    lines.append(f"runs: {doc.get('runs', 0)}   "
-                 f"final clock total: {final} cycles")
-
-    lines.append("")
-    lines.append("time sinks (top first):")
-    sinks = [
+    return _time_sinks([
         ("machine (hardware-charged steps)", timing.get("machine_cycles", 0)),
         ("padding (mitigate stretch)", timing.get("padding_cycles", 0)),
         ("sleep", timing.get("sleep_cycles", 0)),
-    ]
-    for name, cycles in sorted(sinks, key=lambda kv: -kv[1]):
-        lines.append(f"  {_fmt_share(cycles, final)}  {cycles:>12}  {name}")
+    ], timing.get("final_cycles", 0))
 
+
+def _sites(doc: Mapping[str, Any]) -> List[str]:
     sites = doc.get("sites") or site_breakdown(doc.get("counters", {}))
     distinct = doc.get("leakage", {}).get(
         "per_command_distinct_durations", {}
     )
-    if sites or distinct:
-        lines.append("")
-        lines.append("mitigate sites (padding breakdown):")
-        names = sorted(set(sites) | set(distinct))
-        for mit_id in names:
-            info = sites.get(mit_id, {})
-            total = info.get("cycles", 0)
-            padding = info.get("padding", 0)
-            lines.append(
-                f"  {mit_id}: {info.get('completions', '?')} completions, "
-                f"{total} cycles total, {padding} padding"
-                + (f" ({padding / total:.1%})" if total else "")
-                + (f", {distinct[mit_id]} distinct duration(s)"
-                   if mit_id in distinct else "")
-            )
+    rows = []
+    for mit_id in sorted(set(sites) | set(distinct)):
+        info = sites.get(mit_id, {})
+        rows.append((mit_id, info.get("completions", "?"),
+                     info.get("cycles", 0), info.get("padding", 0),
+                     distinct.get(mit_id)))
+    return _site_lines(rows)
 
-    series = doc.get("series", {})
-    trajectories = {
-        name[len("miss_trace."):]: values
-        for name, values in sorted(series.items())
-        if name.startswith("miss_trace.")
-    }
-    lines.append("")
-    lines.append("Miss trajectory per level:")
-    if trajectories:
-        for level, values in trajectories.items():
-            lines.append(_trajectory_line(level, values))
-    else:
-        finals = doc.get("mitigation", {}).get("miss_per_level", {})
-        if finals:
-            for level, value in sorted(finals.items()):
-                lines.append(f"  Miss[{level}]: final value {value} "
-                             "(no trajectory series in this document)")
-        else:
-            lines.append("  (no mispredictions recorded)")
 
+def _trajectories(doc: Mapping[str, Any]) -> List[str]:
+    return _trajectory_lines(
+        {name[len("miss_trace."):]: values
+         for name, values in doc.get("series", {}).items()
+         if name.startswith("miss_trace.")},
+        doc.get("mitigation", {}).get("miss_per_level", {}),
+    )
+
+
+def _hardware(doc: Mapping[str, Any]) -> List[str]:
+    """The ``hardware`` section: the step count, then cache hits/misses
+    per component, branch predictions and bypassed steps where any."""
+    hardware = doc.get("hardware")
+    if not hardware:
+        return []
+    steps = doc.get("counters", {}).get("steps.total", 0)
+    lines = [f"hardware: {steps} steps"]
+    cache = hardware.get("cache", {})
+    if cache:
+        lines.append("  cache hits/misses: " + "  ".join(
+            f"{comp} {cache[comp].get('hits', 0)}/"
+            f"{cache[comp].get('misses', 0)}"
+            for comp in CACHE_COMPONENTS if comp in cache))
+    branch = hardware.get("branch", {})
+    if branch.get("hits") or branch.get("mispredictions"):
+        lines.append(f"  branch: {branch.get('hits', 0)} predicted, "
+                     f"{branch.get('mispredictions', 0)} mispredicted")
+    if hardware.get("bypass_steps"):
+        lines.append(f"  bypassed steps (lr != lw): "
+                     f"{hardware['bypass_steps']}")
+    return lines
+
+
+def _attacks(doc: Mapping[str, Any]) -> List[str]:
     attacks = doc.get("attacks", {})
-    if attacks:
-        lines.append("")
-        lines.append("adversary activity:")
-        for attack, info in sorted(attacks.items()):
-            stats = ", ".join(
-                f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in sorted(info.get("stats", {}).items())
-            )
-            lines.append(f"  {attack}: {info.get('samples', 0)} timing "
-                         f"sample(s){'; ' + stats if stats else ''}")
-
-    ok = True
-    sweep = doc.get("sweep")
-    if sweep:
-        lines.append("")
-        lines.append("secret sweep (Theorem 2, measured both sides):")
-        lo, hi = sweep.get("values", ["?", "?"])
-        lines.append(f"  secret {sweep.get('secret')} in [{lo}, {hi})  "
-                     f"adversary {sweep.get('adversary')}")
-        lines.append(f"  Q = {sweep.get('q_bits', 0.0):.3f} bits "
-                     f"({sweep.get('distinguishable', '?')} distinguishable), "
-                     f"log|V| = {sweep.get('variation_bits', 0.0):.3f} bits "
-                     f"({sweep.get('variation_count', '?')} variations), "
-                     f"closed-form bound {sweep.get('bound_bits', 0.0):.3f} "
-                     "bits")
-        lines.append(f"  Theorem 2 "
-                     f"{'holds' if sweep.get('theorem2_holds') else 'VIOLATED'}"
-                     " on this family")
-        if not sweep.get("theorem2_holds", True):
-            ok = False
-
-    service = doc.get("service")
-    if service:
-        service_lines, service_ok = _service_section(service)
-        lines.extend(service_lines)
-        ok = ok and service_ok
-
-    profile = doc.get("profile")
-    if profile:
-        lines.append("")
-        lines.append("profile (subsystem attribution):")
-        lines.extend(f"  {line}" for line in render_profile_lines(profile))
-
-    lines.append("")
-    leakage = doc.get("leakage")
-    if leakage:
-        observed = leakage.get("observed_bits", 0.0)
-        bound = leakage.get("static_bound_bits", 0.0)
-        within = bool(leakage.get("within_bound",
-                                  observed <= bound + 1e-9))
-        ok = ok and within
-        lines.append(
-            f"leakage verdict: observed {leakage.get('observed_variations', 0)} "
-            f"deadline sequence(s) = {observed:.3f} bits "
-            f"{'<=' if within else '>'} static Theorem 2 bound "
-            f"{bound:.3f} bits: {'ok' if within else 'VIOLATED'}"
+    if not attacks:
+        return []
+    lines = ["adversary activity:"]
+    for attack, info in sorted(attacks.items()):
+        stats = ", ".join(
+            f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in sorted(info.get("stats", {}).items())
         )
-    else:
-        lines.append("leakage verdict: n/a (document has no leakage section)")
-    return lines, ok
+        lines.append(f"  {attack}: {info.get('samples', 0)} timing "
+                     f"sample(s){'; ' + stats if stats else ''}")
+    return lines
+
+
+def render_sweep(sweep: Mapping[str, Any]) -> Tuple[List[str], bool]:
+    """The ``sweep`` section of ``repro leakage``: both sides of Theorem 2
+    over one secret's range, and the closed-form bound at horizon ``T``."""
+    lo, hi = sweep.get("values", ["?", "?"])
+    horizon = f" (T={sweep['T']})" if "T" in sweep else ""
+    holds = sweep.get("theorem2_holds", True)
+    return [
+        "secret sweep (Theorem 2, measured both sides):",
+        f"  secret {sweep.get('secret')} in [{lo}, {hi})  "
+        f"adversary {sweep.get('adversary')}",
+        f"  Q = {sweep.get('q_bits', 0.0):.3f} bits "
+        f"({sweep.get('distinguishable', '?')} distinguishable), "
+        f"log|V| = {sweep.get('variation_bits', 0.0):.3f} bits "
+        f"({sweep.get('variation_count', '?')} variations), "
+        f"closed-form bound {sweep.get('bound_bits', 0.0):.3f} bits{horizon}",
+        f"  Theorem 2 {'holds' if holds else 'VIOLATED'} on this family",
+    ], bool(holds)
 
 
 def _probe_line(probe: Mapping[str, Any]) -> str:
@@ -215,28 +240,25 @@ def _probe_line(probe: Mapping[str, Any]) -> str:
     )
 
 
-def _service_section(service: Mapping[str, Any]) -> Tuple[List[str], bool]:
-    """Render the gateway's ``service`` section (``repro serve``
-    documents; see docs/SERVICE.md)."""
-    lines: List[str] = [""]
+def render_service(service: Mapping[str, Any]) -> Tuple[List[str], bool]:
+    """The gateway's ``service`` section (``repro serve``; see
+    docs/SERVICE.md): counts, every tenant's audit and every cross-tenant
+    probe."""
     counts = service.get("requests", {})
-    lines.append(
+    lines = [
         f"service: policy {service.get('policy', '?')}, "
         f"{service.get('workers', '?')} worker(s), "
+        f"seed {service.get('seed', '?')}, "
         f"scheme {service.get('scheme', '?')}/"
-        f"{service.get('penalty', '?')}"
-    )
-    lines.append(
+        f"{service.get('penalty', '?')}",
         f"  requests: {counts.get('submitted', 0)} submitted, "
         f"{counts.get('completed', 0)} completed, "
         f"{counts.get('rejected', 0)} rejected, "
         f"{counts.get('timed_out', 0)} timed out "
-        f"({service.get('retries', 0)} retries)"
-    )
-    lines.append(
+        f"({service.get('retries', 0)} retries)",
         f"  makespan {service.get('makespan', 0)} cycles, "
-        f"throughput {service.get('throughput_per_mcycle', 0.0)} req/Mcycle"
-    )
+        f"throughput {service.get('throughput_per_mcycle', 0.0)} req/Mcycle",
+    ]
     ok = True
     for name, tenant in sorted(service.get("tenants", {}).items()):
         audit = tenant.get("audit", {})
@@ -259,74 +281,126 @@ def _service_section(service: Mapping[str, Any]) -> Tuple[List[str], bool]:
     cross = service.get("cross_tenant", [])
     if cross:
         worst = max(cross, key=lambda p: p.get("advantage", 0.0))
-        lines.append(
-            f"  cross-tenant probes: {len(cross)}; worst "
-            f"({worst.get('observer', '?')} observing "
-            f"{worst.get('victim', '?')}): " + _probe_line(worst)
-        )
-    if not service.get("audit_ok", True):
-        ok = False
+        lines.append(f"  cross-tenant probes: {len(cross)}; worst: "
+                     f"{worst.get('observer', '?')} observing "
+                     f"{worst.get('victim', '?')}")
+        for probe in cross:
+            lines.append(f"    {probe.get('observer', '?')} observing "
+                         f"{probe.get('victim', '?')}: " + _probe_line(probe))
+    ok = ok and bool(service.get("audit_ok", True))
     lines.append(f"  service audit: {'OK' if ok else 'VIOLATED'}")
     return lines, ok
+
+
+def render_profile(profile: Mapping[str, Any]) -> List[str]:
+    """The ``profile`` section (``--profile``): subsystem attribution,
+    latency quantiles and budget burn-down."""
+    return (["profile (subsystem attribution):"]
+            + [f"  {line}" for line in render_profile_lines(profile)])
+
+
+def _verdict(leakage: Mapping[str, Any]) -> Tuple[List[str], bool]:
+    if not leakage:
+        return ["leakage verdict: n/a (document has no leakage section)"], True
+    observed = leakage.get("observed_bits", 0.0)
+    bound = leakage.get("static_bound_bits", 0.0)
+    within = bool(leakage.get("within_bound", observed <= bound + 1e-9))
+    return [
+        f"leakage verdict: observed {leakage.get('observed_variations', 0)} "
+        f"deadline sequence(s) = {observed:.3f} bits "
+        f"{'<=' if within else '>'} static Theorem 2 bound "
+        f"{bound:.3f} bits: {'ok' if within else 'VIOLATED'}"
+    ], within
+
+
+def _always(render):
+    """A part that records no verdict."""
+    return lambda doc: (render(doc), True)
+
+
+def _section(name, render):
+    """``render`` over the document's section ``name``, where it has one."""
+    return lambda doc: render(doc[name]) if doc.get(name) else ([], True)
+
+
+def _join(parts: Iterable[List[str]]) -> List[str]:
+    """The non-empty ``parts``, set apart by blank lines."""
+    lines: List[str] = []
+    for part in filter(None, parts):
+        lines.extend(([""] if lines else []) + part)
+    return lines
+
+
+#: The metrics report, part by part in print order: (name, render(doc)
+#: -> (lines, ok)).  An empty part prints nothing; the others are set
+#: apart by a blank line.
+PARTS = (
+    ("summary", _always(_summary)),
+    ("timing", _always(_timing)),
+    ("sites", _always(_sites)),
+    ("trajectory", _always(_trajectories)),
+    ("hardware", _always(_hardware)),
+    ("attacks", _always(_attacks)),
+    ("sweep", _section("sweep", render_sweep)),
+    ("service", _section("service", render_service)),
+    ("profile", _section("profile", _always(render_profile))),
+    ("leakage", lambda doc: _verdict(doc.get("leakage"))),
+)
+
+
+def render_metrics(doc: Mapping[str, Any],
+                   parts: Optional[Collection[str]] = None
+                   ) -> Tuple[List[str], bool]:
+    """The audit of a ``repro.telemetry/1`` document: the lines of the
+    ``parts`` named (default all of :data:`PARTS`) and ``ok``, false when
+    any part -- shown or not -- records a violated bound."""
+    shown: List[List[str]] = []
+    ok = True
+    for name, render in PARTS:
+        part, part_ok = render(doc)
+        ok = ok and part_ok
+        if parts is None or name in parts:
+            shown.append(part)
+    return _join(shown), ok
 
 
 def _journal_report(records: List[Dict[str, Any]]) -> Tuple[List[str], bool]:
     spans = spans_from_journal(records)
     runs = [s for s in spans if s.category == CATEGORY_RUN]
     epochs = [s for s in spans if s.category == CATEGORY_MITIGATE]
-    lines: List[str] = []
     final = sum(s.duration or 0 for s in runs)
-    lines.append(f"runs: {len(runs)}   final clock total: {final} cycles "
-                 f"({len(records)} journal record(s))")
-
-    lines.append("")
-    lines.append("time sinks (top first):")
     padding = sum(s.attrs.get("padding", 0) for s in epochs)
     epoch_cycles = sum(s.duration or 0 for s in epochs)
-    sinks = [
-        ("inside mitigate epochs", epoch_cycles),
-        ("padding (mitigate stretch)", padding),
-        ("outside mitigate epochs", final - epoch_cycles),
-    ]
-    for name, cycles in sorted(sinks, key=lambda kv: -kv[1]):
-        lines.append(f"  {_fmt_share(cycles, final)}  {cycles:>12}  {name}")
-
-    if epochs:
-        lines.append("")
-        lines.append("mitigate sites (padding breakdown):")
-        per_site: Dict[str, List[Span]] = {}
-        for span in epochs:
-            per_site.setdefault(span.name, []).append(span)
-        for mit_id, site_spans in sorted(per_site.items()):
-            total = sum(s.duration or 0 for s in site_spans)
-            pad = sum(s.attrs.get("padding", 0) for s in site_spans)
-            durations = {s.duration for s in site_spans}
-            completed = [s for s in site_spans if "aborted" not in s.attrs]
-            lines.append(
-                f"  {mit_id}: {len(completed)} completions, "
-                f"{total} cycles total, {pad} padding"
-                + (f" ({pad / total:.1%})" if total else "")
-                + f", {len(durations)} distinct duration(s)"
-            )
-
-    lines.append("")
-    lines.append("Miss trajectory per level:")
+    per_site: Dict[str, List[Span]] = {}
+    for span in epochs:
+        per_site.setdefault(span.name, []).append(span)
     trajectories: Dict[str, List[int]] = {}
     for record in records:
         if record.get("type") == "miss_update":
             trajectories.setdefault(record["level"], []).append(
                 record["misses"]
             )
-    if trajectories:
-        for level, values in sorted(trajectories.items()):
-            lines.append(_trajectory_line(level, values))
-    else:
-        lines.append("  (no mispredictions recorded)")
-
-    lines.append("")
-    lines.append("leakage verdict: n/a (journals carry the raw stream; "
-                 "run with --metrics-out for the Theorem 2 account)")
-    return lines, True
+    sites = _site_lines([
+        (mit_id,
+         sum(1 for s in site_spans if "aborted" not in s.attrs),
+         sum(s.duration or 0 for s in site_spans),
+         sum(s.attrs.get("padding", 0) for s in site_spans),
+         len({s.duration for s in site_spans}))
+        for mit_id, site_spans in sorted(per_site.items())
+    ])
+    return _join([
+        [f"runs: {len(runs)}   final clock total: {final} cycles "
+         f"({len(records)} journal record(s))"],
+        _time_sinks([
+            ("inside mitigate epochs", epoch_cycles),
+            ("padding (mitigate stretch)", padding),
+            ("outside mitigate epochs", final - epoch_cycles),
+        ], final),
+        sites,
+        _trajectory_lines(trajectories),
+        ["leakage verdict: n/a (journals carry the raw stream; "
+         "run with --metrics-out for the Theorem 2 account)"],
+    ]), True
 
 
 def _documents():
@@ -388,7 +462,7 @@ def render_report(doc: Mapping[str, Any],
         if "journal" in doc:
             body, ok = _journal_report(doc["journal"])
         elif "counters" in doc or "timing" in doc:
-            body, ok = _metrics_report(doc)
+            body, ok = render_metrics(doc)
         else:
             raise ReportError(
                 "document is neither a repro.telemetry metrics JSON, an "

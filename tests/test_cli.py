@@ -401,11 +401,11 @@ class TestOneFrontEnd:
                         "// gamma: h=H, ready=L\n" + MITIGATED)
         sweep = ["leakage", str(path), "--secret", "h", "--values", "0..2"]
         assert main(sweep) == 0
-        assert "adversary: M" in capsys.readouterr().out
+        assert "adversary M" in capsys.readouterr().out
         assert main([*sweep, "--adversary", "L"]) == 0
-        assert "adversary: L" in capsys.readouterr().out
+        assert "adversary L" in capsys.readouterr().out
         assert main(["run", str(path), "--metrics-out", "-"]) == 0
-        doc = json.loads(capsys.readouterr().out.split("final ready = 1\n")[1])
+        doc = json.loads(capsys.readouterr().out)
         assert doc["leakage"]["adversary"] == "M"
 
     @pytest.mark.parametrize(
@@ -487,9 +487,10 @@ class TestLeakage:
         rc = main(["leakage", leaky, "--gamma", "h=H,ready=L",
                    "--secret", "h", "--values", "0..8", "--unchecked",
                    "--hardware", "null"])
-        assert rc == 0
+        assert rc == 1  # Q = 3 bits > log|V| = 0: Theorem 2 fails
         out = capsys.readouterr().out
-        assert "Q        = 3.000 bits" in out
+        assert "Q = 3.000 bits" in out
+        assert "Theorem 2 VIOLATED" in out
 
     def test_bound_does_not_follow_hash_order(self, tmp_path):
         # A loop completes one mitigation per iteration, so the secret
@@ -513,7 +514,7 @@ class TestLeakage:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        assert "bound    = 18.617 bits" in outs[0]
+        assert "closed-form bound 18.617 bits" in outs[0]
 
 
 class TestServe:
@@ -542,7 +543,7 @@ class TestServe:
         assert rc == 0
         out = capsys.readouterr().out
         assert "policy quantized(q=1024)" in out
-        assert "audit: OK" in out
+        assert "service audit: OK" in out
 
     def test_serve_metrics_out_stdout(self, workload, capsys):
         rc = main(["serve", "--spec", workload, "--metrics-out", "-"])
@@ -551,7 +552,7 @@ class TestServe:
         doc = json.loads(captured.out)
         assert doc["schema"] == "repro.telemetry/1"
         assert doc["service"]["audit_ok"] is True
-        assert "audit: OK" in captured.err  # summary moved to stderr
+        assert "service audit: OK" in captured.err  # text moved to stderr
 
     def test_serve_overrides(self, workload, capsys):
         rc = main(["serve", "--spec", workload, "--policy", "fifo",
@@ -662,12 +663,28 @@ class TestReport:
         assert "mitigate sites" in out
         assert "time sinks (top first):" in out
 
-    def test_report_on_committed_bench_metrics(self, capsys):
-        path = os.path.join(REPO_ROOT, "benchmarks", "results",
-                            "fig7_metrics.json")
-        if not os.path.exists(path):
-            pytest.skip("benches not yet run in this checkout")
-        rc = main(["report", path])
+    def test_report_on_fig7_bench_metrics(self, capsys, tmp_path):
+        """The document bench_fig7_login.py writes, at a small table:
+        mitigated login attempts, each fed to the meter."""
+        from repro.apps.login import CredentialTable, LoginSystem
+        from repro.semantics.mitigation import MitigationState
+        from repro.telemetry import (DynamicLeakageMeter,
+                                     RecordingTraceRecorder)
+
+        system = LoginSystem(table_size=8, mitigated=True)
+        table = CredentialTable.generate(size=8, valid=3, seed=2012)
+        recorder = RecordingTraceRecorder()
+        meter = DynamicLeakageMeter(system.lattice)
+        mitigation = MitigationState()
+        for username, password in zip(table.usernames, table.passwords):
+            meter.observe(system.run(table, username, password,
+                                     hardware="partitioned",
+                                     mitigation=mitigation,
+                                     recorder=recorder))
+        path = tmp_path / "fig7_metrics.json"
+        path.write_text(json.dumps(
+            recorder.registry.as_dict(leakage=meter.as_dict())))
+        rc = main(["report", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "leakage verdict" in out
@@ -748,7 +765,7 @@ class TestProfileFlags:
                    "--set", "h=9", "--set", "ready=0", "--profile"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "profile:" in out
+        assert "profile (subsystem attribution):" in out
         assert "hardware.partitioned" in out
         assert "total attributed cycles:" in out
 
@@ -781,7 +798,7 @@ class TestProfileFlags:
         rc = main(["run", mitigated, "--gamma", "h=H,ready=L",
                    "--set", "h=9", "--set", "ready=0"])
         assert rc == 0
-        assert "profile:" not in capsys.readouterr().out
+        assert "profile (subsystem attribution):" not in capsys.readouterr().out
 
 
 class TestContract:

@@ -425,9 +425,9 @@ class TestCli:
                    "--hardware", "partitioned", "--trace"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "telemetry:" in out
+        assert "time sinks (top first):" in out
         assert "padding" in out
-        assert "leakage:" in out and "ok" in out
+        assert "leakage verdict:" in out and "ok" in out
 
     def test_metrics_out_writes_document(self, mitigated, capsys, tmp_path):
         out_path = tmp_path / "metrics.json"
@@ -453,7 +453,7 @@ class TestCli:
                    "--set", "h=9", "--set", "ready=0",
                    "--hardware", "partitioned"])
         assert rc == 0
-        assert "telemetry:" not in capsys.readouterr().out
+        assert "time sinks" not in capsys.readouterr().out
 
     def test_trace_out_writes_chrome_trace(self, capsys, tmp_path):
         example = os.path.join(os.path.dirname(__file__), "..",
@@ -520,7 +520,7 @@ class TestCli:
                    "--metrics-out", str(out_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "telemetry:" in out
+        assert "time sinks (top first):" in out
         doc = json.loads(out_path.read_text())
         assert doc["schema"] == SCHEMA
         # One document for the whole sweep: the 8 variants run once, and
